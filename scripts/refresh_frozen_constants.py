@@ -3,7 +3,7 @@
 
 The test suite freezes three corpus-wide extremes as Fraction strings.
 After an intentional change to the corpora or the reports, run this and
-paste the printed values into tests/test_regression_constants.py.
+paste the printed values into tests/conftest.py.
 """
 
 from distsym.bisectors import bisector_weight_map

@@ -8,7 +8,7 @@ which rearranges to the linear equation
 
 Clearing denominators, dividing by the gcd and forcing the first nonzero of
 (a, b) positive makes the triple (a, b, c) a unique key for the line, so
-weights can be accumulated in a plain map.
+weights can be accumulated by sorting and counting equal triples.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .planar import PlanarPointSet, Point, as_point
-from .scalar_sets import _CHUNK, as_scalar
+from .scalar_sets import _CHUNK, as_scalar, clear_denominators
 
 
 class Line(NamedTuple):
@@ -42,15 +42,10 @@ class Line(NamedTuple):
 def canonical_line(a, b, c) -> Line:
     """Normalise rational coefficients of a nondegenerate line to the unique
     canonical triple; any rational multiple of the equation yields the same."""
-    a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
-    if a == 0 and b == 0:
+    (ai, bi, ci), _ = clear_denominators((as_scalar(a), as_scalar(b), as_scalar(c)))
+    if ai == 0 and bi == 0:
         raise ValueError("degenerate line: a = b = 0")
-    lcm = 1
-    for v in (a, b, c):
-        if isinstance(v, Fraction):
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ai, bi, ci = (int(v * lcm) for v in (a, b, c))
-    g = math.gcd(math.gcd(abs(ai), abs(bi)), abs(ci))
+    g = math.gcd(ai, bi, ci)
     ai, bi, ci = ai // g, bi // g, ci // g
     if ai < 0 or (ai == 0 and bi < 0):
         ai, bi, ci = -ai, -bi, -ci
@@ -87,45 +82,33 @@ def point_on_line(line: Line, p) -> bool:
 class WeightedBisectorMap:
     """w(l) = number of ordered pairs of distinct points whose bisector is l.
 
-    Large integer inputs are held as lex-sorted coefficient arrays; the dict
-    view materialises only on demand.  Weights are even and sum to N^2 - N.
+    Held as coefficient rows (a, b, c) in numeric lex order with their
+    weights; the dict view of weights() is built on demand.  Weights are even
+    and sum to N^2 - N.
     """
 
     __slots__ = ("n_points", "source_points", "total_weight", "max_weight",
-                 "_dict", "_lines", "_weights")
+                 "_lines", "_weights", "_dict")
 
-    def __init__(self, source_points: Tuple[Point, ...],
-                 weights: Optional[Dict[Line, int]] = None,
-                 arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None):
-        if (weights is None) == (arrays is None):
-            raise ValueError("exactly one backing store expected")
+    def __init__(self, source_points: Tuple[Point, ...], lines: np.ndarray, weights: np.ndarray):
         self.source_points = source_points
         self.n_points = len(source_points)
-        self._dict = weights
-        if arrays is not None:
-            self._lines, self._weights = arrays
-            self.total_weight = int(self._weights.sum())
-            self.max_weight = int(self._weights.max())
-        else:
-            self._lines = self._weights = None
-            self.total_weight = sum(weights.values())
-            self.max_weight = max(weights.values())
+        self._lines = lines
+        self._weights = weights
+        self._dict = None
+        self.total_weight = int(weights.sum())
+        self.max_weight = int(weights.max())
 
     @property
     def distinct_lines(self) -> int:
-        if self._dict is not None:
-            return len(self._dict)
         return len(self._weights)
 
     def __len__(self):
         return self.distinct_lines
 
     def items(self) -> Iterator[Tuple[Line, int]]:
-        if self._dict is not None:
-            yield from self._dict.items()
-        else:
-            for row, w in zip(self._lines, self._weights):
-                yield Line(int(row[0]), int(row[1]), int(row[2])), int(w)
+        for row, w in zip(self._lines.tolist(), self._weights.tolist()):
+            yield Line(*row), w
 
     def weights(self) -> Dict[Line, int]:
         if self._dict is None:
@@ -136,48 +119,28 @@ class WeightedBisectorMap:
         return self.weights()[line]
 
     def line_arrays(self):
-        """(lines, weights) int64 arrays with rows in numeric lex order, or
-        None when the map was built on the exact object path."""
-        if self._lines is None:
-            return None
+        """(lines, weights): an (n, 3) array of canonical rows in numeric lex
+        order and their int64 weights.  The rows are int64 when the point
+        coordinates passed the planar int64 guard, else object (Python ints)."""
         return self._lines, self._weights
 
 
 def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
-    """Accumulate bisector weights over all ordered pairs of distinct points."""
+    """Accumulate bisector weights over all ordered pairs of distinct points.
+
+    On coordinates cleared by L, the bisector equation times L^2 reads
+    2L(Qx - Px) X + 2L(Qy - Py) Y + (|P|^2 - |Q|^2) = 0, so one integer
+    kernel serves every input; the coordinate dtype carries into every row.
+    """
     n = len(p)
     if n < 2:
         raise TooFewPointsError("bisector weights need at least two points")
-    scaled = p.scaled_int_coords()
-    if scaled is not None and scaled[2] == 1:
-        # integer coordinates: line coefficients stay within the int64 guard
-        return _weight_map_np(p, scaled[0], scaled[1])
-    return _weight_map_exact(p)
-
-
-def _pair_blocks(n: int, target: int):
-    """Index arrays (ii, jj) covering every i < j pair in bounded batches."""
-    i = 0
-    while i < n:
-        rows = []
-        total = 0
-        while i < n and total < target:
-            rows.append(i)
-            total += n - i - 1
-            i += 1
-        ii = np.concatenate([np.full(n - r - 1, r, dtype=np.int64) for r in rows])
-        jj = np.concatenate([np.arange(r + 1, n, dtype=np.int64) for r in rows])
-        if len(ii):
-            yield ii, jj
-
-
-def _weight_map_np(p: PlanarPointSet, xs: np.ndarray, ys: np.ndarray) -> WeightedBisectorMap:
-    n = len(p)
+    xs, ys, den = p.scaled_int_coords()
     parts_a, parts_b, parts_c = [], [], []
     sq = xs * xs + ys * ys
     for ii, jj in _pair_blocks(n, _CHUNK):
-        a = 2 * (xs[jj] - xs[ii])
-        b = 2 * (ys[jj] - ys[ii])
+        a = 2 * den * (xs[jj] - xs[ii])
+        b = 2 * den * (ys[jj] - ys[ii])
         c = sq[ii] - sq[jj]
         g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
         a //= g
@@ -202,37 +165,35 @@ def _weight_map_np(p: PlanarPointSet, xs: np.ndarray, ys: np.ndarray) -> Weighte
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, len(a)))
     lines = np.stack([a[starts], b[starts], c[starts]], axis=1)
-    wmap = WeightedBisectorMap(p.points, arrays=(lines, 2 * counts))
+    wmap = WeightedBisectorMap(p.points, lines, 2 * counts)
     if wmap.total_weight != n * n - n:
         raise RuntimeError("bisector weights failed the pair-count identity")
     return wmap
 
 
-def _weight_map_exact(p: PlanarPointSet) -> WeightedBisectorMap:
-    pts = p.points
-    weights: Dict[Line, int] = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            line = perpendicular_bisector(pts[i], pts[j])
-            weights[line] = weights.get(line, 0) + 2
-    wmap = WeightedBisectorMap(pts, weights=weights)
-    if wmap.total_weight != len(pts) ** 2 - len(pts):
-        raise RuntimeError("bisector weights failed the pair-count identity")
-    return wmap
+def _pair_blocks(n: int, target: int):
+    """Index arrays (ii, jj) covering every i < j pair in bounded batches."""
+    i = 0
+    while i < n:
+        rows = []
+        total = 0
+        while i < n and total < target:
+            rows.append(i)
+            total += n - i - 1
+            i += 1
+        ii = np.concatenate([np.full(n - r - 1, r, dtype=np.int64) for r in rows])
+        jj = np.concatenate([np.arange(r + 1, n, dtype=np.int64) for r in rows])
+        if len(ii):
+            yield ii, jj
 
 
 def heaviest_bisector(wmap: WeightedBisectorMap) -> Tuple[Line, int]:
     """Line of maximum weight; ties break to the lexicographically least triple."""
     if wmap.distinct_lines == 0:
         raise EmptyInputError("empty bisector map")
-    arrays = wmap.line_arrays()
-    if arrays is not None:
-        lines, weights = arrays
-        idx = int(np.flatnonzero(weights == wmap.max_weight)[0])  # rows lex-sorted
-        row = lines[idx]
-        return Line(int(row[0]), int(row[1]), int(row[2])), wmap.max_weight
-    best = min(line for line, w in wmap.items() if w == wmap.max_weight)
-    return best, wmap.max_weight
+    lines, weights = wmap.line_arrays()
+    idx = int(np.flatnonzero(weights == wmap.max_weight)[0])  # rows lex-sorted
+    return Line(*lines[idx].tolist()), wmap.max_weight
 
 
 @dataclass(frozen=True)

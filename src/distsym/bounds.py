@@ -32,13 +32,13 @@ from .brackets import (
 from .errors import CapExceededError, EmptyInputError, TooFewPointsError
 from .planar import PlanarPointSet, squared_distance_set, verify_product_identity
 from .scalar_sets import (
-    _I64_LIMIT,
     Scalar,
     ScalarSet,
     ab_plus_c_set,
     difference_set,
     dilate,
     elementwise_square,
+    int_dtype,
     iterated_combination,
     pairwise_combine,
 )
@@ -115,20 +115,14 @@ def _element_witnesses(a: ScalarSet, d: ScalarSet, two_dd: ScalarSet):
         for y in a.elements:
             first_pair.setdefault(x - y, (x, y))
     delems = d.elements
-    ud = d.to_int64()
-    if ud is not None and 2 * d.max_abs ** 2 < _I64_LIMIT:
-        prods = 2 * np.multiply.outer(ud, ud).ravel()
-        uniq, first_idx = np.unique(prods, return_index=True)
-        ii, jj = np.divmod(first_idx, len(ud))
-        elements = uniq.tolist()
-        pairs = [(delems[int(i)], delems[int(j)]) for i, j in zip(ii, jj)]
-    else:
-        seen = {}
-        for u in delems:
-            for v in delems:
-                seen.setdefault(2 * u * v, (u, v))
-        elements = sorted(seen)
-        pairs = [seen[t] for t in elements]
+    nd = d.numerators
+    # D is symmetric about 0, so its last numerator has the largest magnitude
+    nd = nd.astype(int_dtype(2 * int(nd[-1]) ** 2), copy=False)
+    # first index of each value in row-major order: the first (u, v) found
+    _, first_idx = np.unique(2 * np.multiply.outer(nd, nd).ravel(), return_index=True)
+    ii, jj = np.divmod(first_idx, len(nd))
+    pairs = [(delems[i], delems[j]) for i, j in zip(ii.tolist(), jj.tolist())]
+    elements = [2 * u * v for u, v in pairs]
     if elements != list(two_dd.elements):
         raise RuntimeError("witness enumeration disagrees with the dilated product set")
     witnesses = []

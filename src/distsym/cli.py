@@ -128,7 +128,7 @@ def _cap(args, default: int) -> int:
     return cap
 
 
-def _family_spec(kind: str, args, size=None) -> FamilySpec:
+def _family_spec(kind: str, args, size=None, dim=None) -> FamilySpec:
     n = size if size is not None else args.n
     if kind == "ap":
         return FamilySpec(kind="ap", n=n, start=args.start, step=args.step)
@@ -140,7 +140,8 @@ def _family_spec(kind: str, args, size=None) -> FamilySpec:
     if kind == "random-int":
         seed = args.seed if size is None else args.seed + size
         return FamilySpec(
-            kind="random_int", n=n, coord_range=args.range, seed=seed, dim=args.dim
+            kind="random_int", n=n, coord_range=args.range, seed=seed,
+            dim=args.dim if dim is None else dim,
         )
     if kind == "grid":
         return FamilySpec(kind="grid", n=n)
@@ -310,13 +311,13 @@ def run_sweep(args):
         raise ValueError(f"check {name!r} needs a point family, not {args.family!r}")
     if not point_check and args.family not in SCALAR_FAMILIES:
         raise ValueError(f"check {name!r} needs a scalar family, not {args.family!r}")
-    if point_check and args.family == "random-int" and args.dim != 2:
-        args.dim = 2
+    # point checks draw random-int families in the plane whatever --dim says
+    dim = 2 if point_check and args.family == "random-int" else None
     rows = []
     json_rows = []
     violated = False
     for size in _parse_sizes(args.sizes):
-        spec = _family_spec(args.family, args, size=size)
+        spec = _family_spec(args.family, args, size=size, dim=dim)
         fam = generate_family(spec)
         label = f"{args.family}({size})"
         started = time.perf_counter()
@@ -449,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-zero-distance", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--include-fixed-points", action=argparse.BooleanOptionalAction, default=False)
     sp.add_argument("--max-size", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     _add_out_flags(sp)
     sp.set_defaults(func=cmd_check)
 

@@ -10,32 +10,27 @@ makes their agreement worth testing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .bisectors import WeightedBisectorMap
 from .brackets import Bracket, int_nth_root, nth_root_bracket
 from .errors import CapExceededError, EmptyInputError, MismatchedInputsError
-from .planar import PlanarPointSet, radius_multiplicity_map, squared_distance_set
+from .planar import PlanarPointSet, sq_dist_rows, squared_distance_set
+from .scalar_sets import _CHUNK, int_dtype
 
 BRUTE_CAP_DEFAULT = 60
 _SCAN_WORK_LIMIT = 10 ** 8
-_BLOCK = 1 << 22
 
 
 def _iter_run_lengths(xs: np.ndarray, ys: np.ndarray):
     """Per block of centres: lengths of equal-value runs in each sorted row of
     squared distances.  A run of length m is one (centre, radius) class."""
     n = len(xs)
-    block = max(1, _BLOCK // n)
-    for i in range(0, n, block):
-        dx = xs[i : i + block, None] - xs[None, :]
-        dy = ys[i : i + block, None] - ys[None, :]
-        d2 = dx * dx + dy * dy
+    for d2 in sq_dist_rows(xs, ys):
         d2.sort(axis=1)
         flat = d2.ravel()
         starts = np.zeros(flat.size, dtype=bool)
@@ -49,25 +44,23 @@ def isosceles_count(p: PlanarPointSet) -> int:
     """T via radius multiplicities, O(N^2): sum over classes of m(m-1)."""
     if not p:
         raise EmptyInputError("triple count of an empty point set")
-    scaled = p.scaled_int_coords()
-    if scaled is not None:
-        return sum(int((lens * (lens - 1)).sum()) for lens in _iter_run_lengths(scaled[0], scaled[1]))
-    rmap = radius_multiplicity_map(p)
-    return sum(m * (m - 1) for counts in rmap.by_center.values() for m in counts.values())
+    xs, ys, _ = p.scaled_int_coords()
+    return sum(int((lens * (lens - 1)).sum()) for lens in _iter_run_lengths(xs, ys))
 
 
 def isosceles_count_brute(p: PlanarPointSet, cap: int = BRUTE_CAP_DEFAULT) -> int:
     """T via the literal cubic loop; refuses sets larger than cap.
 
-    Rational coordinates are cleared to a common integer grid first.  That
-    single dilation preserves every equality of squared distances, and the
-    loop below stays a plain triple enumeration.
+    It reads the coordinates cleared to a common integer grid.  That single
+    dilation preserves every equality of squared distances, and the loop
+    below stays a plain triple enumeration.
     """
     if not p:
         raise EmptyInputError("triple count of an empty point set")
     if cap is not None and len(p) > cap:
         raise CapExceededError(f"brute-force triple count capped at {cap} points")
-    coords, _ = _integer_coords(p)
+    xs, ys, _ = p.scaled_int_coords()
+    coords = list(zip(xs.tolist(), ys.tolist()))
     n = len(coords)
     count = 0
     for si in range(n):
@@ -84,22 +77,6 @@ def isosceles_count_brute(p: PlanarPointSet, cap: int = BRUTE_CAP_DEFAULT) -> in
     return count
 
 
-def _integer_coords(p: PlanarPointSet):
-    """(coords, L): coordinates times the common denominator L, as Python ints."""
-    lcm = 1
-    for x, y in p.points:
-        if isinstance(x, Fraction):
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        if isinstance(y, Fraction):
-            lcm = lcm * y.denominator // math.gcd(lcm, y.denominator)
-    out = []
-    for x, y in p.points:
-        xi = x * lcm if isinstance(x, int) else x.numerator * (lcm // x.denominator)
-        yi = y * lcm if isinstance(y, int) else y.numerator * (lcm // y.denominator)
-        out.append((xi, yi))
-    return out, lcm
-
-
 def _check_map(p: PlanarPointSet, wmap: WeightedBisectorMap) -> None:
     if wmap.source_points != p.points:
         raise MismatchedInputsError("weight map does not belong to this point set")
@@ -111,39 +88,14 @@ def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
     if not p:
         raise EmptyInputError("incidence scan of an empty point set")
     _check_map(p, wmap)
-    scaled = p.scaled_int_coords()
-    arrays = wmap.line_arrays()
-    if scaled is not None and arrays is not None:
-        total = _incidence_scan_np(scaled, arrays)
-        if total is not None:
-            return total
-    # object scan; clearing denominators keeps every test in integers
-    coords, lcm = _integer_coords(p)
+    xs, ys, den = p.scaled_int_coords()
+    lines, weights = wmap.line_arrays()
+    dtype = _scan_dtype(xs, ys, den, lines)
+    lines = lines.astype(dtype, copy=False)
+    xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
+    cl = lines[:, 2] * den
     total = 0
-    for line, w in wmap.items():
-        a, b, c = line
-        c_scaled = c * lcm
-        hits = 0
-        for ux, uy in coords:
-            if a * ux + b * uy + c_scaled == 0:
-                hits += 1
-        total += w * hits
-    return total
-
-
-def _incidence_scan_np(scaled, arrays) -> Optional[int]:
-    xs, ys, lcm = scaled
-    lines, weights = arrays
-    if len(lines) == 0:
-        return 0
-    mags = np.abs(lines).max(axis=0)
-    coord_bound = int(max(np.abs(xs).max(), np.abs(ys).max(), 1))
-    reach = (int(mags[0]) + int(mags[1])) * coord_bound + int(mags[2]) * lcm
-    if reach >= 1 << 62:
-        return None
-    cl = lines[:, 2] * lcm
-    total = 0
-    block = max(1, _BLOCK // max(len(xs), 1))
+    block = max(1, _CHUNK // len(xs))
     for i in range(0, len(lines), block):
         vals = (
             lines[i : i + block, 0:1] * xs[None, :]
@@ -153,6 +105,19 @@ def _incidence_scan_np(scaled, arrays) -> Optional[int]:
         hits = (vals == 0).sum(axis=1)
         total += int(weights[i : i + block] @ hits)
     return total
+
+
+def _scan_dtype(xs, ys, den: int, lines):
+    """a x + b y + c = 0 at (X/L, Y/L) iff a X + b Y + c L = 0.  The reach
+    bounds every term and partial sum of that test (and L itself); it picks
+    int64 or object for the scan."""
+    mags = [max(_abs_max(col), 1) for col in lines.T]
+    coord_bound = max(_abs_max(xs), _abs_max(ys), 1)
+    return int_dtype((mags[0] + mags[1]) * coord_bound + mags[2] * den)
+
+
+def _abs_max(values: np.ndarray) -> int:
+    return int(np.abs(values).max()) if len(values) else 0
 
 
 @dataclass(frozen=True)
@@ -232,12 +197,6 @@ def _low_multiplicity_classes(p: PlanarPointSet) -> int:
     classes."""
     n = len(p)
     d_count = len(squared_distance_set(p, include_zero=True).squared)
-    scaled = p.scaled_int_coords()
-    if scaled is not None:
-        rich = sum(int((lens >= 2).sum()) for lens in _iter_run_lengths(scaled[0], scaled[1]))
-    else:
-        rmap = radius_multiplicity_map(p)
-        rich = sum(
-            1 for counts in rmap.by_center.values() for m in counts.values() if m >= 2
-        )
+    xs, ys, _ = p.scaled_int_coords()
+    rich = sum(int((lens >= 2).sum()) for lens in _iter_run_lengths(xs, ys))
     return n * d_count - rich

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -12,19 +10,20 @@ import numpy as np
 from .errors import EmptyInputError
 from .scalar_sets import (
     _CHUNK,
-    _UNSET,
     Scalar,
     ScalarSet,
     as_scalar,
+    clear_denominators,
     difference_set,
     elementwise_square,
     iterated_combination,
+    unique_blocks,
 )
 
 Point = Tuple[Scalar, Scalar]
 
-# squared distances reach 8 * M^2 for scaled magnitude M; this keeps them
-# (and every bisector coefficient) inside exact int64
+# squared distances reach 8 * M^2 for scaled magnitude M, and bisector
+# coefficients 4 * L * M; bounding M and L by this keeps both inside exact int64
 _COORD_LIMIT = 1 << 29
 
 
@@ -41,14 +40,14 @@ class PlanarPointSet:
     def __init__(self, points: Iterable = ()):
         self._points = tuple(sorted({as_point(p) for p in points}))
         self._members = None
-        self._scaled = _UNSET
+        self._scaled = None
 
     @classmethod
     def _from_sorted(cls, points) -> "PlanarPointSet":
         s = cls.__new__(cls)
         s._points = tuple(points)
         s._members = None
-        s._scaled = _UNSET
+        s._scaled = None
         return s
 
     @property
@@ -56,38 +55,16 @@ class PlanarPointSet:
         return self._points
 
     def scaled_int_coords(self):
-        """(xs, ys, L) with coordinates cleared to integers by the common
-        denominator L, as int64 arrays, or None past the exact-int64 guard."""
-        if self._scaled is _UNSET:
-            self._scaled = self._compute_scaled()
+        """(xs, ys, L): coordinates times their common denominator L, as
+        int64 arrays when L and every scaled coordinate are within
+        _COORD_LIMIT, else as object arrays of Python ints."""
+        if self._scaled is None:
+            nums, den = clear_denominators([v for pt in self._points for v in pt])
+            bound = max(map(abs, nums), default=0)
+            dtype = np.int64 if max(bound, den) <= _COORD_LIMIT else object
+            flat = np.array(nums, dtype=dtype)
+            self._scaled = (flat[0::2].copy(), flat[1::2].copy(), den)
         return self._scaled
-
-    def _compute_scaled(self):
-        if not self._points:
-            return None
-        lcm = 1
-        for x, y in self._points:
-            if isinstance(x, Fraction):
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-            if isinstance(y, Fraction):
-                lcm = lcm * y.denominator // math.gcd(lcm, y.denominator)
-            if lcm > _COORD_LIMIT:
-                return None
-        xs, ys = [], []
-        bound = 0
-        for x, y in self._points:
-            xi = x * lcm if isinstance(x, int) else x.numerator * (lcm // x.denominator)
-            yi = y * lcm if isinstance(y, int) else y.numerator * (lcm // y.denominator)
-            xs.append(xi)
-            ys.append(yi)
-            bound = max(bound, abs(xi), abs(yi))
-        if bound > _COORD_LIMIT:
-            return None
-        return (
-            np.array(xs, dtype=np.int64),
-            np.array(ys, dtype=np.int64),
-            lcm,
-        )
 
     def __len__(self):
         return len(self._points)
@@ -134,48 +111,25 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
     return PlanarPointSet._from_sorted((x, y) for x in elems for y in elems)
 
 
-def _pairwise_sq_dist_unique(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    n = len(xs)
-    block = max(1, _CHUNK // n)
-    parts = []
-    for i in range(0, n, block):
-        dx = xs[i : i + block, None] - xs[None, :]
-        dy = ys[i : i + block, None] - ys[None, :]
-        parts.append(np.unique(dx * dx + dy * dy))
-        if len(parts) >= 12:
-            parts = [np.unique(np.concatenate(parts))]
-    out = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-    return out[out > 0]  # zeros come only from the diagonal
+def sq_dist_rows(xs: np.ndarray, ys: np.ndarray):
+    """Squared distances from a block of centres to every point, one fresh
+    (block, N) array at a time, blocks sized to bound memory."""
+    step = max(1, _CHUNK // len(xs))
+    for i in range(0, len(xs), step):
+        dx = xs[i : i + step, None] - xs[None, :]
+        dy = ys[i : i + step, None] - ys[None, :]
+        yield dx * dx + dy * dy
 
 
 def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> DistanceSet:
     """Distinct values |u - v|^2 over point pairs; 0 kept iff include_zero."""
     if not p:
         raise EmptyInputError("distance set of an empty point set")
-    scaled = p.scaled_int_coords()
-    if scaled is not None:
-        xs, ys, lcm = scaled
-        vals = _pairwise_sq_dist_unique(xs, ys)
-        if lcm == 1:
-            elems = vals.tolist()
-        else:
-            l2 = lcm * lcm
-            # dividing by l2 is monotone, so sorted order survives the map
-            elems = [as_scalar(Fraction(int(v), l2)) for v in vals.tolist()]
-        if include_zero:
-            elems.insert(0, 0)
-        return DistanceSet(ScalarSet._from_sorted(elems), include_zero)
-    pts = p.points
-    vals = set()
-    for i in range(len(pts)):
-        xi, yi = pts[i]
-        for j in range(i + 1, len(pts)):
-            dx = xi - pts[j][0]
-            dy = yi - pts[j][1]
-            vals.add(dx * dx + dy * dy)
-    if include_zero:
-        vals.add(0)
-    return DistanceSet(ScalarSet(vals), include_zero)
+    xs, ys, den = p.scaled_int_coords()
+    vals = unique_blocks(sq_dist_rows(xs, ys))
+    if not include_zero:
+        vals = vals[1:]  # the diagonal's 0 is the least value
+    return DistanceSet(ScalarSet._from_numerators(vals, den * den), include_zero)
 
 
 def verify_product_identity(a: ScalarSet):

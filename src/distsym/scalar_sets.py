@@ -1,15 +1,17 @@
 """Exact finite-set algebra over the rationals.
 
-Elements are Python ints and Fractions, so every operation is exact;
-denominator-1 values are normalised to int.  Integer sets whose magnitudes
-fit comfortably in int64 take vectorised numpy paths, everything else falls
-back to the pure object path with identical results.  Floats are rejected
-at the boundary.
+A set is stored once, as integers: a sorted array of distinct numerators
+over one common denominator L, reduced so that gcd(L, every numerator) = 1.
+Every operation lifts its operands to a common denominator and runs on those
+integer arrays.  The magnitude guards pick only the dtype: int64 while every
+intermediate provably fits, numpy object arrays of Python ints past that.
+Elements are exposed as Python ints and Fractions (denominator-1 values are
+ints); floats are rejected at the boundary.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from fractions import Fraction
 from typing import Iterable, Literal, Union
 
@@ -23,9 +25,9 @@ CombineOp = Literal["add", "subtract", "multiply"]
 # int64 arithmetic stays exact as long as every intermediate fits; the
 # per-operation guards below compare actual magnitudes against this margin.
 _I64_LIMIT = 1 << 62
+# values per block in every pair-enumerating kernel, which deduplicates or
+# reduces block by block to bound memory
 _CHUNK = 1 << 22
-
-_UNSET = object()
 
 
 def as_scalar(value) -> Scalar:
@@ -41,89 +43,135 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-class ScalarSet:
-    """Canonically sorted, deduplicated set of exact rationals."""
+def clear_denominators(values):
+    """(ints, L): canonical scalars times their least common denominator L."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    if den == 1:
+        return values, 1
+    return [v * den if isinstance(v, int) else v.numerator * (den // v.denominator)
+            for v in values], den
 
-    __slots__ = ("_elems", "_members", "_i64")
+
+def int_dtype(bound: int):
+    """int64 when every value is at most bound in magnitude and the bound is
+    inside the exact-int64 guard, else object (Python ints)."""
+    return np.int64 if bound < _I64_LIMIT else object
+
+
+def _end_bound(nums) -> int:
+    # largest magnitude of a sorted sequence sits at one of its ends
+    return max(abs(int(nums[0])), abs(int(nums[-1]))) if len(nums) else 0
+
+
+class ScalarSet:
+    """Canonically sorted, deduplicated set of exact rationals, held as
+    sorted integer numerators over one reduced common denominator."""
+
+    __slots__ = ("_nums", "_den", "_elems", "_members")
 
     def __init__(self, values: Iterable = ()):
-        self._elems = tuple(sorted({as_scalar(v) for v in values}))
+        nums, den = clear_denominators({as_scalar(v) for v in values})
+        nums.sort()
+        self._init(np.array(nums, dtype=int_dtype(_end_bound(nums))), den)
+
+    def _init(self, nums: np.ndarray, den: int) -> None:
+        self._nums = nums
+        self._den = den
+        self._elems = None
         self._members = None
-        self._i64 = _UNSET
 
     @classmethod
-    def _from_sorted(cls, elems) -> "ScalarSet":
-        # trusted constructor: canonical scalars, strictly increasing
+    def _from_numerators(cls, nums: np.ndarray, den: int) -> "ScalarSet":
+        """Trusted constructor: nums strictly increasing.  Reduces the
+        fraction nums / den and settles the dtype of the stored array."""
+        if not len(nums):
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, int(np.gcd.reduce(nums)))
+            if g != 1:
+                nums, den = nums // g, den // g
+        if nums.dtype == object and _end_bound(nums) < _I64_LIMIT:
+            nums = nums.astype(np.int64)
         s = cls.__new__(cls)
-        s._elems = tuple(elems)
-        s._members = None
-        s._i64 = _UNSET
+        s._init(nums, den)
         return s
 
     @property
+    def numerators(self) -> np.ndarray:
+        """Sorted integer numerators: int64 inside the guard, else object."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    @property
     def elements(self) -> tuple:
+        if self._elems is None:
+            vals = self._nums.tolist()
+            if self._den != 1:
+                vals = [as_scalar(Fraction(v, self._den)) for v in vals]
+            self._elems = tuple(vals)
         return self._elems
 
     @property
     def max_abs(self):
-        if not self._elems:
-            return 0
-        return max(abs(self._elems[0]), abs(self._elems[-1]))
+        return as_scalar(Fraction(_end_bound(self._nums), self._den))
 
-    def to_int64(self):
-        """Sorted int64 array when every element is an int that fits, else None."""
-        if self._i64 is _UNSET:
-            if (
-                self._elems
-                and all(isinstance(x, int) for x in self._elems)
-                and self.max_abs < _I64_LIMIT
-            ):
-                self._i64 = np.array(self._elems, dtype=np.int64)
-            else:
-                self._i64 = None
-        return self._i64
+    def _lifted(self, k: int, dtype) -> np.ndarray:
+        # numerators over the denominator k * L
+        nums = self._nums.astype(dtype, copy=False)
+        return nums if k == 1 else nums * k
+
+    def _bound(self, k: int = 1) -> int:
+        # magnitude bound of _lifted(k), counting k itself as an operand
+        return max(_end_bound(self._nums), 1) * k
 
     def issubset(self, other: "ScalarSet") -> bool:
-        mine, theirs = self.to_int64(), other.to_int64()
-        if mine is not None and theirs is not None:
-            pos = np.searchsorted(theirs, mine)
-            if np.any(pos >= len(theirs)):
-                return False
-            return bool(np.all(theirs[pos] == mine))
-        if other._members is None:
-            other._members = frozenset(other._elems)
-        return all(x in other._members for x in self._elems)
+        if not self:
+            return True
+        # every denominator of a subset divides the superset's L
+        if not other or other._den % self._den:
+            return False
+        k = other._den // self._den
+        dt = int_dtype(max(self._bound(k), other._bound()))
+        mine, theirs = self._lifted(k, dt), other._lifted(1, dt)
+        pos = np.searchsorted(theirs, mine)
+        if pos[-1] >= len(theirs):
+            return False
+        return bool(np.all(theirs[pos] == mine))
 
     def __len__(self):
-        return len(self._elems)
+        return len(self._nums)
 
     def __iter__(self):
-        return iter(self._elems)
+        return iter(self.elements)
 
     def __bool__(self):
-        return bool(self._elems)
+        return len(self._nums) > 0
 
     def __contains__(self, value):
         if self._members is None:
-            self._members = frozenset(self._elems)
+            self._members = frozenset(self.elements)
         return as_scalar(value) in self._members
 
     def __eq__(self, other):
         if isinstance(other, ScalarSet):
-            return self._elems == other._elems
+            return self._den == other._den and np.array_equal(self._nums, other._nums)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._elems)
+        return hash(self.elements)
 
     def __repr__(self):
-        if len(self._elems) > 8:
-            shown = ", ".join(map(str, self._elems[:8]))
-            return f"ScalarSet([{shown}, ...] n={len(self._elems)})"
-        return f"ScalarSet([{', '.join(map(str, self._elems))}])"
+        elems = self.elements
+        if len(elems) > 8:
+            shown = ", ".join(map(str, elems[:8]))
+            return f"ScalarSet([{shown}, ...] n={len(elems)})"
+        return f"ScalarSet([{', '.join(map(str, elems))}])"
 
 
-_PY_OPS = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul}
 _NP_OPS = {"add": np.add, "subtract": np.subtract, "multiply": np.multiply}
 
 
@@ -133,49 +181,55 @@ def _require_nonempty(*sets: ScalarSet) -> None:
             raise EmptyInputError("operation requires nonempty input sets")
 
 
-def _fast_pair(a: ScalarSet, b: ScalarSet, op: str):
-    ua, ub = a.to_int64(), b.to_int64()
-    if ua is None or ub is None:
-        return None
-    if op == "multiply":
-        if a.max_abs * b.max_abs >= _I64_LIMIT:
-            return None
-    elif a.max_abs + b.max_abs >= _I64_LIMIT:
-        return None
-    return ua, ub
+def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
+    # sorts the (freshly computed) array in place and keeps the first of each
+    # run; numpy 2's np.unique hashes int64 values, many times slower
+    v = scratch.ravel()
+    v.sort()
+    keep = np.empty(len(v), dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
+def unique_blocks(blocks) -> np.ndarray:
+    """Sorted distinct values of a stream of pair blocks, deduplicated
+    incrementally to bound memory."""
+    parts = []
+    for block in blocks:
+        parts.append(_sorted_unique(block))
+        if len(parts) >= 12:
+            parts = [_sorted_unique(np.concatenate(parts))]
+    return parts[0] if len(parts) == 1 else _sorted_unique(np.concatenate(parts))
 
 
 def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
-    # pair-block enumeration, deduplicating incrementally to bound memory
-    block = max(1, _CHUNK // len(ub))
-    parts = []
-    for i in range(0, len(ua), block):
-        parts.append(np.unique(ufunc.outer(ua[i : i + block], ub).ravel()))
-        if len(parts) >= 12:
-            parts = [np.unique(np.concatenate(parts))]
-    return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+    step = max(1, _CHUNK // len(ub))
+    return unique_blocks(ufunc.outer(ua[i : i + step], ub) for i in range(0, len(ua), step))
 
 
 def pairwise_combine(a: ScalarSet, b: ScalarSet, op: CombineOp) -> ScalarSet:
     """All values x op y over x in a, y in b, deduplicated."""
-    if op not in _PY_OPS:
+    if op not in _NP_OPS:
         raise ValueError(f"unknown combine op: {op!r}")
     _require_nonempty(a, b)
-    fast = _fast_pair(a, b, op)
-    if fast is not None:
-        return ScalarSet._from_sorted(_unique_outer(fast[0], fast[1], _NP_OPS[op]).tolist())
-    f = _PY_OPS[op]
-    return ScalarSet(f(x, y) for x in a.elements for y in b.elements)
+    if op == "multiply":
+        den, ka, kb = a._den * b._den, 1, 1
+        bound = a._bound() * b._bound()
+    else:
+        den = math.lcm(a._den, b._den)
+        ka, kb = den // a._den, den // b._den
+        bound = a._bound(ka) + b._bound(kb)
+    dt = int_dtype(bound)
+    nums = _unique_outer(a._lifted(ka, dt), b._lifted(kb, dt), _NP_OPS[op])
+    return ScalarSet._from_numerators(nums, den)
 
 
 def difference_set(a: ScalarSet) -> ScalarSet:
     """All pairwise differences of a with itself; contains 0, symmetric about it."""
     _require_nonempty(a)
-    ua = a.to_int64()
-    if ua is not None and 2 * a.max_abs < _I64_LIMIT:
-        return ScalarSet._from_sorted(_unique_outer(ua, ua, np.subtract).tolist())
-    elems = a.elements
-    return ScalarSet(x - y for x in elems for y in elems)
+    ua = a._lifted(1, int_dtype(2 * a._bound()))
+    return ScalarSet._from_numerators(_unique_outer(ua, ua, np.subtract), a._den)
 
 
 def iterated_combination(m: int, n: int, a: ScalarSet) -> ScalarSet:
@@ -200,29 +254,21 @@ def iterated_combination(m: int, n: int, a: ScalarSet) -> ScalarSet:
 def dilate(scale, a: ScalarSet) -> ScalarSet:
     """Elementwise multiples {scale * x}; collapses to {0} when scale is 0."""
     _require_nonempty(a)
-    lam = as_scalar(scale)
+    lam = Fraction(as_scalar(scale))
     if lam == 0:
-        return ScalarSet._from_sorted([0])
-    if isinstance(lam, int):
-        ua = a.to_int64()
-        if ua is not None and abs(lam) * a.max_abs < _I64_LIMIT:
-            out = lam * ua
-            if lam < 0:
-                out = out[::-1]
-            return ScalarSet._from_sorted(out.tolist())
-    vals = [as_scalar(lam * x) for x in a.elements]
-    if lam < 0:
-        vals.reverse()
-    return ScalarSet._from_sorted(vals)
+        return ScalarSet([0])
+    p = lam.numerator
+    out = a._lifted(p, int_dtype(a._bound(abs(p))))
+    if p < 0:
+        out = out[::-1]
+    return ScalarSet._from_numerators(out, a._den * lam.denominator)
 
 
 def elementwise_square(a: ScalarSet) -> ScalarSet:
     """Squares of the elements; sign information collapses."""
     _require_nonempty(a)
-    ua = a.to_int64()
-    if ua is not None and a.max_abs ** 2 < _I64_LIMIT:
-        return ScalarSet._from_sorted(np.unique(ua * ua).tolist())
-    return ScalarSet(x * x for x in a.elements)
+    ua = a._lifted(1, int_dtype(a._bound() ** 2))
+    return ScalarSet._from_numerators(_sorted_unique(ua * ua), a._den ** 2)
 
 
 def ab_plus_c_set(a: ScalarSet, b: ScalarSet, c: ScalarSet) -> ScalarSet:

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import per_pair_weights
 from distsym.bisectors import (
     Line,
-    _weight_map_exact,
     bisector_weight_map,
     canonical_line,
     extract_symmetric_subset,
@@ -135,13 +136,18 @@ def test_weight_map_total_is_twice_pair_count():
         assert wm.total_weight == n * (n - 1)
 
 
-def test_numpy_and_exact_maps_agree():
+def test_weight_map_matches_per_pair_bisectors():
     rng = random.Random(17)
     pts = set()
     while len(pts) < 120:
         pts.add((rng.randint(-40, 40), rng.randint(-40, 40)))
-    p = PlanarPointSet(sorted(pts))
-    assert dict(bisector_weight_map(p).items()) == dict(_weight_map_exact(p).items())
+    integer = PlanarPointSet(pts)
+    rational = random_rational_point_set(random.Random(18), 40)
+    huge = PlanarPointSet([(10**25, 0), (0, 10**25), (-(10**25), 3), (Fraction(1, 3), 7), (0, 0)])
+    for p, dtype in ((integer, np.int64), (rational, np.int64), (huge, object)):
+        wm = bisector_weight_map(p)
+        assert wm.line_arrays()[0].dtype == dtype
+        assert wm.weights() == per_pair_weights(p)
 
 
 def test_symmetric_subset_on_triangle():

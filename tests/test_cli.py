@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from distsym.cli import main
+from distsym.cli import build_parser, main, run_sweep
 
 
 def run(capsys, *argv):
@@ -85,6 +85,14 @@ def test_sweep_reruns_byte_identical(tmp_path, capsys):
     assert run(capsys, *argv, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("input,name,lhs,")
+
+
+def test_point_sweep_over_random_int_leaves_args_alone():
+    args = build_parser().parse_args(
+        ["sweep", "--check", "st", "--family", "random-int", "--sizes", "3:4", "--range", "9"])
+    _, rows, _, _ = run_sweep(args)
+    assert args.dim == 1  # the planar family is chosen per call, not written back
+    assert [row[1] for row in rows] == ["3", "4"]  # N column: point sets of 3 and 4
 
 
 def test_sweep_marks_capped_rows_skipped(tmp_path, capsys):

@@ -1,19 +1,28 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distsym.bisectors import bisector_weight_map
+from conftest import per_pair_weights
+from distsym.bisectors import WeightedBisectorMap, bisector_weight_map
 from distsym.errors import CapExceededError, MismatchedInputsError
 from distsym.families import FamilySpec, generate_family, random_rational_point_set
 from distsym.incidence import (
+    _scan_dtype,
     isosceles_count,
     isosceles_count_brute,
     st_bound_report,
     weighted_incidences,
 )
-from distsym.planar import PlanarPointSet
+from distsym.planar import (
+    _COORD_LIMIT,
+    PlanarPointSet,
+    radius_multiplicity_map,
+    squared_distance_set,
+)
+from distsym.scalar_sets import _I64_LIMIT
 
 TRIANGLE = PlanarPointSet([(0, 0), (1, 0), (0, 1)])
 
@@ -120,3 +129,71 @@ def test_st_report_internal_consistency(p):
     root = rep.rhs_floor - base
     assert root**3 <= cube < (root + 1) ** 3
     assert rep.rhs_ceil == base + (root if root**3 == cube else root + 1)
+
+
+# The planar guard picks the coordinate dtype (int64 while L and every scaled
+# coordinate are at most _COORD_LIMIT) and the scan's reach guard picks the
+# scan's dtype.  Each route is checked against the independent oracles on
+# both sides of each edge.
+
+
+def check_against_oracles(p):
+    pts = p.points
+    want_d = sorted({(u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 for u in pts for v in pts})
+    assert list(squared_distance_set(p).squared.elements) == want_d
+    rmap = radius_multiplicity_map(p)
+    t = sum(m * (m - 1) for counts in rmap.by_center.values() for m in counts.values())
+    assert isosceles_count(p) == isosceles_count_brute(p) == t
+    wm = bisector_weight_map(p)
+    assert wm.weights() == per_pair_weights(p)
+    assert weighted_incidences(p, wm) == t
+    return wm
+
+
+@pytest.mark.parametrize("edge", (_COORD_LIMIT - 1, _COORD_LIMIT, _COORD_LIMIT + 1))
+def test_coordinates_at_the_planar_guard(edge):
+    p = PlanarPointSet([(0, 0), (edge, 0), (0, 1), (1, 1), (edge, edge), (-edge, 1)])
+    dtype = np.int64 if edge <= _COORD_LIMIT else object
+    xs, ys, den = p.scaled_int_coords()
+    assert den == 1 and xs.dtype == ys.dtype == dtype
+    wm = check_against_oracles(p)
+    assert wm.line_arrays()[0].dtype == dtype
+
+
+@pytest.mark.parametrize("den", (_COORD_LIMIT - 1, _COORD_LIMIT, _COORD_LIMIT + 1))
+def test_common_denominator_at_the_planar_guard(den):
+    # coordinates k / den keep the scaled magnitudes tiny, so only L crosses
+    p = PlanarPointSet([(Fraction(x, den), Fraction(y, den))
+                        for x, y in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (-1, 2))])
+    xs, ys, lcm = p.scaled_int_coords()
+    assert lcm == den
+    assert xs.dtype == (np.int64 if den <= _COORD_LIMIT else object)
+    check_against_oracles(p)
+
+
+def test_scan_trips_to_object_on_int64_coordinates():
+    # L = 797 * 809 * 811 < 2^29 keeps the coordinates int64, while the
+    # cleared line coefficients push the scan's reach past 2^62
+    rng = random.Random(5)
+    p = PlanarPointSet({(Fraction(rng.randint(-40, 40), rng.choice((797, 809, 811))),
+                         Fraction(rng.randint(-40, 40), rng.choice((797, 809, 811))))
+                        for _ in range(14)})
+    xs, ys, den = p.scaled_int_coords()
+    lines, _ = bisector_weight_map(p).line_arrays()
+    assert xs.dtype == lines.dtype == np.int64
+    assert _scan_dtype(xs, ys, den, lines) == object
+    check_against_oracles(p)
+
+
+@pytest.mark.parametrize("reach", (_I64_LIMIT - 1, _I64_LIMIT, _I64_LIMIT + 1))
+def test_scan_at_its_reach_guard(reach):
+    # |coordinates| <= 1 and L = 1, so the reach is |a| + |b| + |c| = 2 + |c|
+    p = PlanarPointSet([(0, 0), (1, 0), (1, 1), (-1, 1), (1, -1)])
+    rows = [(1, 0, -1), (1, 1, 0), (1, 1, 2 - reach)]
+    lines = np.array(rows, dtype=np.int64)
+    wm = WeightedBisectorMap(p.points, lines, np.array([2, 4, 6]))
+    xs, ys, den = p.scaled_int_coords()
+    assert _scan_dtype(xs, ys, den, lines) == (np.int64 if reach < _I64_LIMIT else object)
+    want = sum(w * sum(1 for x, y in p.points if a * x + b * y + c == 0)
+               for (a, b, c), w in zip(rows, (2, 4, 6)))
+    assert weighted_incidences(p, wm) == want == 2 * 3 + 4 * 3

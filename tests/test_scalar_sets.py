@@ -2,11 +2,13 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from distsym.errors import EmptyInputError
 from distsym.scalar_sets import (
+    _I64_LIMIT,
     ScalarSet,
     ab_plus_c_set,
     as_scalar,
@@ -113,12 +115,18 @@ def test_huge_magnitudes_fall_back_to_exact_path():
     assert big * big in p and -(big * big) in p
 
 
+OPS = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul}
+
+
+def comprehension(a, b, f):
+    """Oracle: f over every pair of elements, in plain Python arithmetic."""
+    return tuple(sorted({as_scalar(f(x, y)) for x in a.elements for y in b.elements}))
+
+
 @given(small_sets, small_sets)
 def test_combine_matches_comprehension(a, b):
-    for op, f in (("add", operator.add), ("subtract", operator.sub), ("multiply", operator.mul)):
-        got = pairwise_combine(a, b, op).elements
-        want = tuple(sorted({as_scalar(f(x, y)) for x in a.elements for y in b.elements}))
-        assert got == want
+    for op, f in OPS.items():
+        assert pairwise_combine(a, b, op).elements == comprehension(a, b, f)
 
 
 @given(scalar_sets)
@@ -163,7 +171,7 @@ def test_iterated_combination_matches_direct_enumeration(a, m, n):
 
 
 def test_random_cross_check_numpy_vs_object_path():
-    # adjoining 1/7 forces the object path; integer sums must survive unchanged
+    # adjoining 1/7 lifts the set to denominator 7; integer sums must survive unchanged
     rng = random.Random(4)
     for _ in range(25):
         xs = [rng.randint(-1000, 1000) for _ in range(rng.randint(1, 15))]
@@ -173,3 +181,80 @@ def test_random_cross_check_numpy_vs_object_path():
         slow = pairwise_combine(b, b, "add")
         assert set(fast.elements) <= set(slow.elements)
         assert len(slow) == len(fast) + len(a) + 1
+
+
+# Each magnitude guard picks the dtype, int64 below its limit and Python-int
+# object arrays from it on.  Inputs sit at limit - 1, limit and limit + 1 of
+# the guarded magnitude, which is also the largest magnitude of each result.
+EDGES = (_I64_LIMIT - 1, _I64_LIMIT, _I64_LIMIT + 1)
+F62_MINUS = (2**31 - 1, 2**31 + 1)  # factors of 2^62 - 1
+F62_PLUS = (5, (2**62 + 1) // 5)  # factors of 2^62 + 1
+
+
+def expected_dtype(edge):
+    return np.int64 if edge < _I64_LIMIT else object
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_add_and_subtract_at_the_int64_guard(edge):
+    x = edge // 2
+    a = ScalarSet([0, 3, x])
+    for op, b in (("add", ScalarSet([0, 1, edge - x])), ("subtract", ScalarSet([x - edge, -1, 0]))):
+        got = pairwise_combine(a, b, op)
+        assert got.elements == comprehension(a, b, OPS[op])
+        assert max(got.elements) == edge
+        assert got.numerators.dtype == expected_dtype(edge)
+
+
+@pytest.mark.parametrize("edge, factors", [
+    (_I64_LIMIT - 1, F62_MINUS), (_I64_LIMIT, (2**31, 2**31)), (_I64_LIMIT + 1, F62_PLUS)])
+def test_multiply_and_dilate_at_the_int64_guard(edge, factors):
+    x, y = factors
+    assert x * y == edge
+    a, b = ScalarSet([-1, 0, x]), ScalarSet([0, 2, y])
+    got = pairwise_combine(a, b, "multiply")
+    assert got.elements == comprehension(a, b, operator.mul)
+    assert got.numerators.dtype == expected_dtype(edge)
+    for scale in (x, -x, Fraction(x, 7)):
+        got = dilate(scale, b)
+        assert got.elements == tuple(sorted(as_scalar(scale * v) for v in b.elements))
+        assert got.numerators.dtype == expected_dtype(edge)
+
+
+@pytest.mark.parametrize("root", (2**31 - 1, 2**31, 2**31 + 1))
+def test_square_and_difference_set_at_the_int64_guard(root):
+    # (2^31)^2 = 2^62 is the guard; no square sits one away from it
+    a = ScalarSet([-root, 1, root])
+    got = elementwise_square(a)
+    assert got.elements == tuple(sorted({x * x for x in a.elements}))
+    assert got.numerators.dtype == expected_dtype(root * root)
+    half = _I64_LIMIT // 2 + root - 2**31  # the guard 2 * half is limit - 2, limit, limit + 2
+    a = ScalarSet([-half, 0, 5, half])
+    got = difference_set(a)
+    assert got.elements == comprehension(a, a, operator.sub)
+    assert got.numerators.dtype == expected_dtype(2 * half)
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_rationals_lifted_across_the_int64_guard(edge):
+    # lifting to the common denominator 15 multiplies the numerators by 5 and 3
+    y = next(y for y in range(edge // 6, edge // 6 + 5) if (edge - 3 * y) % 5 == 0)
+    x = (edge - 3 * y) // 5
+    a, b = ScalarSet([Fraction(x, 3), Fraction(1, 3)]), ScalarSet([Fraction(y, 5), Fraction(2, 5)])
+    got = pairwise_combine(a, b, "add")
+    assert got.denominator == 15
+    assert got.elements == comprehension(a, b, operator.add)
+    assert got.numerators.dtype == expected_dtype(edge)
+    assert a.issubset(pairwise_combine(a, ScalarSet([0, Fraction(1, 5)]), "add"))
+
+
+def test_representation_is_canonical():
+    a = ScalarSet([Fraction(1, 6), Fraction(1, 2), 2])
+    assert a.denominator == 6 and a.numerators.tolist() == [1, 3, 12]
+    # differences of halves reduce back to denominator 1
+    d = difference_set(ScalarSet([Fraction(1, 2), Fraction(3, 2)]))
+    assert d.denominator == 1 and d.elements == (-1, 0, 1)
+    big = pairwise_combine(ScalarSet([_I64_LIMIT]), ScalarSet([-_I64_LIMIT, -1]), "add")
+    assert big.elements == (0, _I64_LIMIT - 1)
+    assert big.numerators.dtype == np.int64  # an object result that fits is stored as int64
+    assert dilate(10**20, ScalarSet([0])).elements == (0,)
