@@ -8,7 +8,8 @@ which rearranges to the linear equation
 
 Clearing denominators, dividing by the gcd and forcing the first nonzero of
 (a, b) positive makes the triple (a, b, c) a unique key for the line, so
-weights can be accumulated by sorting and counting equal triples.
+weights can be accumulated by lex-sorting the triples of all pairs i < j
+and counting each run of equal triples (scalar_sets.run_starts).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .planar import PlanarPointSet, Point, as_point
-from .scalar_sets import _CHUNK, as_scalar, clear_denominators
+from .scalar_sets import as_scalar, clear_denominators, row_blocks, run_starts
 
 
 class Line(NamedTuple):
@@ -138,7 +139,10 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     xs, ys, den = p.scaled_int_coords()
     parts_a, parts_b, parts_c = [], [], []
     sq = xs * xs + ys * ys
-    for ii, jj in _pair_blocks(n, _CHUNK):
+    idx = np.arange(n)
+    for rows in row_blocks(n, n):
+        ii, jj = np.nonzero(idx[rows, None] < idx[None, :])
+        ii += rows.start
         a = 2 * den * (xs[jj] - xs[ii])
         b = 2 * den * (ys[jj] - ys[ii])
         c = sq[ii] - sq[jj]
@@ -158,33 +162,13 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     c = np.concatenate(parts_c)
     order = np.lexsort((c, b, a))
     a, b, c = a[order], b[order], c[order]
-    new = np.empty(len(a), dtype=bool)
-    new[0] = True
-    np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=new[1:])
-    np.logical_or(new[1:], c[1:] != c[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
+    starts = run_starts(a, b, c)
     counts = np.diff(np.append(starts, len(a)))
     lines = np.stack([a[starts], b[starts], c[starts]], axis=1)
     wmap = WeightedBisectorMap(p.points, lines, 2 * counts)
     if wmap.total_weight != n * n - n:
         raise RuntimeError("bisector weights failed the pair-count identity")
     return wmap
-
-
-def _pair_blocks(n: int, target: int):
-    """Index arrays (ii, jj) covering every i < j pair in bounded batches."""
-    i = 0
-    while i < n:
-        rows = []
-        total = 0
-        while i < n and total < target:
-            rows.append(i)
-            total += n - i - 1
-            i += 1
-        ii = np.concatenate([np.full(n - r - 1, r, dtype=np.int64) for r in rows])
-        jj = np.concatenate([np.arange(r + 1, n, dtype=np.int64) for r in rows])
-        if len(ii):
-            yield ii, jj
 
 
 def heaviest_bisector(wmap: WeightedBisectorMap) -> Tuple[Line, int]:

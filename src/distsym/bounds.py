@@ -41,6 +41,7 @@ from .scalar_sets import (
     int_dtype,
     iterated_combination,
     pairwise_combine,
+    run_starts,
 )
 
 VERDICT_HOLDS = "holds"
@@ -110,30 +111,46 @@ def _element_witnesses(a: ScalarSet, d: ScalarSet, two_dd: ScalarSet):
     found, the witness quadruple lands in D four times over, which places the
     element inside 2D^2 - 2D^2 independently of the computed set.
     """
-    first_pair = {}
-    for x in a.elements:
-        for y in a.elements:
-            first_pair.setdefault(x - y, (x, y))
-    delems = d.elements
     nd = d.numerators
-    # D is symmetric about 0, so its last numerator has the largest magnitude
-    nd = nd.astype(int_dtype(2 * int(nd[-1]) ** 2), copy=False)
-    # first index of each value in row-major order: the first (u, v) found
-    _, first_idx = np.unique(2 * np.multiply.outer(nd, nd).ravel(), return_index=True)
-    ii, jj = np.divmod(first_idx, len(nd))
-    pairs = [(delems[i], delems[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-    elements = [2 * u * v for u, v in pairs]
+    k = a.denominator // d.denominator
+    # over A's denominator, A and A - A stay within twice A's largest magnitude
+    na = a.numerators.astype(int_dtype(2 * a.max_abs * a.denominator), copy=False)
+    # first (x, y) in row-major order for each value of A - A; in sorted
+    # order those values are D's numerators times k
+    diffs, first_diff = _first_occurrences(np.subtract.outer(na, na).ravel())
+    if not np.array_equal(diffs, nd.astype(na.dtype) * k):
+        raise RuntimeError("difference enumeration disagrees with the difference set")
+    # first (u, v) in row-major order for each value of {2}DD; D is
+    # symmetric about 0, so its last numerator has the largest magnitude
+    wide = nd.astype(int_dtype(2 * int(nd[-1]) ** 2), copy=False)
+    _, first_prod = _first_occurrences(2 * np.multiply.outer(wide, wide).ravel())
+    ii, jj = np.divmod(first_prod, len(nd))
+    delems = d.elements
+    elements = [2 * delems[i] * delems[j] for i, j in zip(ii.tolist(), jj.tolist())]
     if elements != list(two_dd.elements):
         raise RuntimeError("witness enumeration disagrees with the dilated product set")
+    # quadruples as indices into A: u = a1 - b1 and v = c1 - d1
+    ia, ib = np.divmod(first_diff, len(na))
+    qa, qb, qc, qd = ia[ii], ib[ii], ia[jj], ib[jj]
+    comps = np.concatenate([na[qa] - na[qd], na[qb] - na[qc], na[qa] - na[qc], na[qb] - na[qd]])
+    comps //= k
+    pos = np.searchsorted(nd, comps)
+    if pos.max() == len(nd) or np.any(nd[pos] != comps):
+        raise AssertionError("witness components escaped the difference set")
+    aelems = a.elements
     witnesses = []
-    for t, (u, v) in zip(elements, pairs):
-        a1, b1 = first_pair[u]
-        c1, d1 = first_pair[v]
-        w, x, y, z = hanson_witness(a1, b1, c1, d1)
-        if not (w in d and x in d and y in d and z in d):
-            raise AssertionError("witness components escaped the difference set")
-        witnesses.append((t, (a1, b1, c1, d1), (w, x, y, z)))
+    for t, i, j, m, n in zip(elements, qa.tolist(), qb.tolist(), qc.tolist(), qd.tolist()):
+        quad = (aelems[i], aelems[j], aelems[m], aelems[n])
+        witnesses.append((t, quad, hanson_witness(*quad)))
     return witnesses
+
+
+def _first_occurrences(values: np.ndarray):
+    """Sorted distinct values of a flat array and the index of each one's
+    first occurrence; the stable sort keeps equal values in input order."""
+    order = np.argsort(values, kind="stable")
+    first = order[run_starts(values[order])]
+    return values[first], first
 
 
 def plunnecke_check(a: ScalarSet, m: int, n: int) -> BoundReport:

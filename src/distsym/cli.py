@@ -103,6 +103,18 @@ def _emit(args, text: str) -> None:
             stream.close()
 
 
+def _emit_formatted(args, json_payload, csv_table) -> None:
+    """Render the output --format asks for and emit it.  Both arguments are
+    thunks, so only the requested payload is built: json_payload() returns
+    the JSON value, csv_table() a (header, rows) pair."""
+    buf = io.StringIO()
+    if args.format == "json":
+        dump_json(buf, json_payload())
+    else:
+        write_csv(buf, *csv_table())
+    _emit(args, buf.getvalue())
+
+
 def _read_scalars(path) -> ScalarSet:
     return parse_scalar_set(Path(path).read_text(encoding="utf-8"))
 
@@ -170,21 +182,15 @@ def cmd_gen(args) -> int:
 def cmd_distset(args) -> int:
     p = _read_points(args.input)
     ds = squared_distance_set(p, include_zero=args.include_zero_distance)
-    if args.format == "json":
-        buf = io.StringIO()
-        dump_json(
-            buf,
-            {
-                "count": len(ds),
-                "includes_zero": ds.includes_zero,
-                "squared_distances": jsonable(ds.squared),
-            },
-        )
-        _emit(args, buf.getvalue())
-    else:
-        buf = io.StringIO()
-        write_csv(buf, ("squared_distance",), ((format_scalar(x),) for x in ds.squared))
-        _emit(args, buf.getvalue())
+    _emit_formatted(
+        args,
+        lambda: {
+            "count": len(ds),
+            "includes_zero": ds.includes_zero,
+            "squared_distances": jsonable(ds.squared),
+        },
+        lambda: (("squared_distance",), ((format_scalar(x),) for x in ds.squared)),
+    )
     return 0
 
 
@@ -194,14 +200,11 @@ def cmd_isosceles(args) -> int:
         t = isosceles_count_brute(p, cap=_cap(args, BRUTE_CAP_DEFAULT))
     else:
         t = isosceles_count(p)
-    if args.format == "json":
-        buf = io.StringIO()
-        dump_json(buf, {"N": len(p), "T": t})
-        _emit(args, buf.getvalue())
-    else:
-        buf = io.StringIO()
-        write_csv(buf, ("N", "T"), [(str(len(p)), str(t))])
-        _emit(args, buf.getvalue())
+    _emit_formatted(
+        args,
+        lambda: {"N": len(p), "T": t},
+        lambda: (("N", "T"), [(str(len(p)), str(t))]),
+    )
     return 0
 
 
@@ -209,14 +212,10 @@ def cmd_symmetry(args) -> int:
     p = _read_points(args.input)
     _check_point_cap(args, len(p))
     sub = extract_symmetric_subset(p, include_fixed_points=args.include_fixed_points)
-    if args.format == "json":
-        buf = io.StringIO()
-        dump_json(buf, symmetric_subset_json_dict(sub))
-        _emit(args, buf.getvalue())
-    else:
-        buf = io.StringIO()
-        write_csv(
-            buf,
+    _emit_formatted(
+        args,
+        lambda: symmetric_subset_json_dict(sub),
+        lambda: (
             ("axis", "weight", "subset_size", "mirror_size"),
             [
                 (
@@ -226,8 +225,8 @@ def cmd_symmetry(args) -> int:
                     str(len(sub.mirror)),
                 )
             ],
-        )
-        _emit(args, buf.getvalue())
+        ),
+    )
     return 0
 
 
@@ -276,19 +275,18 @@ def run_check(name: str, args, scalars=None, points=None):
 
 def cmd_check(args) -> int:
     kind, report = run_check(args.name, args)
-    buf = io.StringIO()
     if kind == "bound":
-        if args.format == "json":
-            dump_json(buf, bound_json_dict(report))
-        else:
-            write_csv(buf, BOUND_CSV_HEADER, [bound_csv_row(report)])
-        _emit(args, buf.getvalue())
+        _emit_formatted(
+            args,
+            lambda: bound_json_dict(report),
+            lambda: (BOUND_CSV_HEADER, [bound_csv_row(report)]),
+        )
         return 1 if report.verdict == VERDICT_VIOLATED else 0
-    if args.format == "json":
-        dump_json(buf, incidence_json_dict(report))
-    else:
-        write_csv(buf, INCIDENCE_CSV_HEADER, [incidence_csv_row(report)])
-    _emit(args, buf.getvalue())
+    _emit_formatted(
+        args,
+        lambda: incidence_json_dict(report),
+        lambda: (INCIDENCE_CSV_HEADER, [incidence_csv_row(report)]),
+    )
     return 0
 
 
@@ -359,12 +357,7 @@ def run_sweep(args):
 
 def cmd_sweep(args) -> int:
     header, rows, json_rows, violated = run_sweep(args)
-    buf = io.StringIO()
-    if args.format == "json":
-        dump_json(buf, json_rows)
-    else:
-        write_csv(buf, header, rows)
-    _emit(args, buf.getvalue())
+    _emit_formatted(args, lambda: json_rows, lambda: (header, rows))
     return 1 if violated else 0
 
 

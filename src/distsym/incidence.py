@@ -6,6 +6,10 @@ same number falls out of per-centre radius multiplicities (sum of m(m-1)),
 out of a literal cubic loop, and out of scanning the weighted bisector map
 against the point set; the routes share no counting logic, which is what
 makes their agreement worth testing.
+
+The multiplicity route reads (centre, radius) classes off sorted distance
+rows with scalar_sets.run_starts; st_bound_report takes T and the count of
+rich classes from that one pass.
 """
 
 from __future__ import annotations
@@ -20,32 +24,29 @@ from .bisectors import WeightedBisectorMap
 from .brackets import Bracket, int_nth_root, nth_root_bracket
 from .errors import CapExceededError, EmptyInputError, MismatchedInputsError
 from .planar import PlanarPointSet, sq_dist_rows, squared_distance_set
-from .scalar_sets import _CHUNK, int_dtype
+from .scalar_sets import int_dtype, row_blocks, run_starts
 
 BRUTE_CAP_DEFAULT = 60
 _SCAN_WORK_LIMIT = 10 ** 8
 
 
-def _iter_run_lengths(xs: np.ndarray, ys: np.ndarray):
-    """Per block of centres: lengths of equal-value runs in each sorted row of
-    squared distances.  A run of length m is one (centre, radius) class."""
-    n = len(xs)
+def _radius_classes(p: PlanarPointSet):
+    """Per block of centres: the sizes of their (centre, radius) classes,
+    read as runs of the flattened block of sorted distance rows.  No run
+    crosses rows: each row opens with its centre's own 0, and with distinct
+    points only a lone point's row ends at 0."""
+    xs, ys, _ = p.scaled_int_coords()
     for d2 in sq_dist_rows(xs, ys):
         d2.sort(axis=1)
         flat = d2.ravel()
-        starts = np.zeros(flat.size, dtype=bool)
-        starts[::n] = True  # row boundaries never merge runs
-        starts[1:] |= flat[1:] != flat[:-1]
-        run_starts = np.flatnonzero(starts)
-        yield np.diff(np.append(run_starts, flat.size))
+        yield np.diff(np.append(run_starts(flat), flat.size))
 
 
 def isosceles_count(p: PlanarPointSet) -> int:
     """T via radius multiplicities, O(N^2): sum over classes of m(m-1)."""
     if not p:
         raise EmptyInputError("triple count of an empty point set")
-    xs, ys, _ = p.scaled_int_coords()
-    return sum(int((lens * (lens - 1)).sum()) for lens in _iter_run_lengths(xs, ys))
+    return sum(int((lens * (lens - 1)).sum()) for lens in _radius_classes(p))
 
 
 def isosceles_count_brute(p: PlanarPointSet, cap: int = BRUTE_CAP_DEFAULT) -> int:
@@ -95,15 +96,10 @@ def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
     xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
     cl = lines[:, 2] * den
     total = 0
-    block = max(1, _CHUNK // len(xs))
-    for i in range(0, len(lines), block):
-        vals = (
-            lines[i : i + block, 0:1] * xs[None, :]
-            + lines[i : i + block, 1:2] * ys[None, :]
-            + cl[i : i + block, None]
-        )
+    for rows in row_blocks(len(lines), len(xs)):
+        vals = lines[rows, 0:1] * xs[None, :] + lines[rows, 1:2] * ys[None, :] + cl[rows, None]
         hits = (vals == 0).sum(axis=1)
-        total += int(weights[i : i + block] @ hits)
+        total += int(weights[rows] @ hits)
     return total
 
 
@@ -153,22 +149,25 @@ class IncidenceReport:
         )
 
 
-def st_bound_report(
-    p: PlanarPointSet,
-    wmap: WeightedBisectorMap,
-    scan_work_limit: int = _SCAN_WORK_LIMIT,
-) -> IncidenceReport:
+def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceReport:
     """Compare I_w against w^(1/3) (N W)^(2/3) + W + w N.
 
     The cube root is bracketed by exact integer roots of w (N W)^2.  Past
-    scan_work_limit line-point tests the scan route is skipped and I_w falls
+    _SCAN_WORK_LIMIT line-point tests the scan route is skipped and I_w falls
     back to the triple count (the identity T = I_w is enforced whenever both
     are computed, and is exercised exhaustively at oracle scale in tests).
+
+    The low-multiplicity count covers the (centre, radius) pairs over radius
+    in d(P) (zero included) that hit at most one point; empty classes count,
+    so it is N |d(P)| minus the rich classes, those of two or more points.
     """
     _check_map(p, wmap)
     n = len(p)
-    t = isosceles_count(p)
-    if wmap.distinct_lines * n <= scan_work_limit:
+    t = rich = 0
+    for lens in _radius_classes(p):
+        t += int((lens * (lens - 1)).sum())
+        rich += int((lens >= 2).sum())
+    if wmap.distinct_lines * n <= _SCAN_WORK_LIMIT:
         iw = weighted_incidences(p, wmap)
         if iw != t:
             raise RuntimeError("incidence identity violated: T != I_w")
@@ -187,16 +186,5 @@ def st_bound_report(
         max_weight=w_max,
         rhs_floor=root + base,
         rhs_ceil=ceil_root + base,
-        low_multiplicity_classes=_low_multiplicity_classes(p),
+        low_multiplicity_classes=n * len(squared_distance_set(p).squared) - rich,
     )
-
-
-def _low_multiplicity_classes(p: PlanarPointSet) -> int:
-    """(centre, radius) pairs over radius in d(P) (zero included) hitting at
-    most one point; empty classes count, so this is N |d(P)| minus the rich
-    classes."""
-    n = len(p)
-    d_count = len(squared_distance_set(p, include_zero=True).squared)
-    xs, ys, _ = p.scaled_int_coords()
-    rich = sum(int((lens >= 2).sum()) for lens in _iter_run_lengths(xs, ys))
-    return n * d_count - rich

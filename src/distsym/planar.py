@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import EmptyInputError
 from .scalar_sets import (
-    _CHUNK,
     Scalar,
     ScalarSet,
     as_scalar,
@@ -17,6 +16,7 @@ from .scalar_sets import (
     difference_set,
     elementwise_square,
     iterated_combination,
+    row_blocks,
     unique_blocks,
 )
 
@@ -114,10 +114,9 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
 def sq_dist_rows(xs: np.ndarray, ys: np.ndarray):
     """Squared distances from a block of centres to every point, one fresh
     (block, N) array at a time, blocks sized to bound memory."""
-    step = max(1, _CHUNK // len(xs))
-    for i in range(0, len(xs), step):
-        dx = xs[i : i + step, None] - xs[None, :]
-        dy = ys[i : i + step, None] - ys[None, :]
+    for rows in row_blocks(len(xs), len(xs)):
+        dx = xs[rows, None] - xs[None, :]
+        dy = ys[rows, None] - ys[None, :]
         yield dx * dx + dy * dy
 
 

@@ -7,6 +7,9 @@ integer arrays.  The magnitude guards pick only the dtype: int64 while every
 intermediate provably fits, numpy object arrays of Python ints past that.
 Elements are exposed as Python ints and Fractions (denominator-1 values are
 ints); floats are rejected at the boundary.
+
+Every pair kernel of the package, here and in the planar modules, takes its
+blocks from row_blocks and reads runs of equal sorted values with run_starts.
 """
 
 from __future__ import annotations
@@ -26,8 +29,28 @@ CombineOp = Literal["add", "subtract", "multiply"]
 # per-operation guards below compare actual magnitudes against this margin.
 _I64_LIMIT = 1 << 62
 # values per block in every pair-enumerating kernel, which deduplicates or
-# reduces block by block to bound memory
+# reduces block by block to bound memory; read only by row_blocks
 _CHUNK = 1 << 22
+
+
+def row_blocks(n_rows: int, width: int):
+    """Slices covering range(n_rows), each of at most max(1, _CHUNK // width)
+    rows, so that a (rows, width) block of pair values stays near _CHUNK."""
+    step = max(1, _CHUNK // width)
+    for i in range(0, n_rows, step):
+        yield slice(i, i + step)
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal entries begins, for equal-length keys
+    sorted jointly (lexicographically, first key most significant)."""
+    new = np.empty(len(keys[0]), dtype=bool)
+    new[:1] = True
+    # the first key writes in place, sparing a temporary the size of the keys
+    np.not_equal(keys[0][1:], keys[0][:-1], out=new[1:])
+    for k in keys[1:]:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
 
 
 def as_scalar(value) -> Scalar:
@@ -68,7 +91,7 @@ class ScalarSet:
     """Canonically sorted, deduplicated set of exact rationals, held as
     sorted integer numerators over one reduced common denominator."""
 
-    __slots__ = ("_nums", "_den", "_elems", "_members")
+    __slots__ = ("_nums", "_den", "_elems")
 
     def __init__(self, values: Iterable = ()):
         nums, den = clear_denominators({as_scalar(v) for v in values})
@@ -79,7 +102,6 @@ class ScalarSet:
         self._nums = nums
         self._den = den
         self._elems = None
-        self._members = None
 
     @classmethod
     def _from_numerators(cls, nums: np.ndarray, den: int) -> "ScalarSet":
@@ -152,9 +174,8 @@ class ScalarSet:
         return len(self._nums) > 0
 
     def __contains__(self, value):
-        if self._members is None:
-            self._members = frozenset(self.elements)
-        return as_scalar(value) in self._members
+        # value * L must be an integer, found among the numerators by search
+        return ScalarSet([value]).issubset(self)
 
     def __eq__(self, other):
         if isinstance(other, ScalarSet):
@@ -183,13 +204,10 @@ def _require_nonempty(*sets: ScalarSet) -> None:
 
 def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
     # sorts the (freshly computed) array in place and keeps the first of each
-    # run; numpy 2's np.unique hashes int64 values, many times slower
+    # run; numpy 2's unique hashes int64 values, many times slower
     v = scratch.ravel()
     v.sort()
-    keep = np.empty(len(v), dtype=bool)
-    keep[:1] = True
-    np.not_equal(v[1:], v[:-1], out=keep[1:])
-    return v[keep]
+    return v[run_starts(v)]
 
 
 def unique_blocks(blocks) -> np.ndarray:
@@ -204,8 +222,7 @@ def unique_blocks(blocks) -> np.ndarray:
 
 
 def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
-    step = max(1, _CHUNK // len(ub))
-    return unique_blocks(ufunc.outer(ua[i : i + step], ub) for i in range(0, len(ua), step))
+    return unique_blocks(ufunc.outer(ua[rows], ub) for rows in row_blocks(len(ua), len(ub)))
 
 
 def pairwise_combine(a: ScalarSet, b: ScalarSet, op: CombineOp) -> ScalarSet:

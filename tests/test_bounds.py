@@ -60,6 +60,37 @@ def test_hanson_inclusion_random(a):
     assert t == 2 * (p - q) * (r - s) == w**2 + x**2 - y**2 - z**2
 
 
+def first_decomposition_witnesses(a):
+    """Oracle: for each t in {2}DD, the first (u, v) in row-major order over D
+    x D with 2uv = t, and for u and v the first (x, y) over A x A with x - y
+    equal to it, found by plain loops."""
+    first = {}
+    for x in a.elements:
+        for y in a.elements:
+            first.setdefault(x - y, (x, y))
+    d = sorted(first)
+    uv = {}
+    for u in d:
+        for v in d:
+            uv.setdefault(2 * u * v, (u, v))
+    return [(t, first[uv[t][0]] + first[uv[t][1]]) for t in sorted(uv)]
+
+
+@pytest.mark.parametrize("values", [
+    [0, 1, 3],
+    [5, -2, 9, 14, 0, 7],
+    [Fraction(1, 2), Fraction(3, 4), 2, Fraction(-5, 3)],
+    [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)],
+    [0, 10**25, -3 * 10**25 + 1],
+])
+def test_hanson_certificates_use_first_decompositions(values):
+    rep = hanson_inclusion_check(ScalarSet(values))
+    got = [(t, quad) for t, quad, _ in rep.witness["witnesses"]]
+    assert got == first_decomposition_witnesses(ScalarSet(values))
+    for _, quad, comps in rep.witness["witnesses"]:
+        assert comps == hanson_witness(*quad)
+
+
 def test_plunnecke_worked_examples():
     rep = plunnecke_check(ScalarSet([0, 1]), 1, 1)
     assert rep.lhs == 3

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_pair_weights
+from distsym import incidence, scalar_sets
 from distsym.bisectors import WeightedBisectorMap, bisector_weight_map
 from distsym.errors import CapExceededError, MismatchedInputsError
 from distsym.families import FamilySpec, generate_family, random_rational_point_set
@@ -45,8 +46,17 @@ def test_fixture_counts():
     assert isosceles_count_brute(grid3) == 88
 
 
+# Radius classes are runs read across the rows of a block; a lone point's
+# row is just its 0 and two points' rows are (0, d), so a run that joined one
+# row to the next would show up as a triple here.
+def test_one_point_has_no_triples():
+    assert isosceles_count(PlanarPointSet([(3, 4)])) == 0
+    assert isosceles_count(PlanarPointSet([(Fraction(1, 3), 0)])) == 0
+
+
 def test_two_points_have_no_triples():
     assert isosceles_count(PlanarPointSet([(0, 0), (5, 1)])) == 0
+    assert isosceles_count(PlanarPointSet([(0, 0), (0, Fraction(1, 7))])) == 0
 
 
 def test_brute_cap():
@@ -112,6 +122,40 @@ def test_grid3_st_report():
     assert rep.max_weight == 6
     assert (rep.rhs_floor, rep.rhs_ceil) == (262, 263)
     assert rep.low_multiplicity_classes == 28
+
+
+def low_multiplicity_oracle(p):
+    """(centre, radius) classes over radius in d(P) hitting at most one point,
+    from a Fraction distance comprehension and radius_multiplicity_map."""
+    pts = p.points
+    d = {(u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 for u in pts for v in pts}
+    rmap = radius_multiplicity_map(p)
+    return sum(len(d) - sum(m >= 2 for m in counts.values()) for counts in rmap.by_center.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_point_sets)
+def test_low_multiplicity_classes_match_the_radius_map(p):
+    rep = st_bound_report(p, bisector_weight_map(p))
+    assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
+
+
+@pytest.mark.parametrize("p", [
+    generate_family(FamilySpec(kind="grid", n=3)),
+    random_rational_point_set(random.Random(31), 12),
+], ids=["grid3", "rational12"])
+def test_st_report_skips_the_scan_past_the_work_limit(monkeypatch, p):
+    wm = bisector_weight_map(p)
+    scanned = st_bound_report(p, wm)
+
+    def no_scan(*args):
+        raise AssertionError("the incidence scan ran past the work limit")
+
+    monkeypatch.setattr(incidence, "_SCAN_WORK_LIMIT", 0)
+    monkeypatch.setattr(incidence, "weighted_incidences", no_scan)
+    skipped = st_bound_report(p, wm)
+    assert skipped.weighted == skipped.triples
+    assert skipped == scanned
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,3 +241,18 @@ def test_scan_at_its_reach_guard(reach):
     want = sum(w * sum(1 for x, y in p.points if a * x + b * y + c == 0)
                for (a, b, c), w in zip(rows, (2, 4, 6)))
     assert weighted_incidences(p, wm) == want == 2 * 3 + 4 * 3
+
+
+# With _CHUNK at 40, 13 centres or lines of 13 points go in blocks of 3 rows
+# with a partial last block, so every pair kernel crosses block edges.
+@pytest.mark.parametrize("scale", (1, Fraction(1, 3), 10**25))
+def test_pair_kernels_across_several_blocks(monkeypatch, scale):
+    monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
+    rng = random.Random(17)
+    grid = rng.sample([(x, y) for x in range(5) for y in range(5)], 13)
+    p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
+    assert [len(range(13)[s]) for s in scalar_sets.row_blocks(13, 13)] == [3, 3, 3, 3, 1]
+    wm = check_against_oracles(p)
+    assert len(wm) % 3 and len(wm) > 3  # the scan's last line block is partial too
+    rep = st_bound_report(p, wm)
+    assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)

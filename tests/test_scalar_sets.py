@@ -17,6 +17,7 @@ from distsym.scalar_sets import (
     elementwise_square,
     iterated_combination,
     pairwise_combine,
+    row_blocks,
 )
 
 scalars = st.one_of(
@@ -45,6 +46,22 @@ def test_construction_sorts_and_dedups():
     assert s.elements == (1, 2, 3)
     assert len(s) == 3
     assert 2 in s and 5 not in s
+
+
+def test_membership_searches_the_numerators():
+    a = ScalarSet([Fraction(1, 6), Fraction(1, 2), 2, -5])  # L = 6
+    assert all(x in a for x in (2, -5, Fraction(1, 2), Fraction(2, 12), np.int64(2)))
+    assert Fraction(1, 3) not in a  # 1/3 * L is an integer, but not a numerator
+    assert Fraction(1, 4) not in a and Fraction(5, 7) not in a  # 4 and 7 do not divide L
+    assert 7 not in a and -6 not in a and 10**25 not in a and -(10**25) not in a
+    assert 0 not in ScalarSet([])
+    big = ScalarSet([-3, Fraction(1, 3), 10**25])
+    assert big.numerators.dtype == object
+    assert all(x in big for x in (-3, Fraction(1, 3), 10**25))
+    assert 10**25 + 1 not in big and 0 not in big and Fraction(10**25, 7) not in big
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(TypeError):
+            bad in a
 
 
 def test_difference_set_worked_example():
@@ -127,6 +144,19 @@ def comprehension(a, b, f):
 def test_combine_matches_comprehension(a, b):
     for op, f in OPS.items():
         assert pairwise_combine(a, b, op).elements == comprehension(a, b, f)
+
+
+def test_combine_across_several_blocks(monkeypatch):
+    # 40 rows of 13 values in blocks of 3 rows: 14 blocks, the last one
+    # partial, enough for unique_blocks to merge its parts on the way
+    monkeypatch.setattr("distsym.scalar_sets._CHUNK", 40)
+    rng = random.Random(8)
+    a = ScalarSet(rng.sample(range(-500, 500), 40))
+    b = ScalarSet([Fraction(k, 3) for k in range(-6, 7)])
+    assert [len(range(40)[s]) for s in row_blocks(40, 13)] == [3] * 13 + [1]
+    for op, f in OPS.items():
+        assert pairwise_combine(a, b, op).elements == comprehension(a, b, f)
+    assert difference_set(a).elements == comprehension(a, a, operator.sub)
 
 
 @given(scalar_sets)
