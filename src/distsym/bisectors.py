@@ -8,8 +8,10 @@ which rearranges to the linear equation
 
 Clearing denominators, dividing by the gcd and forcing the first nonzero of
 (a, b) positive makes the triple (a, b, c) a unique key for the line, so
-weights can be accumulated by lex-sorting the triples of all pairs i < j
-and counting each run of equal triples (scalar_sets.run_starts).
+weights can be accumulated by sorting the triples of all pairs i < j on one
+64-bit key per row and counting each run of equal triples
+(scalar_sets.run_starts).  Equal triples share a key; a key run that holds
+two different triples is lex-sorted on its own, so the count stays exact.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ def point_on_line(line: Line, p) -> bool:
 class WeightedBisectorMap:
     """w(l) = number of ordered pairs of distinct points whose bisector is l.
 
-    Held as coefficient rows (a, b, c) in numeric lex order with their
-    weights; the dict view of weights() is built on demand.  Weights are even
-    and sum to N^2 - N.
+    Held as coefficient rows (a, b, c) in the fixed order of their row keys
+    (the same on every run, not numeric order) with their weights; the dict
+    view of weights() is built on demand.  Weights are even and sum to N^2 - N.
     """
 
     __slots__ = ("n_points", "source_points", "total_weight", "max_weight",
@@ -120,10 +122,43 @@ class WeightedBisectorMap:
         return self.weights()[line]
 
     def line_arrays(self):
-        """(lines, weights): an (n, 3) array of canonical rows in numeric lex
-        order and their int64 weights.  The rows are int64 when the point
-        coordinates passed the planar int64 guard, else object (Python ints)."""
+        """(lines, weights): an (n, 3) array of distinct canonical rows and
+        their int64 weights, in row-key order: fixed for a given point set,
+        but not numeric order.  The rows are int64 when the point coordinates
+        passed the planar int64 guard, else object (Python ints)."""
         return self._lines, self._weights
+
+
+_KEY_MULTIPLIERS = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], dtype=np.uint64)
+
+
+def _row_key(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """One uint64 key per row (a, b, c): a linear mix of the entries taken
+    mod 2^64, so an integer keys alike in int64 and object rows.  Equal rows
+    get equal keys; different rows may collide."""
+    key = np.zeros(len(a), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for col, mult in zip((a, b, c), _KEY_MULTIPLIERS):
+            if col.dtype == object:
+                col = (col % (1 << 64)).astype(np.uint64)
+            key += col.view(np.uint64) * mult
+    return key
+
+
+def _line_starts(key: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Starts of the runs of equal triples in rows sorted by key.  Equal
+    triples share a key, so only a key run holding two different triples (a
+    collision) can split a line; the rows of those runs alone are lex-sorted
+    in place, within their runs, before the runs are read."""
+    starts = run_starts(a, b, c)
+    inner = starts[1:][key[starts[1:]] == key[starts[1:] - 1]]
+    if len(inner):
+        rows = np.flatnonzero(np.isin(key, key[inner]))
+        sub = rows[np.lexsort((c[rows], b[rows], a[rows], key[rows]))]
+        a[rows], b[rows], c[rows] = a[sub], b[sub], c[sub]
+        starts = run_starts(a, b, c)
+    return starts
 
 
 def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
@@ -160,11 +195,13 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     a = np.concatenate(parts_a)
     b = np.concatenate(parts_b)
     c = np.concatenate(parts_c)
-    order = np.lexsort((c, b, a))
-    a, b, c = a[order], b[order], c[order]
-    starts = run_starts(a, b, c)
+    key = _row_key(a, b, c)
+    order = np.argsort(key)
+    key, a, b, c = key[order], a[order], b[order], c[order]
+    starts = _line_starts(key, a, b, c)
     counts = np.diff(np.append(starts, len(a)))
-    lines = np.stack([a[starts], b[starts], c[starts]], axis=1)
+    # column-major, so heaviest_bisector and the incidence scan read contiguous columns
+    lines = np.stack([a[starts], b[starts], c[starts]]).T
     wmap = WeightedBisectorMap(p.points, lines, 2 * counts)
     if wmap.total_weight != n * n - n:
         raise RuntimeError("bisector weights failed the pair-count identity")
@@ -172,12 +209,16 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
 
 
 def heaviest_bisector(wmap: WeightedBisectorMap) -> Tuple[Line, int]:
-    """Line of maximum weight; ties break to the lexicographically least triple."""
+    """Line of maximum weight; ties break to the lexicographically least
+    triple, found by keeping the rows of least a, then b, then c."""
     if wmap.distinct_lines == 0:
         raise EmptyInputError("empty bisector map")
     lines, weights = wmap.line_arrays()
-    idx = int(np.flatnonzero(weights == wmap.max_weight)[0])  # rows lex-sorted
-    return Line(*lines[idx].tolist()), wmap.max_weight
+    cand = np.flatnonzero(weights == wmap.max_weight)
+    for col in lines.T:
+        vals = col[cand]
+        cand = cand[vals == vals.min()]
+    return Line(*lines[cand[0]].tolist()), wmap.max_weight
 
 
 @dataclass(frozen=True)

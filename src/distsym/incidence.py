@@ -7,9 +7,10 @@ out of a literal cubic loop, and out of scanning the weighted bisector map
 against the point set; the routes share no counting logic, which is what
 makes their agreement worth testing.
 
-The multiplicity route reads (centre, radius) classes off sorted distance
-rows with scalar_sets.run_starts; st_bound_report takes T and the count of
-rich classes from that one pass.
+The multiplicity route reads the rich (centre, radius) classes, those of two
+or more points, off sorted distance rows with scalar_sets.repeat_runs; the
+singleton classes add nothing to T or to the rich count and are never
+materialised.  st_bound_report takes T and the rich count from that one pass.
 """
 
 from __future__ import annotations
@@ -24,22 +25,22 @@ from .bisectors import WeightedBisectorMap
 from .brackets import Bracket, int_nth_root, nth_root_bracket
 from .errors import CapExceededError, EmptyInputError, MismatchedInputsError
 from .planar import PlanarPointSet, sq_dist_rows, squared_distance_set
-from .scalar_sets import int_dtype, row_blocks, run_starts
+from .scalar_sets import int_dtype, repeat_runs, row_blocks
 
 BRUTE_CAP_DEFAULT = 60
 _SCAN_WORK_LIMIT = 10 ** 8
 
 
 def _radius_classes(p: PlanarPointSet):
-    """Per block of centres: the sizes of their (centre, radius) classes,
-    read as runs of the flattened block of sorted distance rows.  No run
-    crosses rows: each row opens with its centre's own 0, and with distinct
-    points only a lone point's row ends at 0."""
+    """Per block of centres: the sizes of their rich (centre, radius)
+    classes, those of two or more points, read as runs of repeated values in
+    the flattened block of sorted distance rows.  No run crosses rows: each
+    row opens with its centre's own 0, and with distinct points only a lone
+    point's row ends at 0."""
     xs, ys, _ = p.scaled_int_coords()
     for d2 in sq_dist_rows(xs, ys):
         d2.sort(axis=1)
-        flat = d2.ravel()
-        yield np.diff(np.append(run_starts(flat), flat.size))
+        yield repeat_runs(d2.ravel())
 
 
 def isosceles_count(p: PlanarPointSet) -> int:
@@ -166,7 +167,7 @@ def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceRe
     t = rich = 0
     for lens in _radius_classes(p):
         t += int((lens * (lens - 1)).sum())
-        rich += int((lens >= 2).sum())
+        rich += len(lens)
     if wmap.distinct_lines * n <= _SCAN_WORK_LIMIT:
         iw = weighted_incidences(p, wmap)
         if iw != t:

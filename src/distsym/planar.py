@@ -113,11 +113,15 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
 
 def sq_dist_rows(xs: np.ndarray, ys: np.ndarray):
     """Squared distances from a block of centres to every point, one fresh
-    (block, N) array at a time, blocks sized to bound memory."""
+    (block, N) array at a time, blocks sized to bound memory and formed in
+    place so a block holds two (block, N) arrays at its peak."""
     for rows in row_blocks(len(xs), len(xs)):
         dx = xs[rows, None] - xs[None, :]
         dy = ys[rows, None] - ys[None, :]
-        yield dx * dx + dy * dy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        yield dx
 
 
 def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> DistanceSet:

@@ -9,7 +9,8 @@ Elements are exposed as Python ints and Fractions (denominator-1 values are
 ints); floats are rejected at the boundary.
 
 Every pair kernel of the package, here and in the planar modules, takes its
-blocks from row_blocks and reads runs of equal sorted values with run_starts.
+blocks from row_blocks and reads runs of equal sorted values with run_starts
+(or, where only runs of two or more count, with repeat_runs).
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
     for k in keys[1:]:
         new[1:] |= k[1:] != k[:-1]
     return np.flatnonzero(new)
+
+
+def repeat_runs(v: np.ndarray) -> np.ndarray:
+    """Lengths, in order, of the maximal runs of two or more equal adjacent
+    entries of v (sorted, or sorted rows laid end to end); runs of one entry
+    are skipped.  Read from the positions where an entry equals its
+    successor: a maximal stretch of g consecutive such positions is a run of
+    g + 1 entries."""
+    eq = np.flatnonzero(v[1:] == v[:-1])
+    ends = np.flatnonzero(eq[1:] != eq[:-1] + 1) + 1
+    return np.diff(np.concatenate(([0], ends, [len(eq)]))) + 1 if len(eq) else eq
 
 
 def as_scalar(value) -> Scalar:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_pair_weights
+from distsym import bisectors, scalar_sets
 from distsym.bisectors import (
     Line,
+    _row_key,
     bisector_weight_map,
     canonical_line,
     extract_symmetric_subset,
@@ -148,6 +151,107 @@ def test_weight_map_matches_per_pair_bisectors():
         wm = bisector_weight_map(p)
         assert wm.line_arrays()[0].dtype == dtype
         assert wm.weights() == per_pair_weights(p)
+
+
+def random_int_points(rng, n, span):
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randint(-span, span), rng.randint(-span, span)))
+    return PlanarPointSet(pts)
+
+
+def huge_points(rng, n):
+    return PlanarPointSet({(10**25 * rng.randint(-3, 3) + rng.randint(-9, 9), rng.randint(-9, 9))
+                           for _ in range(n)})
+
+
+def scaled_grid_sample(seed, scale, shift):
+    """13 points of the 5 x 5 grid, scaled and shifted: a similarity, so many
+    lines stay heavier than one pair."""
+    grid = random.Random(seed).sample([(x, y) for x in range(5) for y in range(5)], 13)
+    return PlanarPointSet([(x * scale + shift, y * scale - shift) for x, y in grid])
+
+
+def least_heaviest(p):
+    """The lex-least line of maximum weight, from the per-pair oracle."""
+    weights = per_pair_weights(p)
+    top = max(weights.values())
+    return min(line for line, w in weights.items() if w == top), top
+
+
+KEYED_SETS = {
+    "integer": scaled_grid_sample(5, 3, 1),
+    "rational": scaled_grid_sample(6, Fraction(2, 3), Fraction(1, 7)),
+    "huge": scaled_grid_sample(7, 10**25, 1),
+}
+
+
+def split_key(a, b, c, key=_row_key):
+    """Rows of even a collide in two runs, keys 0 and 2^63; rows of odd a
+    keep distinct keys, which sort between those two runs."""
+    k = key(a, b, c)
+    return np.where(a % 2 == 0, (k & np.uint64(1)) << np.uint64(63), (k >> np.uint64(2)) | np.uint64(1))
+
+
+# A constant key puts every row in one key run and a 1-bit key in two, so
+# nearly every run collides; lines must still come out whole, also when
+# clean runs sit between the collided ones.  _CHUNK = 40 makes the rows come
+# from several blocks.
+@pytest.mark.parametrize("name", sorted(KEYED_SETS))
+@pytest.mark.parametrize("weak_key", [
+    lambda a, b, c: np.zeros(len(a), dtype=np.uint64),
+    lambda a, b, c, key=_row_key: key(a, b, c) & np.uint64(1),
+    split_key,
+], ids=["constant", "one_bit", "split"])
+def test_weight_map_survives_key_collisions(monkeypatch, name, weak_key):
+    p = KEYED_SETS[name]
+    heaviest = heaviest_bisector(bisector_weight_map(p))
+    monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
+    monkeypatch.setattr(bisectors, "_row_key", weak_key)
+    wm = bisector_weight_map(p)
+    assert wm.max_weight > 2
+    assert wm.weights() == per_pair_weights(p)
+    assert heaviest_bisector(wm) == heaviest == least_heaviest(p)
+
+
+def test_collided_runs_are_sorted_within_their_own_runs():
+    # lex-sorting the union of both collided runs would put A A B | D | B C E
+    # and split line B across the clean run between them
+    a_, b_, c_, d_, e_ = ((v, 0, -v) for v in range(1, 6))
+    rows = [a_, e_, a_, d_, b_, c_, b_]
+    key = np.array([0, 0, 0, 5, 7, 7, 7], dtype=np.uint64)
+    a, b, c = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    starts = bisectors._line_starts(key, a, b, c)
+    counts = np.diff(np.append(starts, len(a)))
+    found = [((int(a[s]), int(b[s]), int(c[s])), int(n)) for s, n in zip(starts, counts)]
+    assert sorted(found) == sorted(Counter(rows).items())
+
+
+@pytest.mark.parametrize("p", [
+    random_int_points(random.Random(8), 40, 10**6),
+    generate_family(FamilySpec(kind="grid", n=5)),
+    generate_family(FamilySpec(kind="grid", n=6)),
+    random_rational_point_set(random.Random(9), 30),
+    huge_points(random.Random(10), 20),
+], ids=["all_weights_2", "grid5", "grid6", "rational", "huge"])
+def test_heaviest_bisector_is_the_least_line_of_maximum_weight(p):
+    assert heaviest_bisector(bisector_weight_map(p)) == least_heaviest(p)
+
+
+def test_random_points_tie_every_line():
+    p = random_int_points(random.Random(8), 40, 10**6)
+    assert set(per_pair_weights(p).values()) == {2}
+
+
+def test_row_key_is_the_same_for_int64_and_object_rows():
+    edges = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63), 12345, -98765]
+    rows = np.array([(x, y, z) for x in edges for y in edges[:4] for z in edges[::2]], dtype=np.int64)
+    a, b, c = rows.T.copy()
+    obj = [v.astype(object) for v in (a, b, c)]
+    key = _row_key(a, b, c)
+    assert key.dtype == np.uint64
+    assert np.array_equal(key, _row_key(*obj))
+    assert np.array_equal(_row_key(*obj), _row_key(*[v + 2**64 for v in obj]))
 
 
 def test_symmetric_subset_on_triangle():

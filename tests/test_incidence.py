@@ -256,3 +256,33 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     assert len(wm) % 3 and len(wm) > 3  # the scan's last line block is partial too
     rep = st_bound_report(p, wm)
     assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
+
+
+# Rich classes are read from stretches of repeated values in a block of
+# sorted rows.  With _CHUNK at 40 a block holds several rows of these sets:
+# grid(4) has back-to-back rich classes in a row (0, 1, 1, 2, 4, 4, 5, 5, ...),
+# the concentric squares' centre row ends with its rich class of four 8s
+# right before the next row in its block, and N = 1, 2 have no rich class.
+CONCENTRIC_SQUARES = PlanarPointSet(
+    [(0, 0)] + [(s * x, s * y) for s in (1, 2) for x in (-1, 1) for y in (-1, 1)])
+
+
+@pytest.mark.parametrize("p", [
+    generate_family(FamilySpec(kind="grid", n=4)),
+    generate_family(FamilySpec(kind="grid", n=5)),
+    CONCENTRIC_SQUARES,
+    PlanarPointSet([(x, y + Fraction(1, 3)) for x, y in CONCENTRIC_SQUARES]),
+    PlanarPointSet([(3, 4)]),
+    PlanarPointSet([(0, 0), (5, 1)]),
+], ids=["grid4", "grid5", "squares", "rational_squares", "n1", "n2"])
+def test_rich_classes_match_the_radius_map(monkeypatch, p):
+    monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
+    mults = [m for counts in radius_multiplicity_map(p).by_center.values() for m in counts.values()]
+    rich = sorted(m for m in mults if m >= 2)
+    assert sorted(np.concatenate(list(incidence._radius_classes(p))).tolist()) == rich
+    t = sum(m * (m - 1) for m in mults)
+    assert isosceles_count(p) == t
+    if len(p) >= 2:
+        rep = st_bound_report(p, bisector_weight_map(p))
+        assert rep.triples == t
+        assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
