@@ -8,7 +8,7 @@ so the w_max >= c K^3 behaviour is visible line by line.
 
 import argparse
 
-from distsym.bisectors import bisector_weight_map, extract_symmetric_subset
+from distsym.bisectors import bisector_weight_map
 from distsym.bounds import thm2_report
 from distsym.families import FamilySpec, generate_family
 from distsym.incidence import st_bound_report
@@ -25,10 +25,9 @@ def main() -> None:
     for n in range(2, args.max_n + 1):
         p = generate_family(FamilySpec(kind="grid", n=n))
         wm = bisector_weight_map(p)
-        sub = extract_symmetric_subset(
-            p, weight_map=wm, include_fixed_points=args.include_fixed_points
+        rep, sub = thm2_report(
+            p, include_fixed_points=args.include_fixed_points, weight_map=wm
         )
-        rep, _ = thm2_report(p, include_fixed_points=args.include_fixed_points)
         inc = st_bound_report(p, wm)
         axis = f"{sub.axis.a} {sub.axis.b} {sub.axis.c}"
         print(f"{f'grid({n})':>8} {len(p):>5} {axis:>14} {sub.weight:>6} "

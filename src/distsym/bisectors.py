@@ -12,6 +12,12 @@ weights can be accumulated by sorting the triples of all pairs i < j on one
 64-bit key per row and counting each run of equal triples
 (scalar_sets.run_starts).  Equal triples share a key; a key run that holds
 two different triples is lex-sorted on its own, so the count stays exact.
+
+The mirror subset of the heaviest bisector is found on the cleared integer
+rows of the point set, by one lookup per point in its row index.  A
+reflection is an involution, so that subset is its own mirror.  reflect_point
+does the same reflection in Fraction arithmetic and serves as the
+independent oracle in the corpus and the tests.
 """
 
 from __future__ import annotations
@@ -129,6 +135,12 @@ class WeightedBisectorMap:
         return self._lines, self._weights
 
 
+def check_weight_map(p: PlanarPointSet, wmap: WeightedBisectorMap) -> None:
+    """Refuse a weight map built from another point set."""
+    if wmap.source_points != p.points:
+        raise MismatchedInputsError("weight map does not belong to this point set")
+
+
 _KEY_MULTIPLIERS = np.array(
     [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], dtype=np.uint64)
 
@@ -223,12 +235,34 @@ def heaviest_bisector(wmap: WeightedBisectorMap) -> Tuple[Line, int]:
 
 @dataclass(frozen=True)
 class SymmetricSubset:
-    """A subset mapped into the ambient set by reflection across axis."""
+    """A subset mapped into the ambient set by reflection across axis.
+
+    The reflection is an involution, so the subset is closed under it and is
+    its own mirror: subset and mirror are one and the same point set.
+    """
 
     axis: Line
     subset: PlanarPointSet
     mirror: PlanarPointSet
     weight: int
+
+
+def _mirror_indices(p: PlanarPointSet, axis: Line) -> list:
+    """mirror[i]: index of the image of point i across the axis, or -1 when
+    the image is not in p.  On cleared rows (X, Y) the axis reads
+    aX + bY + cL = 0, and with s = aX + bY + cL, n = a^2 + b^2 the image is
+    (X - 2as/n, Y - 2bs/n): a row only if both divisions are exact."""
+    index = p.row_index()
+    a, b, c = axis
+    n = a * a + b * b
+    cl = c * p.scaled_int_coords()[2]
+    mirror = []
+    for x, y in index:
+        s2 = 2 * (a * x + b * y + cl)
+        dx, rx = divmod(a * s2, n)
+        dy, ry = divmod(b * s2, n)
+        mirror.append(-1 if rx or ry else index.get((x - dx, y - dy), -1))
+    return mirror
 
 
 def extract_symmetric_subset(
@@ -240,32 +274,20 @@ def extract_symmetric_subset(
 
     Fixed points of the reflection (points on the axis) are excluded unless
     include_fixed_points is set; without them the subset size equals the
-    axis weight exactly, and that equality is checked before returning.
+    axis weight exactly, and that equality is checked before returning, as
+    is mirror[mirror[i]] == i for every paired point.
     """
     if len(p) < 2:
         raise TooFewPointsError("symmetry extraction needs at least two points")
     wmap = weight_map if weight_map is not None else bisector_weight_map(p)
-    if wmap.source_points != p.points:
-        raise MismatchedInputsError("weight map does not belong to this point set")
+    check_weight_map(p, wmap)
     axis, wmax = heaviest_bisector(wmap)
-    paired = []
-    fixed = []
-    for pt in p:
-        r = reflect_point(axis, pt)
-        if r == pt:
-            fixed.append(pt)
-        elif r in p:
-            paired.append((pt, r))
+    mirror = _mirror_indices(p, axis)
+    paired = [i for i, j in enumerate(mirror) if j >= 0 and j != i]
     if len(paired) != wmax:
         raise RuntimeError("axis weight disagrees with its reflection count")
-    subset = [pt for pt, _ in paired]
-    mirror = [r for _, r in paired]
-    if include_fixed_points:
-        subset += fixed
-        mirror += fixed
-    sub = PlanarPointSet(subset)
-    mir = PlanarPointSet(mirror)
-    for q in mir:
-        if q not in p:
-            raise RuntimeError("mirror image escaped the ambient point set")
-    return SymmetricSubset(axis, sub, mir, wmax)
+    if any(mirror[mirror[i]] != i for i in paired):
+        raise RuntimeError("reflection across the axis is not an involution")
+    keep = [i for i, j in enumerate(mirror) if j >= 0] if include_fixed_points else paired
+    sub = PlanarPointSet._from_sorted(p.points[i] for i in keep)
+    return SymmetricSubset(axis, sub, sub, wmax)

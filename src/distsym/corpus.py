@@ -18,7 +18,7 @@ from .bisectors import (
     perpendicular_bisector,
     reflect_point,
 )
-from .bounds import VERDICT_HOLDS, hanson_inclusion_check, plunnecke_check
+from .bounds import VERDICT_HOLDS, VERDICT_VIOLATED, hanson_inclusion_check, plunnecke_check
 from .families import (
     FamilySpec,
     generate_family,
@@ -29,6 +29,7 @@ from .families import (
 )
 from .incidence import isosceles_count, isosceles_count_brute, weighted_incidences
 from .planar import verify_product_identity
+from .scalar_sets import ScalarSet
 
 
 @dataclass(frozen=True)
@@ -51,30 +52,32 @@ class VerificationResult:
 def verify_corpus(seed: int = 20260816, scale: int = 1, corrupt: bool = False) -> VerificationResult:
     """Run every corpus property; scale multiplies trial counts.
 
-    corrupt flips one expected value on purpose, as a negative control that
-    the harness actually notices failures.
+    corrupt flips one expected value of every property on purpose, in its
+    first checked trial, as a negative control that each property can fail.
     """
     rows = [
-        _product_identity(seed, 20 * scale),
-        _triple_equivalence(seed + 1, 12 * scale, corrupt=corrupt),
-        _inclusion(seed + 2, 10 * scale),
-        _fold_growth(seed + 3, 10 * scale),
-        _reflection(seed + 4, 150 * scale),
-        _weights_vs_reflections(seed + 5, 8 * scale),
-        _canonical_rescaling(seed + 6, 150 * scale),
+        _product_identity(seed, 20 * scale, corrupt),
+        _triple_equivalence(seed + 1, 12 * scale, corrupt),
+        _inclusion(seed + 2, 10 * scale, corrupt),
+        _fold_growth(seed + 3, 10 * scale, corrupt),
+        _reflection(seed + 4, 150 * scale, corrupt),
+        _weights_vs_reflections(seed + 5, 8 * scale, corrupt),
+        _canonical_rescaling(seed + 6, 150 * scale, corrupt),
     ]
     return VerificationResult(rows)
 
 
-def _product_identity(seed: int, trials: int) -> PropertyResult:
+def _product_identity(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
     rng = random.Random(seed)
     for t in range(trials):
         if t % 3 == 2:
             a = random_rational_scalar_set(rng, rng.randint(2, 12))
         else:
             a = random_scalar_set(rng, rng.randint(2, 16))
-        agree, lhs, rhs = verify_product_identity(a)
-        if not agree:
+        _, lhs, rhs = verify_product_identity(a)
+        if corrupt and t == 0:
+            rhs = ScalarSet(rhs.elements[1:])  # negative control
+        if lhs != rhs:
             return PropertyResult("product-identity", t + 1, False, f"disagree on {a!r}")
     return PropertyResult("product-identity", trials, True)
 
@@ -101,30 +104,33 @@ def _triple_equivalence(seed: int, trials: int, corrupt: bool = False) -> Proper
     return PropertyResult("triple-equivalence", trials, True)
 
 
-def _inclusion(seed: int, trials: int) -> PropertyResult:
+def _inclusion(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
     rng = random.Random(seed)
     for t in range(trials):
         a = random_scalar_set(rng, rng.randint(2, 14), bound=60)
-        if hanson_inclusion_check(a).verdict != VERDICT_HOLDS:
+        expected = VERDICT_VIOLATED if corrupt and t == 0 else VERDICT_HOLDS  # negative control
+        if hanson_inclusion_check(a).verdict != expected:
             return PropertyResult("difference-product-inclusion", t + 1, False, f"violated on {a!r}")
     return PropertyResult("difference-product-inclusion", trials, True)
 
 
-def _fold_growth(seed: int, trials: int) -> PropertyResult:
+def _fold_growth(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
     rng = random.Random(seed)
     pairs = [(m, n) for m in range(0, 4) for n in range(0, 4) if 1 <= m + n <= 4]
     for t in range(trials):
         a = random_scalar_set(rng, rng.randint(2, 12), bound=80)
+        expected = VERDICT_VIOLATED if corrupt and t == 0 else VERDICT_HOLDS  # negative control
         for m, n in pairs:
-            if plunnecke_check(a, m, n).verdict != VERDICT_HOLDS:
+            if plunnecke_check(a, m, n).verdict != expected:
                 return PropertyResult(
                     "fold-growth", t + 1, False, f"violated at m={m} n={n} on {a!r}"
                 )
     return PropertyResult("fold-growth", trials, True)
 
 
-def _reflection(seed: int, trials: int) -> PropertyResult:
+def _reflection(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
     rng = random.Random(seed)
+    damage = corrupt
     for t in range(trials):
         p = (Fraction(rng.randint(-40, 40), rng.randint(1, 5)),
              Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
@@ -133,18 +139,22 @@ def _reflection(seed: int, trials: int) -> PropertyResult:
         if p == q:
             continue
         line = perpendicular_bisector(p, q)
+        image = p if damage else q  # negative control
+        damage = False
         # the bisector swaps its defining pair, and reflecting twice is identity
-        if reflect_point(line, p) != q or reflect_point(line, reflect_point(line, q)) != q:
+        if reflect_point(line, p) != image or reflect_point(line, reflect_point(line, q)) != q:
             return PropertyResult("reflection-involution", t + 1, False, f"failed for {p}, {q}")
     return PropertyResult("reflection-involution", trials, True)
 
 
-def _weights_vs_reflections(seed: int, trials: int) -> PropertyResult:
+def _weights_vs_reflections(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
     rng = random.Random(seed)
     for t in range(trials):
         p = random_point_set(rng, rng.randint(3, 16), bound=8)
         wmap = bisector_weight_map(p)
+        extra = 1 if corrupt and t == 0 else 0  # negative control
         for line, w in wmap.items():
+            w += extra
             back = sum(
                 1
                 for pt in p
@@ -157,8 +167,9 @@ def _weights_vs_reflections(seed: int, trials: int) -> PropertyResult:
     return PropertyResult("weights-vs-reflections", trials, True)
 
 
-def _canonical_rescaling(seed: int, trials: int) -> PropertyResult:
+def _canonical_rescaling(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
     rng = random.Random(seed)
+    damage = corrupt
     for t in range(trials):
         a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
         b = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
@@ -166,7 +177,9 @@ def _canonical_rescaling(seed: int, trials: int) -> PropertyResult:
         if a == 0 and b == 0:
             continue
         lam = Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 7))
-        if canonical_line(a, b, c) != canonical_line(lam * a, lam * b, lam * c):
+        shift = 1 if damage else 0  # negative control: a parallel line
+        damage = False
+        if canonical_line(a, b, c) != canonical_line(lam * a, lam * b, lam * c + shift):
             return PropertyResult("canonical-rescaling", t + 1, False, f"({a}, {b}, {c})")
     return PropertyResult("canonical-rescaling", trials, True)
 

@@ -21,9 +21,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .bisectors import WeightedBisectorMap
+from .bisectors import WeightedBisectorMap, check_weight_map
 from .brackets import Bracket, int_nth_root, nth_root_bracket
-from .errors import CapExceededError, EmptyInputError, MismatchedInputsError
+from .errors import CapExceededError, EmptyInputError
 from .planar import PlanarPointSet, sq_dist_rows, squared_distance_set
 from .scalar_sets import int_dtype, repeat_runs, row_blocks
 
@@ -79,17 +79,12 @@ def isosceles_count_brute(p: PlanarPointSet, cap: int = BRUTE_CAP_DEFAULT) -> in
     return count
 
 
-def _check_map(p: PlanarPointSet, wmap: WeightedBisectorMap) -> None:
-    if wmap.source_points != p.points:
-        raise MismatchedInputsError("weight map does not belong to this point set")
-
-
 def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
     """I_w: sum of w(l) over incident (point, line) pairs, by scanning every
     line in the map against every point."""
     if not p:
         raise EmptyInputError("incidence scan of an empty point set")
-    _check_map(p, wmap)
+    check_weight_map(p, wmap)
     xs, ys, den = p.scaled_int_coords()
     lines, weights = wmap.line_arrays()
     dtype = _scan_dtype(xs, ys, den, lines)
@@ -162,7 +157,7 @@ def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceRe
     in d(P) (zero included) that hit at most one point; empty classes count,
     so it is N |d(P)| minus the rich classes, those of two or more points.
     """
-    _check_map(p, wmap)
+    check_weight_map(p, wmap)
     n = len(p)
     t = rich = 0
     for lens in _radius_classes(p):

@@ -32,21 +32,28 @@ def as_point(value) -> Point:
     return (as_scalar(x), as_scalar(y))
 
 
+def _ratio(v) -> Tuple[int, int]:
+    # exact (numerator, denominator) of an int, Fraction, float or numpy scalar
+    if hasattr(v, "numerator"):
+        return int(v.numerator), int(v.denominator)
+    return v.as_integer_ratio()
+
+
 class PlanarPointSet:
     """Deduplicated point set in lexicographic (x, y) order."""
 
-    __slots__ = ("_points", "_members", "_scaled")
+    __slots__ = ("_points", "_index", "_scaled")
 
     def __init__(self, points: Iterable = ()):
         self._points = tuple(sorted({as_point(p) for p in points}))
-        self._members = None
+        self._index = None
         self._scaled = None
 
     @classmethod
     def _from_sorted(cls, points) -> "PlanarPointSet":
         s = cls.__new__(cls)
         s._points = tuple(points)
-        s._members = None
+        s._index = None
         s._scaled = None
         return s
 
@@ -66,6 +73,14 @@ class PlanarPointSet:
             self._scaled = (flat[0::2].copy(), flat[1::2].copy(), den)
         return self._scaled
 
+    def row_index(self) -> Dict[Tuple[int, int], int]:
+        """Each cleared row (X, Y) = L (x, y), as Python ints, mapped to the
+        index of its point; rows are inserted in point order."""
+        if self._index is None:
+            xs, ys, _ = self.scaled_int_coords()
+            self._index = {row: i for i, row in enumerate(zip(xs.tolist(), ys.tolist()))}
+        return self._index
+
     def __len__(self):
         return len(self._points)
 
@@ -76,9 +91,16 @@ class PlanarPointSet:
         return bool(self._points)
 
     def __contains__(self, point):
-        if self._members is None:
-            self._members = frozenset(self._points)
-        return point in self._members
+        # (x, y) is a point iff L (x, y) is a cleared row; a coordinate whose
+        # denominator does not divide L is in no row
+        try:
+            (xn, xd), (yn, yd) = map(_ratio, point)
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            return False
+        den = self.scaled_int_coords()[2]
+        if den % xd or den % yd:
+            return False
+        return (xn * (den // xd), yn * (den // yd)) in self.row_index()
 
     def __eq__(self, other):
         if isinstance(other, PlanarPointSet):

@@ -278,6 +278,7 @@ def test_symmetric_subset_postconditions(pts):
     p = PlanarPointSet(pts)
     sub = extract_symmetric_subset(p)
     assert len(sub.subset) == sub.weight
+    assert sub.mirror == sub.subset
     members = set(p.points)
     for s in sub.subset.points:
         assert s in members
@@ -289,3 +290,97 @@ def test_foreign_weight_map_rejected():
     wm = bisector_weight_map(other)
     with pytest.raises(MismatchedInputsError):
         extract_symmetric_subset(TRIANGLE, weight_map=wm)
+
+
+def oracle_subset(p, axis, include_fixed_points):
+    """{s : R(s) in P, R(s) != s}, plus the fixed points on request, with R
+    the Fraction reflection of reflect_point."""
+    members = set(p.points)
+    return tuple(s for s in p.points
+                 if (r := reflect_point(axis, s)) in members and (r != s or include_fixed_points))
+
+
+MIRROR_SETS = {
+    "integer": random_int_points(random.Random(21), 40, 12),
+    "rational": random_rational_point_set(random.Random(22), 30),
+    "rational_grid": scaled_grid_sample(22, Fraction(2, 3), Fraction(1, 7)),
+    "huge": huge_points(random.Random(23), 30),
+    "huge_grid": scaled_grid_sample(23, 10**25, 1),
+    "grid6": generate_family(FamilySpec(kind="grid", n=6)),
+    "cartesian_geometric": generate_family(
+        FamilySpec(kind="cartesian_of", base=FamilySpec(kind="geometric", n=7, start=1))),
+    # heaviest about x = y, with three points on it and a lattice point
+    # (6, 1) whose image is missing
+    "with_fixed_points": PlanarPointSet(
+        [(0, 0), (2, 2), (Fraction(1, 2), Fraction(1, 2)), (1, 3), (3, 1), (-2, 5), (5, -2),
+         (0, 4), (4, 0), (6, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_SETS))
+def test_symmetric_subset_matches_the_fraction_oracle(name):
+    p = MIRROR_SETS[name]
+    wmap = bisector_weight_map(p)
+    for fixed in (False, True):
+        sub = extract_symmetric_subset(p, include_fixed_points=fixed, weight_map=wmap)
+        assert sub.subset.points == oracle_subset(p, sub.axis, fixed)
+        assert sub.mirror == sub.subset
+    assert sub.axis == heaviest_bisector(wmap)[0]
+
+
+def test_mirror_sets_cover_every_row_kind():
+    assert MIRROR_SETS["rational"].scaled_int_coords()[2] != 1
+    assert MIRROR_SETS["rational_grid"].scaled_int_coords()[2] != 1
+    assert MIRROR_SETS["huge_grid"].scaled_int_coords()[0].dtype == object
+    p = MIRROR_SETS["with_fixed_points"]
+    bare = extract_symmetric_subset(p)
+    padded = extract_symmetric_subset(p, include_fixed_points=True)
+    assert bare.axis == Line(1, -1, 0)
+    assert len(bare.subset) == 6 and len(padded.subset) == 9
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_SETS))
+def test_mirror_indices_match_the_fraction_oracle_on_every_bisector(name):
+    p = MIRROR_SETS[name]
+    index = {s: i for i, s in enumerate(p.points)}
+    for line, _ in bisector_weight_map(p).items():
+        want = [index.get(reflect_point(line, s), -1) for s in p.points]
+        assert bisectors._mirror_indices(p, line) == want
+
+
+def test_mirror_indices_off_the_lattice_and_outside_the_set():
+    g3 = generate_family(FamilySpec(kind="grid", n=3))
+    # x + 2y = 0: n = 5 does not divide 2as for (1, 0), so its image
+    # (3/5, -4/5) is no cleared row
+    assert reflect_point(Line(1, 2, 0), (1, 0)) == (Fraction(3, 5), Fraction(-4, 5))
+    assert bisectors._mirror_indices(g3, Line(1, 2, 0))[g3.points.index((1, 0))] == -1
+    # x = 3 sends (0, 0) to the lattice point (6, 0), which is not in the grid
+    assert reflect_point(Line(1, 0, -3), (0, 0)) == (6, 0)
+    assert bisectors._mirror_indices(g3, Line(1, 0, -3)) == [-1] * 9
+    # x = 1 fixes the middle column and swaps the outer two
+    assert bisectors._mirror_indices(g3, Line(1, 0, -1)) == [6, 7, 8, 3, 4, 5, 0, 1, 2]
+
+
+def test_symmetric_subset_checks_the_axis_weight(monkeypatch):
+    p = MIRROR_SETS["grid6"]
+    axis, w = heaviest_bisector(bisector_weight_map(p))
+    monkeypatch.setattr(bisectors, "heaviest_bisector", lambda wmap: (axis, w + 2))
+    with pytest.raises(RuntimeError, match="weight"):
+        extract_symmetric_subset(p)
+
+
+def test_symmetric_subset_checks_the_involution(monkeypatch):
+    p = MIRROR_SETS["grid6"]
+    real = bisectors._mirror_indices
+
+    def broken(p, axis):
+        # send one paired point to a third point: same count, no involution
+        mirror = real(p, axis)
+        paired = [i for i, j in enumerate(mirror) if j >= 0 and j != i]
+        i = paired[0]
+        mirror[i] = next(j for j in paired if j not in (i, mirror[i]))
+        return mirror
+
+    monkeypatch.setattr(bisectors, "_mirror_indices", broken)
+    with pytest.raises(RuntimeError, match="involution"):
+        extract_symmetric_subset(p)

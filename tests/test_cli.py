@@ -121,9 +121,12 @@ def test_verify_passes(capsys):
 
 
 def test_verify_corrupt_hook_fails(capsys):
+    # every property must prove that it can fail
     code, out, _ = run(capsys, "verify", "--self-test-corrupt")
     assert code == 1
-    assert "FAIL" in out
+    rows = out.splitlines()
+    assert len(rows) == 8 and rows[-1] == "verification FAILED"
+    assert all(row.startswith("FAIL ") for row in rows[:7])
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,3 +124,27 @@ def test_distance_set_matches_brute_on_rational_inputs():
 def test_empty_point_set_raises():
     with pytest.raises(EmptyInputError):
         squared_distance_set(PlanarPointSet([]))
+
+
+def test_membership_looks_up_the_cleared_rows():
+    # L = 6; every query is also asked of the plain set of points
+    p = PlanarPointSet([(0, 0), (1, Fraction(1, 2)), (Fraction(-2, 3), 4), (10**25, -(10**25)),
+                        (2**70, 3)])
+    assert p.scaled_int_coords()[2] == 6
+    members = set(p.points)
+    queries = [
+        (0, 0), (1, Fraction(1, 2)), (Fraction(-2, 3), 4), (10**25, -(10**25)),
+        (Fraction(2, 2), Fraction(3, 6)), (np.int64(0), np.int64(0)), (0.0, 0.0), (1.0, 0.5),
+        (float(2**70), 3.0),
+        (1e25, -1e25),  # the float nearest 10^25 is another integer
+        (0, 1), (4, Fraction(-2, 3)), (10**25, 10**25), (10**25 + 1, -(10**25)),
+        (Fraction(1, 4), 0),  # 4 does not divide L
+        (Fraction(1, 3), 0),  # 1/3 * L = 2 is an integer, but no row has it
+        (0.1, 0), (float("nan"), 0), (float("inf"), 0),
+        (0,), (0, 0, 0),
+    ]
+    for q in queries:
+        assert (q in p) == (q in members), q
+    assert all(q in p for q in queries[:9])
+    assert not any(q in p for q in queries[9:])
+    assert (0, 0) not in PlanarPointSet([])
