@@ -109,40 +109,74 @@ def _element_witnesses(a: ScalarSet, d: ScalarSet, two_dd: ScalarSet):
 
     For 2uv with u = a1 - b1 and v = c1 - d1 drawn from the first decompositions
     found, the witness quadruple lands in D four times over, which places the
-    element inside 2D^2 - 2D^2 independently of the computed set.
+    element inside 2D^2 - 2D^2 independently of the computed set.  The
+    expansion identity of hanson_witness is checked once, on the numerator
+    arrays of every quadruple.
     """
     nd = d.numerators
     k = a.denominator // d.denominator
-    # over A's denominator, A and A - A stay within twice A's largest magnitude
-    na = a.numerators.astype(int_dtype(2 * a.max_abs * a.denominator), copy=False)
+    # over A's denominator, A - A stays within twice A's largest magnitude
+    diff_bound = 2 * int(a.max_abs * a.denominator)
+    na = a.numerators.astype(int_dtype(diff_bound), copy=False)
     # first (x, y) in row-major order for each value of A - A; in sorted
     # order those values are D's numerators times k
     diffs, first_diff = _first_occurrences(np.subtract.outer(na, na).ravel())
     if not np.array_equal(diffs, nd.astype(na.dtype) * k):
         raise RuntimeError("difference enumeration disagrees with the difference set")
-    # first (u, v) in row-major order for each value of {2}DD; D is
-    # symmetric about 0, so its last numerator has the largest magnitude
+    # first (u, v) in row-major order for each value of {2}DD, over D's
+    # denominator squared; D is symmetric about 0, so its last numerator has
+    # the largest magnitude
     wide = nd.astype(int_dtype(2 * int(nd[-1]) ** 2), copy=False)
-    _, first_prod = _first_occurrences(2 * np.multiply.outer(wide, wide).ravel())
-    ii, jj = np.divmod(first_prod, len(nd))
-    delems = d.elements
-    elements = [2 * delems[i] * delems[j] for i, j in zip(ii.tolist(), jj.tolist())]
-    if elements != list(two_dd.elements):
+    prods, first_prod = _first_occurrences(2 * np.multiply.outer(wide, wide).ravel())
+    lift = d.denominator ** 2 // two_dd.denominator
+    if not np.array_equal(prods, two_dd.numerators.astype(wide.dtype) * lift):
         raise RuntimeError("witness enumeration disagrees with the dilated product set")
     # quadruples as indices into A: u = a1 - b1 and v = c1 - d1
+    ii, jj = np.divmod(first_prod, len(nd))
     ia, ib = np.divmod(first_diff, len(na))
-    qa, qb, qc, qd = ia[ii], ib[ii], ia[jj], ib[jj]
-    comps = np.concatenate([na[qa] - na[qd], na[qb] - na[qc], na[qa] - na[qc], na[qb] - na[qd]])
-    comps //= k
-    pos = np.searchsorted(nd, comps)
-    if pos.max() == len(nd) or np.any(nd[pos] != comps):
+    quad = (ia[ii], ib[ii], ia[jj], ib[jj])
+    nq = [na[i] for i in quad]
+    comps = [nq[i] - nq[j] for i, j in _WITNESS_PAIRS]
+    # 2(a-b)(c-d) = w^2 + x^2 - y^2 - z^2, every term within 2 * diff_bound^2
+    sq = int_dtype(2 * diff_bound ** 2)
+    u, v, w, x, y, z = (t.astype(sq, copy=False) for t in (nq[0] - nq[1], nq[2] - nq[3], *comps))
+    if not np.array_equal(2 * u * v, w * w + x * x - y * y - z * z):
+        raise AssertionError("witness expansion identity failed")
+    # each component is found in A - A, so it names an element of D
+    flat = np.concatenate(comps)
+    pos = np.searchsorted(diffs, flat)
+    if pos.max() == len(diffs) or np.any(diffs[pos] != flat):
         raise AssertionError("witness components escaped the difference set")
-    aelems = a.elements
-    witnesses = []
-    for t, i, j, m, n in zip(elements, qa.tolist(), qb.tolist(), qc.tolist(), qd.tolist()):
-        quad = (aelems[i], aelems[j], aelems[m], aelems[n])
-        witnesses.append((t, quad, hanson_witness(*quad)))
-    return witnesses
+    # values are read off the sets' elements, where integral values are
+    # ints; plain arithmetic with a non-integral operand (hanson_witness's)
+    # keeps them Fractions, which JSON writes as strings
+    frac_a = na % a.denominator != 0
+    frac_d = nd % d.denominator != 0
+    ts = _keep_fractions(
+        list(two_dd.elements),
+        (frac_d[ii] | frac_d[jj]) & (two_dd.numerators % two_dd.denominator == 0),
+    )
+    flat_frac = np.concatenate([frac_a[quad[i]] | frac_a[quad[j]] for i, j in _WITNESS_PAIRS])
+    flat_elems = _keep_fractions(
+        np.array(d.elements, dtype=object)[pos].tolist(), flat_frac & (flat % a.denominator == 0)
+    )
+    aelems = np.array(a.elements, dtype=object)
+    quads = zip(*(aelems[i].tolist() for i in quad))
+    n = len(ts)
+    parts = zip(*(flat_elems[m * n:(m + 1) * n] for m in range(4)))
+    return list(zip(ts, quads, parts))
+
+
+# hanson_witness's components (a - d, b - c, a - c, b - d) as index pairs
+# into the quadruple (a, b, c, d)
+_WITNESS_PAIRS = ((0, 3), (1, 2), (0, 2), (1, 3))
+
+
+def _keep_fractions(values: list, flags: np.ndarray) -> list:
+    """values with each flagged (integral) entry made a Fraction again."""
+    for i in np.flatnonzero(flags).tolist():
+        values[i] = Fraction(values[i])
+    return values
 
 
 def _first_occurrences(values: np.ndarray):

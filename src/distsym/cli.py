@@ -3,7 +3,8 @@
 Subcommands: gen, distset, isosceles, symmetry, check, sweep, verify.
 All output is exact (integers and p/q fractions), so identical invocations
 produce byte-identical files.  Exit codes: 0 success, 1 a constant-free
-claim was violated or verification failed, 2 bad input or an exceeded cap.
+claim was violated or verification failed, 2 bad input, an exceeded cap or
+running out of memory.
 """
 
 from __future__ import annotations
@@ -489,6 +490,11 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        hint = " or a lower --max-size" if hasattr(args, "max_size") else ""
+        print(f"error: out of memory in {args.command}; try a smaller input{hint}",
+              file=sys.stderr)
         return 2
 
 

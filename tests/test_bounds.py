@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from distsym.bounds import (
 from distsym.errors import CapExceededError
 from distsym.families import FamilySpec, generate_family, random_scalar_set
 from distsym.planar import PlanarPointSet
-from distsym.scalar_sets import ScalarSet, difference_set
+from distsym.scalar_sets import ScalarSet, as_scalar, difference_set
 
 int_sets = st.lists(
     st.integers(min_value=-80, max_value=80), min_size=1, max_size=12
@@ -89,6 +90,35 @@ def test_hanson_certificates_use_first_decompositions(values):
     assert got == first_decomposition_witnesses(ScalarSet(values))
     for _, quad, comps in rep.witness["witnesses"]:
         assert comps == hanson_witness(*quad)
+
+
+# the identity check runs in int64 while 8 max|A|^2 L^2 < 2^62, i.e. up to
+# max|A| = isqrt(2^59) on integer sets, and on Python ints from one past it
+IDENTITY_EDGE = math.isqrt(2**59)
+
+
+@pytest.mark.parametrize("values", [
+    random.Random(6).sample(range(-60, 61), 18),
+    [Fraction(1, 6) + Fraction(k, 2) for k in (0, 1, 4, 9, 11, 20)],  # L = 6, L(D) = 2
+    [Fraction(1, 2), 2, Fraction(-5, 3), Fraction(7, 4), 0],
+    [0, 7, 10**25, 10**25 + 3, -3 * 10**25 + 1],
+    [-IDENTITY_EDGE, 0, 1, 3, IDENTITY_EDGE],
+    [-IDENTITY_EDGE - 1, 0, 1, 3, IDENTITY_EDGE + 1],
+], ids=["integer", "rational-lifted", "rational-mixed", "1e25", "identity-edge", "identity-edge+1"])
+def test_array_certificates_match_hanson_witness_on_every_element(values):
+    a = ScalarSet(values)
+    rep = hanson_inclusion_check(a)
+    assert rep.verdict == VERDICT_HOLDS
+    witnesses = rep.witness["witnesses"]
+    assert isinstance(witnesses, list) and len(witnesses) == rep.lhs
+    d = set(difference_set(a).elements)
+    for t, quad, comps in witnesses:
+        oracle = hanson_witness(*quad)
+        assert comps == oracle and list(map(type, comps)) == list(map(type, oracle))
+        assert set(comps) <= d
+        p, q, r, s = quad
+        plain = 2 * as_scalar(p - q) * as_scalar(r - s)  # 2uv over the elements of D
+        assert t == plain and type(t) is type(plain)
 
 
 def test_plunnecke_worked_examples():

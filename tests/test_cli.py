@@ -149,6 +149,20 @@ def test_cap_exit_code(grid3_file, capsys):
     assert "capped" in err
 
 
+@pytest.mark.parametrize("argv, hint", [
+    (("distset",), ""),  # distset has no --max-size to lower
+    (("check", "thm2"), " or a lower --max-size"),
+], ids=["distset", "check"])
+def test_out_of_memory_exits_2(grid3_file, capsys, monkeypatch, argv, hint):
+    def exhausted(values):
+        raise MemoryError
+    monkeypatch.setattr("distsym.scalar_sets._sorted_unique", exhausted)
+    code, out, err = run(capsys, *argv, "--input", grid3_file)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of memory in {argv[0]}; try a smaller input{hint}\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["check", "nonsense", "--input", "x"])

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import distsym.scalar_sets as scalar_sets_module
 from distsym.errors import EmptyInputError
 from distsym.scalar_sets import (
     _I64_LIMIT,
@@ -288,3 +290,104 @@ def test_representation_is_canonical():
     assert big.elements == (0, _I64_LIMIT - 1)
     assert big.numerators.dtype == np.int64  # an object result that fits is stored as int64
     assert dilate(10**20, ScalarSet([0])).elements == (0,)
+
+
+# _unique_outer sums and differences by bitset while, per pair value, the
+# fold's bitset words, len(small) * (span >> 6), are at most
+# _BITSET_WORDS_PER_PAIR and its span at most _BITSET_SPAN_PER_PAIR, and sorts
+# every pair value past either bound.  Each fold below is put at threshold - 1,
+# at it and + 1 of one bound by a monkeypatched (Fraction) constant, with the
+# other bound lifted out of the way.
+BIG = 10**25
+ASYM_A, ASYM_B = ScalarSet([0, 1, 5, 40, 300, 301, 302]), ScalarSet(range(0, 90, 4))
+ROUTE_FOLDS = {
+    "negatives": (ScalarSet(range(-900, -100, 7)), ScalarSet(range(-400, 0, 3)), "add"),
+    "rational-lifts": (ScalarSet(Fraction(k, 6) for k in range(-300, 300, 7)),
+                       ScalarSet(Fraction(k, 10) for k in range(0, 500, 3)), "add"),
+    "rational-difference-set": (ScalarSet(Fraction(k * k, 4) for k in range(-20, 25)), None, "subtract"),
+    "a-minus-b": (ASYM_A, ASYM_B, "subtract"),
+    "b-minus-a": (ASYM_B, ASYM_A, "subtract"),
+    "one-element": (ScalarSet([Fraction(-7, 2)]), ScalarSet(range(0, 2000, 3)), "subtract"),
+    "element-minus-one": (ScalarSet(range(0, 2000, 3)), ScalarSet([5]), "subtract"),
+    "one-element-wide-span": (ScalarSet([3]), ScalarSet(range(0, 256 * 300, 256)), "add"),
+    "near-1e25-add": (ScalarSet(BIG + k for k in range(0, 700, 9)),
+                      ScalarSet(-BIG - k for k in range(0, 300, 4)), "add"),
+    "near-1e25-subtract": (ScalarSet(BIG + k for k in range(0, 700, 9)),
+                           ScalarSet(-BIG - k for k in range(0, 300, 4)), "subtract"),
+    **{f"int64-edge{edge - _I64_LIMIT:+d}-{op}": (
+        ScalarSet(range(edge - 700, edge - 199, 5)), ScalarSet(range(-200, 201, 4)), op)
+       for edge in EDGES for op in ("add", "subtract")},
+}
+
+
+def fold_cost(a, b):
+    """Both sides of the cost model for a fold, from the elements: the
+    bitset's 64-bit words (the shorter operand's length times the result's
+    span over the common denominator, over 64) and that span."""
+    den = math.lcm(a.denominator, b.denominator)
+    span = int((max(a.elements) - min(a.elements) + max(b.elements) - min(b.elements)) * den)
+    return {"words": min(len(a), len(b)) * (span >> 6), "span": span}
+
+
+BOUNDS = {"words": "_BITSET_WORDS_PER_PAIR", "span": "_BITSET_SPAN_PER_PAIR"}
+
+
+def recording(fn, route, taken):
+    def spy(*args):
+        taken.append(route)
+        return fn(*args)
+    return spy
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("case", ROUTE_FOLDS)
+def test_routes_agree_at_the_cost_threshold(monkeypatch, case, bound):
+    a, b, op = ROUTE_FOLDS[case]
+    other = a if b is None else b
+    taken = []
+    monkeypatch.setattr(scalar_sets_module, "_bitset_sum",
+                        recording(scalar_sets_module._bitset_sum, "bitset", taken))
+    monkeypatch.setattr(scalar_sets_module, "unique_blocks",
+                        recording(scalar_sets_module.unique_blocks, "sort", taken))
+    cost = fold_cost(a, other)[bound]
+    assert cost > 0
+    pairs = len(a) * len(other)
+    for name in BOUNDS.values():
+        monkeypatch.setattr(scalar_sets_module, name, 2**64)
+    expected = comprehension(a, other, OPS[op])
+    results = []
+    for threshold, route in ((cost + 1, "bitset"), (cost, "bitset"), (cost - 1, "sort")):
+        monkeypatch.setattr(scalar_sets_module, BOUNDS[bound], Fraction(threshold, pairs))
+        taken.clear()
+        got = difference_set(a) if b is None else pairwise_combine(a, b, op)
+        assert taken == [route]
+        assert got.elements == expected
+        results.append(got)
+    for got in results[1:]:
+        assert got.denominator == results[0].denominator
+        assert got.numerators.dtype == results[0].numerators.dtype
+        assert got.numerators.tolist() == results[0].numerators.tolist()
+
+
+def test_default_cost_model_routes(monkeypatch):
+    taken = []
+    monkeypatch.setattr(scalar_sets_module, "_bitset_sum",
+                        recording(scalar_sets_module._bitset_sum, "bitset", taken))
+    monkeypatch.setattr(scalar_sets_module, "unique_blocks",
+                        recording(scalar_sets_module.unique_blocks, "sort", taken))
+    ap = ScalarSet(range(0, 3000, 3))
+    difference_set(ap)
+    pairwise_combine(ap, ScalarSet([10**6, -(10**6)]), "add")  # one short row over a wide span
+    pairwise_combine(ap, ap, "multiply")
+    # one element against 300: a span of 4 per pair value is the last the
+    # bitset takes; at 256 per pair its words are still within bound, but its
+    # span is not
+    pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 4 * 300, 4)), "add")
+    pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 5 * 300, 5)), "add")
+    pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 256 * 300, 256)), "add")
+    # 100 elements 120 apart, added to themselves: 3.7 words per pair value;
+    # 150 apart: 4.6, with the span still within bound
+    for step in (120, 150):
+        spread = ScalarSet(range(0, 100 * step, step))
+        pairwise_combine(spread, spread, "add")
+    assert taken == ["bitset", "sort", "sort", "bitset", "sort", "sort", "bitset", "sort"]
