@@ -5,6 +5,10 @@ product-form distance identity) can genuinely be violated and then carry the
 verdict "violated"; asymptotic lower bounds always hold with some constant,
 so their reports record the observed ratio instead.  Ratios against
 irrational comparators are rational brackets, never floats.
+
+The Hanson inclusion enumerates A x A and D x D once each: D and {2}DD are
+the distinct values of those enumerations, and their first occurrences are
+the certificates, checked on integer arrays under one int64 guard.
 """
 
 from __future__ import annotations
@@ -83,63 +87,55 @@ def hanson_inclusion_check(a: ScalarSet) -> BoundReport:
 
     Checked two ways: elementwise against the computed right side, and per
     element through a certifying quadruple whose expansion identity is
-    re-verified exactly.  Constant-free, so failure would be a violation.
+    verified exactly.  D and {2}DD are read off the same two enumerations
+    that find the quadruples.  Constant-free, so failure would be a violation.
     """
     if not a:
         raise EmptyInputError("inclusion check of an empty set")
-    d = difference_set(a)
-    two_dd = dilate(2, pairwise_combine(d, d, "multiply"))
+    d, two_dd, witnesses = _hanson_certificates(a)
     rhs = iterated_combination(2, 2, elementwise_square(d))
-    included = two_dd.issubset(rhs)
-    witnesses = _element_witnesses(a, d, two_dd)
-    certified = len(witnesses) == len(two_dd)
     ratio = Fraction(len(two_dd), len(rhs))
     return BoundReport(
         name="hanson-inclusion",
         lhs=len(two_dd),
         rhs=exact_bracket(len(rhs)),
         ratio=Bracket(ratio, ratio),
-        verdict=VERDICT_HOLDS if included and certified else VERDICT_VIOLATED,
+        verdict=VERDICT_HOLDS if two_dd.issubset(rhs) else VERDICT_VIOLATED,
         witness={"certified_elements": len(witnesses), "witnesses": witnesses},
     )
 
 
-def _element_witnesses(a: ScalarSet, d: ScalarSet, two_dd: ScalarSet):
-    """One generating quadruple per element of {2}DD, each certified.
+def _hanson_certificates(a: ScalarSet):
+    """(D, {2}DD, witnesses): the difference set of a, the doubled product set
+    of D, and one certified generating quadruple per element of {2}DD.
 
-    For 2uv with u = a1 - b1 and v = c1 - d1 drawn from the first decompositions
-    found, the witness quadruple lands in D four times over, which places the
-    element inside 2D^2 - 2D^2 independently of the computed set.  The
-    expansion identity of hanson_witness is checked once, on the numerator
-    arrays of every quadruple.
+    A x A is enumerated once and D x D once.  Their sorted distinct values,
+    over L and L^2 for L the denominator of a, are D and {2}DD, so every
+    witness lines up with its element by position.  For 2uv with u = a1 - b1
+    and v = c1 - d1 drawn from the first decompositions found, the witness
+    quadruple lands in D four times over, which places the element inside
+    2D^2 - 2D^2 independently of the computed set.  The expansion identity of
+    hanson_witness is checked once, on the numerator arrays of every quadruple.
     """
-    nd = d.numerators
-    k = a.denominator // d.denominator
-    # over A's denominator, A - A stays within twice A's largest magnitude
-    diff_bound = 2 * int(a.max_abs * a.denominator)
-    na = a.numerators.astype(int_dtype(diff_bound), copy=False)
-    # first (x, y) in row-major order for each value of A - A; in sorted
-    # order those values are D's numerators times k
+    den = a.denominator
+    # over L, A - A stays within 2 max|A| L, and 2uv and every term of the
+    # identity within 2 (2 max|A| L)^2; L^2 bounds the integrality tests
+    diff_bound = 2 * int(a.max_abs * den)
+    na = a.numerators.astype(int_dtype(max(2 * diff_bound ** 2, den * den)), copy=False)
+    # first (x, y) in row-major order for each value of A - A
     diffs, first_diff = _first_occurrences(np.subtract.outer(na, na).ravel())
-    if not np.array_equal(diffs, nd.astype(na.dtype) * k):
-        raise RuntimeError("difference enumeration disagrees with the difference set")
-    # first (u, v) in row-major order for each value of {2}DD, over D's
-    # denominator squared; D is symmetric about 0, so its last numerator has
-    # the largest magnitude
-    wide = nd.astype(int_dtype(2 * int(nd[-1]) ** 2), copy=False)
-    prods, first_prod = _first_occurrences(2 * np.multiply.outer(wide, wide).ravel())
-    lift = d.denominator ** 2 // two_dd.denominator
-    if not np.array_equal(prods, two_dd.numerators.astype(wide.dtype) * lift):
-        raise RuntimeError("witness enumeration disagrees with the dilated product set")
+    # first (u, v) in row-major order for each value of {2}DD
+    prods, first_prod = _first_occurrences(2 * np.multiply.outer(diffs, diffs).ravel())
+    d = ScalarSet._from_numerators(diffs, den)
+    two_dd = ScalarSet._from_numerators(prods, den * den)
     # quadruples as indices into A: u = a1 - b1 and v = c1 - d1
-    ii, jj = np.divmod(first_prod, len(nd))
+    ii, jj = np.divmod(first_prod, len(diffs))
     ia, ib = np.divmod(first_diff, len(na))
     quad = (ia[ii], ib[ii], ia[jj], ib[jj])
     nq = [na[i] for i in quad]
     comps = [nq[i] - nq[j] for i, j in _WITNESS_PAIRS]
-    # 2(a-b)(c-d) = w^2 + x^2 - y^2 - z^2, every term within 2 * diff_bound^2
-    sq = int_dtype(2 * diff_bound ** 2)
-    u, v, w, x, y, z = (t.astype(sq, copy=False) for t in (nq[0] - nq[1], nq[2] - nq[3], *comps))
+    # 2(a-b)(c-d) = w^2 + x^2 - y^2 - z^2
+    u, v, (w, x, y, z) = nq[0] - nq[1], nq[2] - nq[3], comps
     if not np.array_equal(2 * u * v, w * w + x * x - y * y - z * z):
         raise AssertionError("witness expansion identity failed")
     # each component is found in A - A, so it names an element of D
@@ -150,21 +146,20 @@ def _element_witnesses(a: ScalarSet, d: ScalarSet, two_dd: ScalarSet):
     # values are read off the sets' elements, where integral values are
     # ints; plain arithmetic with a non-integral operand (hanson_witness's)
     # keeps them Fractions, which JSON writes as strings
-    frac_a = na % a.denominator != 0
-    frac_d = nd % d.denominator != 0
+    frac_a = na % den != 0
+    frac_d = diffs % den != 0
     ts = _keep_fractions(
-        list(two_dd.elements),
-        (frac_d[ii] | frac_d[jj]) & (two_dd.numerators % two_dd.denominator == 0),
+        list(two_dd.elements), (frac_d[ii] | frac_d[jj]) & (prods % (den * den) == 0)
     )
     flat_frac = np.concatenate([frac_a[quad[i]] | frac_a[quad[j]] for i, j in _WITNESS_PAIRS])
     flat_elems = _keep_fractions(
-        np.array(d.elements, dtype=object)[pos].tolist(), flat_frac & (flat % a.denominator == 0)
+        np.array(d.elements, dtype=object)[pos].tolist(), flat_frac & (flat % den == 0)
     )
     aelems = np.array(a.elements, dtype=object)
     quads = zip(*(aelems[i].tolist() for i in quad))
     n = len(ts)
     parts = zip(*(flat_elems[m * n:(m + 1) * n] for m in range(4)))
-    return list(zip(ts, quads, parts))
+    return d, two_dd, list(zip(ts, quads, parts))
 
 
 # hanson_witness's components (a - d, b - c, a - c, b - d) as index pairs

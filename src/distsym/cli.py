@@ -29,14 +29,7 @@ from .bounds import (
     thm2_report,
 )
 from .corpus import verify_corpus
-from .errors import (
-    CapExceededError,
-    DegeneratePairError,
-    EmptyInputError,
-    MismatchedInputsError,
-    ParseError,
-    TooFewPointsError,
-)
+from .errors import CapExceededError
 from .families import FamilySpec, generate_family
 from .incidence import (
     BRUTE_CAP_DEFAULT,
@@ -75,6 +68,7 @@ POINT_CHECKS = ("thm2", "st")
 
 SCALAR_FAMILIES = ("ap", "gap2", "geometric", "random-int")
 POINT_FAMILIES = ("grid", "random-int", "cartesian-of")
+FAMILIES = tuple(dict.fromkeys(SCALAR_FAMILIES + POINT_FAMILIES))
 
 
 def _resolve_out(path):
@@ -395,9 +389,28 @@ def _add_family_flags(sp):
     sp.add_argument("--d2", type=_scalar_flag, default=1)
     sp.add_argument("--range", type=int, default=100, help="random-int coordinate range")
     sp.add_argument("--dim", type=int, choices=(1, 2), default=1, help="random-int dimension")
-    sp.add_argument("--of", choices=("ap", "gap2", "geometric", "random-int"),
+    sp.add_argument("--of", choices=SCALAR_FAMILIES,
                     help="base family for cartesian-of")
     sp.add_argument("--seed", type=int, default=0)
+
+
+def _add_check_flags(sp, n_flag):
+    # n_flag spells plunnecke's difference folds: --n for check, --n-fold
+    # for sweep, whose --n is the family size
+    sp.add_argument("--input-b", help="second set for abc (defaults to --input)")
+    sp.add_argument("--input-c", help="third set for abc (defaults to --input)")
+    sp.add_argument("--m", type=int, default=3, help="plunnecke sum folds")
+    sp.add_argument(n_flag, dest="n_fold", type=int, default=2, help="plunnecke difference folds")
+    sp.add_argument("--include-zero-distance", action=argparse.BooleanOptionalAction, default=True)
+    sp.add_argument("--include-fixed-points", action=argparse.BooleanOptionalAction, default=False)
+    sp.add_argument("--max-size", type=int, default=None)
+
+
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="generate an input family to a set/point file")
-    sp.add_argument("--kind", required=True,
-                    choices=("ap", "gap2", "geometric", "random-int", "grid", "cartesian-of"))
+    sp.add_argument("--kind", required=True, choices=FAMILIES)
     _add_family_flags(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_gen)
@@ -437,29 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run one named check on an input file")
     sp.add_argument("name", choices=SCALAR_CHECKS + POINT_CHECKS)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--input-b", help="second set for abc (defaults to --input)")
-    sp.add_argument("--input-c", help="third set for abc (defaults to --input)")
-    sp.add_argument("--m", type=int, default=3, help="plunnecke sum folds")
-    sp.add_argument("--n", dest="n_fold", type=int, default=2, help="plunnecke difference folds")
-    sp.add_argument("--include-zero-distance", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--include-fixed-points", action=argparse.BooleanOptionalAction, default=False)
-    sp.add_argument("--max-size", type=int, default=None)
+    _add_check_flags(sp, "--n")
     _add_out_flags(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("sweep", help="run one check across a family of growing inputs")
     sp.add_argument("--check", required=True, choices=SCALAR_CHECKS + POINT_CHECKS)
-    sp.add_argument("--family", required=True,
-                    choices=("ap", "gap2", "geometric", "random-int", "grid", "cartesian-of"))
+    sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--sizes", required=True, help="inclusive size range LO:HI")
     _add_family_flags(sp)
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--n-fold", dest="n_fold", type=int, default=2)
-    sp.add_argument("--input-b", default=None)
-    sp.add_argument("--input-c", default=None)
-    sp.add_argument("--include-zero-distance", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--include-fixed-points", action=argparse.BooleanOptionalAction, default=False)
-    sp.add_argument("--max-size", type=int, default=None)
+    _add_check_flags(sp, "--n-fold")
     sp.add_argument("--timings", action="store_true",
                     help="append wall times (off by default to keep reruns byte-identical)")
     _add_out_flags(sp)
@@ -467,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="re-check core identities over seeded corpora")
     sp.add_argument("--seed", type=int, default=20260816)
-    sp.add_argument("--scale", type=int, default=1, help="trial count multiplier")
+    sp.add_argument("--scale", type=_positive_int, default=1, help="trial count multiplier")
     sp.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify)
 
@@ -479,16 +478,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        EmptyInputError,
-        TooFewPointsError,
-        DegeneratePairError,
-        MismatchedInputsError,
-        CapExceededError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # every input error of the package (errors.py) is a ValueError
+    except (ValueError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

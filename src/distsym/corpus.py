@@ -55,6 +55,8 @@ def verify_corpus(seed: int = 20260816, scale: int = 1, corrupt: bool = False) -
     corrupt flips one expected value of every property on purpose, in its
     first checked trial, as a negative control that each property can fail.
     """
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, not {scale}")
     rows = [
         _product_identity(seed, 20 * scale, corrupt),
         _triple_equivalence(seed + 1, 12 * scale, corrupt),

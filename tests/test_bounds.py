@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distsym import bounds
 from distsym.bounds import (
     VERDICT_HOLDS,
     VERDICT_HOLDS_WITH_CONSTANT,
@@ -20,7 +22,14 @@ from distsym.bounds import (
 from distsym.errors import CapExceededError
 from distsym.families import FamilySpec, generate_family, random_scalar_set
 from distsym.planar import PlanarPointSet
-from distsym.scalar_sets import ScalarSet, as_scalar, difference_set
+from distsym.scalar_sets import (
+    ScalarSet,
+    as_scalar,
+    difference_set,
+    dilate,
+    int_dtype,
+    pairwise_combine,
+)
 
 int_sets = st.lists(
     st.integers(min_value=-80, max_value=80), min_size=1, max_size=12
@@ -92,19 +101,26 @@ def test_hanson_certificates_use_first_decompositions(values):
         assert comps == hanson_witness(*quad)
 
 
-# the identity check runs in int64 while 8 max|A|^2 L^2 < 2^62, i.e. up to
-# max|A| = isqrt(2^59) on integer sets, and on Python ints from one past it
+# the certificate enumerations run in int64 while 8 max|A|^2 L^2 < 2^62, i.e.
+# up to max|A| = isqrt(2^59) on integer sets, and on Python ints from one past it
 IDENTITY_EDGE = math.isqrt(2**59)
 
-
-@pytest.mark.parametrize("values", [
+CERTIFICATE_CASES = [
     random.Random(6).sample(range(-60, 61), 18),
     [Fraction(1, 6) + Fraction(k, 2) for k in (0, 1, 4, 9, 11, 20)],  # L = 6, L(D) = 2
     [Fraction(1, 2), 2, Fraction(-5, 3), Fraction(7, 4), 0],
     [0, 7, 10**25, 10**25 + 3, -3 * 10**25 + 1],
     [-IDENTITY_EDGE, 0, 1, 3, IDENTITY_EDGE],
     [-IDENTITY_EDGE - 1, 0, 1, 3, IDENTITY_EDGE + 1],
-], ids=["integer", "rational-lifted", "rational-mixed", "1e25", "identity-edge", "identity-edge+1"])
+    # L^2 past int64 while every numerator is small
+    [0, Fraction(1, 10**10), Fraction(3, 10**10)],
+    [0, 7, Fraction(1, 10**20)],
+]
+CERTIFICATE_IDS = ["integer", "rational-lifted", "rational-mixed", "1e25", "identity-edge",
+                   "identity-edge+1", "denominator-1e10", "denominator-1e20"]
+
+
+@pytest.mark.parametrize("values", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
 def test_array_certificates_match_hanson_witness_on_every_element(values):
     a = ScalarSet(values)
     rep = hanson_inclusion_check(a)
@@ -119,6 +135,39 @@ def test_array_certificates_match_hanson_witness_on_every_element(values):
         p, q, r, s = quad
         plain = 2 * as_scalar(p - q) * as_scalar(r - s)  # 2uv over the elements of D
         assert t == plain and type(t) is type(plain)
+
+
+def assert_same_set(got, want):
+    assert got.denominator == want.denominator
+    assert got.numerators.dtype == want.numerators.dtype
+    assert np.array_equal(got.numerators, want.numerators)
+
+
+@pytest.mark.parametrize("values", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+def test_certificate_sets_match_the_set_engine(values):
+    # D and {2}DD come off the certificate enumerations; the set engine's
+    # difference set and dilated product set are the oracle
+    a = ScalarSet(values)
+    d, two_dd, witnesses = bounds._hanson_certificates(a)
+    assert_same_set(d, difference_set(a))
+    assert_same_set(two_dd, dilate(2, pairwise_combine(d, d, "multiply")))
+    assert [t for t, _, _ in witnesses] == list(two_dd.elements)
+
+
+@pytest.mark.parametrize("edge, dtype", [(IDENTITY_EDGE, np.int64), (IDENTITY_EDGE + 1, object)],
+                         ids=["identity-edge", "identity-edge+1"])
+def test_certificates_take_one_guard_int64_up_to_the_identity_edge(monkeypatch, edge, dtype):
+    # a loosened guard changes no result on correct components, since the
+    # identity also holds in wrapping int64, so the dtype it picks is checked
+    picked = []
+
+    def spy(bound):
+        picked.append(int_dtype(bound))
+        return picked[-1]
+
+    monkeypatch.setattr(bounds, "int_dtype", spy)
+    bounds._hanson_certificates(ScalarSet([-edge, 0, 1, 3, edge]))
+    assert picked == [dtype]
 
 
 def test_plunnecke_worked_examples():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from distsym.cli import build_parser, main, run_sweep
+from distsym.corpus import verify_corpus
 
 
 def run(capsys, *argv):
@@ -127,6 +128,23 @@ def test_verify_corrupt_hook_fails(capsys):
     rows = out.splitlines()
     assert len(rows) == 8 and rows[-1] == "verification FAILED"
     assert all(row.startswith("FAIL ") for row in rows[:7])
+
+
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_verify_rejects_scale_below_one(capsys, scale):
+    # a scale below 1 would run no trials and pass, corrupted or not
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--scale", scale, "--self-test-corrupt"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"must be a positive integer, not {scale}" in err
+
+
+@pytest.mark.parametrize("scale", [0, -3])
+def test_verify_corpus_rejects_scale_below_one(scale):
+    with pytest.raises(ValueError, match="positive integer"):
+        verify_corpus(scale=scale, corrupt=True)
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -1,0 +1,42 @@
+"""The independent routes used as oracles share no counting logic with the
+kernels they check: none of them references the run, block or key helpers
+of the fast paths, directly or in a nested comprehension."""
+
+import types
+
+import pytest
+
+from conftest import per_pair_weights
+from distsym.bisectors import reflect_point
+from distsym.bounds import hanson_witness
+from distsym.incidence import isosceles_count_brute, weighted_incidences
+from distsym.planar import radius_multiplicity_map
+
+FAST_PATH_HELPERS = {
+    "run_starts",
+    "repeat_runs",
+    "unique_blocks",
+    "_row_key",
+    "_radius_classes",
+    "_first_occurrences",
+}
+
+
+def referenced_names(code: types.CodeType) -> set:
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= referenced_names(const)
+    return names
+
+
+@pytest.mark.parametrize("oracle", [
+    isosceles_count_brute,
+    radius_multiplicity_map,
+    weighted_incidences,
+    reflect_point,
+    hanson_witness,
+    per_pair_weights,
+], ids=lambda f: f.__name__)
+def test_oracles_share_no_counting_logic(oracle):
+    assert not referenced_names(oracle.__code__) & FAST_PATH_HELPERS
