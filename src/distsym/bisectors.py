@@ -173,6 +173,26 @@ def _line_starts(key: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -
     return starts
 
 
+def _pair_bisectors(xs, ys, sq, den: int, rows: slice):
+    """Canonical bisector rows (a, b, c) of the point pairs i < j with i in
+    rows; the block's index and gcd temporaries die with the call."""
+    idx = np.arange(len(xs))
+    ii, jj = np.nonzero(idx[rows, None] < idx[None, :])
+    ii += rows.start
+    a = 2 * den * (xs[jj] - xs[ii])
+    b = 2 * den * (ys[jj] - ys[ii])
+    c = sq[ii] - sq[jj]
+    g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
+    a //= g
+    b //= g
+    c //= g
+    neg = (a < 0) | ((a == 0) & (b < 0))
+    np.negative(a, where=neg, out=a)
+    np.negative(b, where=neg, out=b)
+    np.negative(c, where=neg, out=c)
+    return a, b, c
+
+
 def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     """Accumulate bisector weights over all ordered pairs of distinct points.
 
@@ -184,29 +204,10 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     if n < 2:
         raise TooFewPointsError("bisector weights need at least two points")
     xs, ys, den = p.scaled_int_coords()
-    parts_a, parts_b, parts_c = [], [], []
     sq = xs * xs + ys * ys
-    idx = np.arange(n)
-    for rows in row_blocks(n, n):
-        ii, jj = np.nonzero(idx[rows, None] < idx[None, :])
-        ii += rows.start
-        a = 2 * den * (xs[jj] - xs[ii])
-        b = 2 * den * (ys[jj] - ys[ii])
-        c = sq[ii] - sq[jj]
-        g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
-        a //= g
-        b //= g
-        c //= g
-        neg = (a < 0) | ((a == 0) & (b < 0))
-        np.negative(a, where=neg, out=a)
-        np.negative(b, where=neg, out=b)
-        np.negative(c, where=neg, out=c)
-        parts_a.append(a)
-        parts_b.append(b)
-        parts_c.append(c)
-    a = np.concatenate(parts_a)
-    b = np.concatenate(parts_b)
-    c = np.concatenate(parts_c)
+    parts = [_pair_bisectors(xs, ys, sq, den, rows) for rows in row_blocks(n, n)]
+    a, b, c = (np.concatenate(col) for col in zip(*parts))
+    del parts  # the blocks go before the sort doubles the columns
     key = _row_key(a, b, c)
     order = np.argsort(key)
     key, a, b, c = key[order], a[order], b[order], c[order]

@@ -13,7 +13,6 @@ the certificates, checked on integer arrays under one int64 guard.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -207,9 +206,7 @@ def abc_lower_report(a: ScalarSet, b: ScalarSet, c: ScalarSet) -> BoundReport:
     if not (a and b and c):
         raise EmptyInputError("AB + C needs three nonempty sets")
     lhs = len(ab_plus_c_set(a, b, c))
-    prod = len(a) * len(b) * len(c)
-    r = math.isqrt(prod)
-    rhs = exact_bracket(r) if r * r == prod else Bracket(Fraction(r), Fraction(r + 1))
+    rhs = sqrt_bracket(len(a) * len(b) * len(c), digits=0)
     return BoundReport(
         name="abc-lower",
         lhs=lhs,

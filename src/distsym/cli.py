@@ -71,31 +71,15 @@ POINT_FAMILIES = ("grid", "random-int", "cartesian-of")
 FAMILIES = tuple(dict.fromkeys(SCALAR_FAMILIES + POINT_FAMILIES))
 
 
-def _resolve_out(path):
-    if path is None:
-        return None
-    p = Path(path)
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    return p
-
-
-def _open_out(args):
-    p = _resolve_out(getattr(args, "out", None))
-    if p is None:
-        return sys.stdout, False
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return open(p, "w", encoding="utf-8", newline=""), True
-
-
 def _emit(args, text: str) -> None:
-    stream, close = _open_out(args)
-    try:
-        stream.write(text)
-    finally:
-        if close:
-            stream.close()
+    """Write text to stdout, or to --out; a relative --out resolves under
+    $DISTSYM_OUT_DIR when that is set."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    path = Path(os.environ.get(OUT_DIR_ENV) or "", args.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _emit_formatted(args, json_payload, csv_table) -> None:

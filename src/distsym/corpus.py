@@ -57,133 +57,119 @@ def verify_corpus(seed: int = 20260816, scale: int = 1, corrupt: bool = False) -
     """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, not {scale}")
-    rows = [
-        _product_identity(seed, 20 * scale, corrupt),
-        _triple_equivalence(seed + 1, 12 * scale, corrupt),
-        _inclusion(seed + 2, 10 * scale, corrupt),
-        _fold_growth(seed + 3, 10 * scale, corrupt),
-        _reflection(seed + 4, 150 * scale, corrupt),
-        _weights_vs_reflections(seed + 5, 8 * scale, corrupt),
-        _canonical_rescaling(seed + 6, 150 * scale, corrupt),
-    ]
-    return VerificationResult(rows)
+    return VerificationResult([
+        _run(name, check, seed + k, trials * scale, corrupt)
+        for k, (name, trials, check) in enumerate(_PROPERTIES)
+    ])
 
 
-def _product_identity(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
-    rng = random.Random(seed)
-    for t in range(trials):
-        if t % 3 == 2:
-            a = random_rational_scalar_set(rng, rng.randint(2, 12))
-        else:
-            a = random_scalar_set(rng, rng.randint(2, 16))
-        _, lhs, rhs = verify_product_identity(a)
-        if corrupt and t == 0:
-            rhs = ScalarSet(rhs.elements[1:])  # negative control
-        if lhs != rhs:
-            return PropertyResult("product-identity", t + 1, False, f"disagree on {a!r}")
-    return PropertyResult("product-identity", trials, True)
+def _run(name: str, check, seed: int, trials: int, corrupt: bool) -> PropertyResult:
+    """Run check(rng, t, damage) for trials t on one rng seeded by seed.
 
-
-def _triple_equivalence(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
-    rng = random.Random(seed)
-    for t in range(trials):
-        if t % 3 == 2:
-            p = random_rational_point_set(rng, rng.randint(3, 14))
-        else:
-            p = random_point_set(rng, rng.randint(3, 18), bound=30)
-        fast = isosceles_count(p)
-        brute = isosceles_count_brute(p)
-        scanned = weighted_incidences(p, bisector_weight_map(p)) if len(p) >= 2 else fast
-        if corrupt and t == 0:
-            fast += 1  # negative control
-        if not (fast == brute == scanned):
-            return PropertyResult(
-                "triple-equivalence",
-                t + 1,
-                False,
-                f"routes disagree: {fast} / {brute} / {scanned}",
-            )
-    return PropertyResult("triple-equivalence", trials, True)
-
-
-def _inclusion(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
-    rng = random.Random(seed)
-    for t in range(trials):
-        a = random_scalar_set(rng, rng.randint(2, 14), bound=60)
-        expected = VERDICT_VIOLATED if corrupt and t == 0 else VERDICT_HOLDS  # negative control
-        if hanson_inclusion_check(a).verdict != expected:
-            return PropertyResult("difference-product-inclusion", t + 1, False, f"violated on {a!r}")
-    return PropertyResult("difference-product-inclusion", trials, True)
-
-
-def _fold_growth(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
-    rng = random.Random(seed)
-    pairs = [(m, n) for m in range(0, 4) for n in range(0, 4) if 1 <= m + n <= 4]
-    for t in range(trials):
-        a = random_scalar_set(rng, rng.randint(2, 12), bound=80)
-        expected = VERDICT_VIOLATED if corrupt and t == 0 else VERDICT_HOLDS  # negative control
-        for m, n in pairs:
-            if plunnecke_check(a, m, n).verdict != expected:
-                return PropertyResult(
-                    "fold-growth", t + 1, False, f"violated at m={m} n={n} on {a!r}"
-                )
-    return PropertyResult("fold-growth", trials, True)
-
-
-def _reflection(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
+    A check returns None to skip a degenerate draw, "" when the trial holds,
+    or the failure detail.  damage, the negative control, is set until the
+    first checked trial.
+    """
     rng = random.Random(seed)
     damage = corrupt
     for t in range(trials):
-        p = (Fraction(rng.randint(-40, 40), rng.randint(1, 5)),
-             Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
-        q = (Fraction(rng.randint(-40, 40), rng.randint(1, 5)),
-             Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
-        if p == q:
+        detail = check(rng, t, damage)
+        if detail is None:
             continue
-        line = perpendicular_bisector(p, q)
-        image = p if damage else q  # negative control
         damage = False
-        # the bisector swaps its defining pair, and reflecting twice is identity
-        if reflect_point(line, p) != image or reflect_point(line, reflect_point(line, q)) != q:
-            return PropertyResult("reflection-involution", t + 1, False, f"failed for {p}, {q}")
-    return PropertyResult("reflection-involution", trials, True)
+        if detail:
+            return PropertyResult(name, t + 1, False, detail)
+    return PropertyResult(name, trials, True)
 
 
-def _weights_vs_reflections(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
-    rng = random.Random(seed)
-    for t in range(trials):
-        p = random_point_set(rng, rng.randint(3, 16), bound=8)
-        wmap = bisector_weight_map(p)
-        extra = 1 if corrupt and t == 0 else 0  # negative control
-        for line, w in wmap.items():
-            w += extra
-            back = sum(
-                1
-                for pt in p
-                if (r := reflect_point(line, pt)) != pt and r in p
-            )
-            if back != w:
-                return PropertyResult(
-                    "weights-vs-reflections", t + 1, False, f"w={w} but {back} reflections"
-                )
-    return PropertyResult("weights-vs-reflections", trials, True)
+def _product_identity(rng, t, damage):
+    if t % 3 == 2:
+        a = random_rational_scalar_set(rng, rng.randint(2, 12))
+    else:
+        a = random_scalar_set(rng, rng.randint(2, 16))
+    _, lhs, rhs = verify_product_identity(a)
+    if damage:
+        rhs = ScalarSet(rhs.elements[1:])
+    return "" if lhs == rhs else f"disagree on {a!r}"
 
 
-def _canonical_rescaling(seed: int, trials: int, corrupt: bool = False) -> PropertyResult:
-    rng = random.Random(seed)
-    damage = corrupt
-    for t in range(trials):
-        a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        b = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        c = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        if a == 0 and b == 0:
-            continue
-        lam = Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 7))
-        shift = 1 if damage else 0  # negative control: a parallel line
-        damage = False
-        if canonical_line(a, b, c) != canonical_line(lam * a, lam * b, lam * c + shift):
-            return PropertyResult("canonical-rescaling", t + 1, False, f"({a}, {b}, {c})")
-    return PropertyResult("canonical-rescaling", trials, True)
+def _triple_equivalence(rng, t, damage):
+    if t % 3 == 2:
+        p = random_rational_point_set(rng, rng.randint(3, 14))
+    else:
+        p = random_point_set(rng, rng.randint(3, 18), bound=30)
+    fast = isosceles_count(p) + damage  # the control miscounts by one
+    brute = isosceles_count_brute(p)
+    scanned = weighted_incidences(p, bisector_weight_map(p))
+    return "" if fast == brute == scanned else f"routes disagree: {fast} / {brute} / {scanned}"
+
+
+def _inclusion(rng, t, damage):
+    a = random_scalar_set(rng, rng.randint(2, 14), bound=60)
+    expected = VERDICT_VIOLATED if damage else VERDICT_HOLDS
+    return "" if hanson_inclusion_check(a).verdict == expected else f"violated on {a!r}"
+
+
+_FOLDS = [(m, n) for m in range(0, 4) for n in range(0, 4) if 1 <= m + n <= 4]
+
+
+def _fold_growth(rng, t, damage):
+    a = random_scalar_set(rng, rng.randint(2, 12), bound=80)
+    expected = VERDICT_VIOLATED if damage else VERDICT_HOLDS
+    for m, n in _FOLDS:
+        if plunnecke_check(a, m, n).verdict != expected:
+            return f"violated at m={m} n={n} on {a!r}"
+    return ""
+
+
+def _reflection(rng, t, damage):
+    p = (Fraction(rng.randint(-40, 40), rng.randint(1, 5)),
+         Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
+    q = (Fraction(rng.randint(-40, 40), rng.randint(1, 5)),
+         Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
+    if p == q:
+        return None
+    line = perpendicular_bisector(p, q)
+    image = p if damage else q
+    # the bisector swaps its defining pair, and reflecting twice is identity
+    if reflect_point(line, p) != image or reflect_point(line, reflect_point(line, q)) != q:
+        return f"failed for {p}, {q}"
+    return ""
+
+
+def _weights_vs_reflections(rng, t, damage):
+    p = random_point_set(rng, rng.randint(3, 16), bound=8)
+    for line, w in bisector_weight_map(p).items():
+        w += damage  # the control miscounts by one
+        back = sum(1 for pt in p if (r := reflect_point(line, pt)) != pt and r in p)
+        if back != w:
+            return f"w={w} but {back} reflections"
+    return ""
+
+
+def _canonical_rescaling(rng, t, damage):
+    a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+    b = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+    c = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+    if a == 0 and b == 0:
+        return None
+    lam = Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 7))
+    shift = 1 if damage else 0  # a parallel line
+    if canonical_line(a, b, c) != canonical_line(lam * a, lam * b, lam * c + shift):
+        return f"({a}, {b}, {c})"
+    return ""
+
+
+# (name, trials at scale 1, check); a property's rng is seeded by seed + its index
+_PROPERTIES = (
+    ("product-identity", 20, _product_identity),
+    ("triple-equivalence", 12, _triple_equivalence),
+    ("difference-product-inclusion", 10, _inclusion),
+    ("fold-growth", 10, _fold_growth),
+    ("reflection-involution", 150, _reflection),
+    ("weights-vs-reflections", 8, _weights_vs_reflections),
+    ("canonical-rescaling", 150, _canonical_rescaling),
+)
 
 
 # frozen families used by the regression constants and the ratio corpora

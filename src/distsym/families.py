@@ -78,17 +78,13 @@ def generate_family(spec: FamilySpec):
             raise ValueError("coordinate range must be nonnegative")
         rng = random.Random(spec.seed)
         if spec.dim == 1:
-            population = range(-r, r + 1)
-            if spec.n > len(population):
+            if spec.n > 2 * r + 1:
                 raise ValueError("range too small for a distinct sample")
-            return ScalarSet(rng.sample(population, spec.n))
+            return random_scalar_set(rng, spec.n, bound=r)
         if spec.dim == 2:
             if spec.n > (2 * r + 1) ** 2:
                 raise ValueError("range too small for distinct points")
-            pts = set()
-            while len(pts) < spec.n:
-                pts.add((rng.randint(-r, r), rng.randint(-r, r)))
-            return PlanarPointSet(pts)
+            return random_point_set(rng, spec.n, bound=r)
         raise ValueError("dim must be 1 or 2")
 
     if spec.kind == "grid":

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 import numpy as np
 
 from .bisectors import WeightedBisectorMap, check_weight_map
-from .brackets import Bracket, int_nth_root, nth_root_bracket
+from .brackets import Bracket, nth_root_bracket
 from .errors import CapExceededError, EmptyInputError
 from .planar import PlanarPointSet, sq_dist_rows, squared_distance_set
 from .scalar_sets import int_dtype, repeat_runs, row_blocks
@@ -133,17 +132,6 @@ class IncidenceReport:
             Fraction(self.weighted, self.rhs_floor),
         )
 
-    @property
-    def st_rhs_terms(self) -> Tuple[Bracket, int, int]:
-        """The three summands of the bound: the bracketed cube-root term,
-        W_total, and w_max * N."""
-        cube = Fraction(self.max_weight) * Fraction(self.n * self.total_weight) ** 2
-        return (
-            nth_root_bracket(cube, 3, digits=8),
-            self.total_weight,
-            self.max_weight * self.n,
-        )
-
 
 def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceReport:
     """Compare I_w against w^(1/3) (N W)^(2/3) + W + w N.
@@ -170,9 +158,7 @@ def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceRe
     else:
         iw = t
     w_total, w_max = wmap.total_weight, wmap.max_weight
-    cube = w_max * (n * w_total) ** 2
-    root = int_nth_root(cube, 3)
-    ceil_root = root if root ** 3 == cube else root + 1
+    root = nth_root_bracket(w_max * (n * w_total) ** 2, 3, digits=0)
     base = w_total + w_max * n
     return IncidenceReport(
         n=n,
@@ -180,7 +166,7 @@ def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceRe
         weighted=iw,
         total_weight=w_total,
         max_weight=w_max,
-        rhs_floor=root + base,
-        rhs_ceil=ceil_root + base,
+        rhs_floor=int(root.lo) + base,
+        rhs_ceil=int(root.hi) + base,
         low_multiplicity_classes=n * len(squared_distance_set(p).squared) - rich,
     )

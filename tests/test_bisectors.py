@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -241,6 +242,19 @@ def test_heaviest_bisector_is_the_least_line_of_maximum_weight(p):
 def test_random_points_tie_every_line():
     p = random_int_points(random.Random(8), 40, 10**6)
     assert set(per_pair_weights(p).values()) == {2}
+
+
+def test_weight_map_peak_stays_within_four_times_the_finished_map():
+    # random points tie nearly every line, so the map holds about one row per pair
+    p = random_int_points(random.Random(3), 300, 10**6)
+    tracemalloc.start()
+    try:
+        wmap = bisector_weight_map(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines, weights = wmap.line_arrays()
+    assert peak <= 4 * (lines.nbytes + weights.nbytes)
 
 
 def test_row_key_is_the_same_for_int64_and_object_rows():

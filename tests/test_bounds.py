@@ -201,6 +201,14 @@ def test_abc_worked_example():
     assert rep.ratio.lo == Fraction(9, 6) and rep.ratio.hi == Fraction(9, 5)
 
 
+def test_abc_rhs_is_the_integer_square_root_bracket():
+    sets = [ScalarSet(range(k)) for k in (4, 4, 4, 3, 5)]
+    exact = abc_lower_report(*sets[:3]).rhs  # |A||B||C| = 64
+    assert exact == (Fraction(8), Fraction(8)) and type(exact.lo) is Fraction
+    between = abc_lower_report(sets[3], sets[0], sets[4]).rhs  # 3 * 4 * 5 = 60
+    assert between == (Fraction(7), Fraction(8)) and type(between.hi) is Fraction
+
+
 def test_abc_distinct_inputs():
     a, b, c = ScalarSet([0, 1, 3]), ScalarSet([0, 2]), ScalarSet([5])
     rep = abc_lower_report(a, b, c)

@@ -115,6 +115,27 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "nested" / "ap.txt").read_text() == "0\n1\n2\n"
 
 
+def test_out_absolute_path_ignores_out_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DISTSYM_OUT_DIR", str(tmp_path / "base"))
+    target = tmp_path / "abs" / "ap.txt"
+    run(capsys, "gen", "--kind", "ap", "--n", "3", "--out", str(target))
+    assert target.read_text() == "0\n1\n2\n"
+    assert not (tmp_path / "base").exists()
+
+
+def test_thm1_sweep_over_progressions_skips_past_the_cap(capsys):
+    code, out, _ = run(
+        capsys,
+        "sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:7", "--max-size", "5",
+    )
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[0].startswith("input,")
+    assert [row.split(",")[0] for row in rows[1:]] == [f"ap({n})" for n in range(3, 8)]
+    assert rows[3].startswith("ap(5),thm1,") and rows[3].endswith(",holds-with-constant")
+    assert rows[-2:] == [f"ap({n}),thm1,,,,,,skipped" for n in (6, 7)]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -128,6 +149,8 @@ def test_verify_corrupt_hook_fails(capsys):
     rows = out.splitlines()
     assert len(rows) == 8 and rows[-1] == "verification FAILED"
     assert all(row.startswith("FAIL ") for row in rows[:7])
+    # each property fails in its first checked trial
+    assert all(row.split()[2:4] == ["1", "trials"] for row in rows[:7])
 
 
 @pytest.mark.parametrize("scale", ["0", "-3"])

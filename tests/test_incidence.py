@@ -105,15 +105,6 @@ def test_triangle_st_report():
     assert rep.ratio.hi == Fraction(2, 20)
 
 
-def test_st_rhs_terms_bracket_the_cube_root():
-    rep = st_bound_report(TRIANGLE, bisector_weight_map(TRIANGLE))
-    root, w_total, wn = rep.st_rhs_terms
-    assert (w_total, wn) == (6, 6)
-    assert root.lo**3 <= 648 <= root.hi**3  # 648 = 2 * (3*6)^2
-    assert root.width <= Fraction(1, 10**8)
-    assert rep.rhs_floor <= root.lo + w_total + wn <= rep.rhs_ceil
-
-
 def test_grid3_st_report():
     g3 = generate_family(FamilySpec(kind="grid", n=3))
     rep = st_bound_report(g3, bisector_weight_map(g3))

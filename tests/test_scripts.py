@@ -1,7 +1,7 @@
-"""Each report script runs end to end at a small size, in its own process,
-against the package in src/."""
+"""Each script under scripts/ runs end to end at a small size, in its own
+process, against the package in src/.  The thm1 sweep over progressions is
+`distsym sweep --check thm1 --family ap`, tested in test_cli.py."""
 
-import importlib.util
 import os
 import re
 import subprocess
@@ -25,28 +25,6 @@ def run_script(name, *args):
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
-
-
-def test_ap_progression_report_writes_one_row_per_progression():
-    rows = run_script("ap_progression_report.py", "--max-n", "12")
-    assert rows[0].startswith("input,")
-    assert [row.split(",")[0] for row in rows[1:]] == [f"ap({n})" for n in range(3, 13)]
-
-
-def test_ap_progression_report_skips_progressions_past_the_cap(monkeypatch, capsys):
-    # in-process, with the chain capped at 5 elements instead of 256
-    spec = importlib.util.spec_from_file_location(
-        "ap_progression_report", ROOT / "scripts" / "ap_progression_report.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    thm1_report = script.thm1_report
-    monkeypatch.setattr(script, "thm1_report", lambda a: thm1_report(a, max_size=5))
-    monkeypatch.setattr(sys, "argv", ["ap_progression_report.py", "--max-n", "7"])
-    script.main()
-    rows = capsys.readouterr().out.splitlines()
-    assert [row.split(",")[0] for row in rows[1:]] == [f"ap({n})" for n in range(3, 8)]
-    assert rows[3].startswith("ap(5),thm1,") and rows[3].endswith(",holds-with-constant")
-    assert rows[-2:] == [f"ap({n}),thm1,,,,,,skipped" for n in (6, 7)]
 
 
 @pytest.mark.parametrize("flags", [(), ("--include-fixed-points",)], ids=["bare", "fixed"])
