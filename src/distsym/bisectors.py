@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -92,19 +92,18 @@ class WeightedBisectorMap:
     """w(l) = number of ordered pairs of distinct points whose bisector is l.
 
     Held as coefficient rows (a, b, c) in the fixed order of their row keys
-    (the same on every run, not numeric order) with their weights; the dict
-    view of weights() is built on demand.  Weights are even and sum to N^2 - N.
+    (the same on every run, not numeric order) with their weights;
+    dict(items()) is the mapping.  Weights are even and sum to N^2 - N.
     """
 
     __slots__ = ("n_points", "source_points", "total_weight", "max_weight",
-                 "_lines", "_weights", "_dict")
+                 "_lines", "_weights")
 
     def __init__(self, source_points: Tuple[Point, ...], lines: np.ndarray, weights: np.ndarray):
         self.source_points = source_points
         self.n_points = len(source_points)
         self._lines = lines
         self._weights = weights
-        self._dict = None
         self.total_weight = int(weights.sum())
         self.max_weight = int(weights.max())
 
@@ -118,14 +117,6 @@ class WeightedBisectorMap:
     def items(self) -> Iterator[Tuple[Line, int]]:
         for row, w in zip(self._lines.tolist(), self._weights.tolist()):
             yield Line(*row), w
-
-    def weights(self) -> Dict[Line, int]:
-        if self._dict is None:
-            self._dict = dict(self.items())
-        return self._dict
-
-    def __getitem__(self, line: Line) -> int:
-        return self.weights()[line]
 
     def line_arrays(self):
         """(lines, weights): an (n, 3) array of distinct canonical rows and

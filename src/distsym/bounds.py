@@ -92,14 +92,14 @@ def hanson_inclusion_check(a: ScalarSet) -> BoundReport:
     if not a:
         raise EmptyInputError("inclusion check of an empty set")
     d, two_dd, witnesses = _hanson_certificates(a)
-    rhs = iterated_combination(2, 2, elementwise_square(d))
-    ratio = Fraction(len(two_dd), len(rhs))
+    rhs_set = iterated_combination(2, 2, elementwise_square(d))
+    rhs = exact_bracket(len(rhs_set))
     return BoundReport(
         name="hanson-inclusion",
         lhs=len(two_dd),
-        rhs=exact_bracket(len(rhs)),
-        ratio=Bracket(ratio, ratio),
-        verdict=VERDICT_HOLDS if two_dd.issubset(rhs) else VERDICT_VIOLATED,
+        rhs=rhs,
+        ratio=ratio_bracket(len(two_dd), rhs),
+        verdict=VERDICT_HOLDS if two_dd.issubset(rhs_set) else VERDICT_VIOLATED,
         witness={"certified_elements": len(witnesses), "witnesses": witnesses},
     )
 
@@ -189,14 +189,13 @@ def plunnecke_check(a: ScalarSet, m: int, n: int) -> BoundReport:
         raise EmptyInputError("fold growth of an empty set")
     lhs = len(iterated_combination(m, n, a))
     doubling = Fraction(len(pairwise_combine(a, a, "add")), len(a))
-    rhs = doubling ** (m + n) * len(a)
-    ratio = Fraction(lhs) / rhs
+    rhs = exact_bracket(doubling ** (m + n) * len(a))
     return BoundReport(
         name="plunnecke",
         lhs=lhs,
-        rhs=exact_bracket(rhs),
-        ratio=Bracket(ratio, ratio),
-        verdict=VERDICT_HOLDS if lhs <= rhs else VERDICT_VIOLATED,
+        rhs=rhs,
+        ratio=ratio_bracket(lhs, rhs),
+        verdict=VERDICT_HOLDS if lhs <= rhs.lo else VERDICT_VIOLATED,
         witness={"m": m, "n": n, "doubling_ratio": doubling},
     )
 
@@ -303,13 +302,12 @@ def thm2_report(
     subset = extract_symmetric_subset(
         p, include_fixed_points=include_fixed_points, weight_map=wmap
     )
-    k3 = k ** 3
-    ratio = Fraction(wmap.max_weight) / k3
+    rhs = exact_bracket(k ** 3)
     report = BoundReport(
         name="thm2",
         lhs=wmap.max_weight,
-        rhs=exact_bracket(k3),
-        ratio=Bracket(ratio, ratio),
+        rhs=rhs,
+        ratio=ratio_bracket(wmap.max_weight, rhs),
         verdict=VERDICT_HOLDS_WITH_CONSTANT,
         witness={
             "n": n,
@@ -327,12 +325,12 @@ def thm2_report(
 def product_identity_report(a: ScalarSet) -> BoundReport:
     """Equality of the two routes to the squared distances of a x a."""
     agree, lhs_set, rhs_set = verify_product_identity(a)
-    ratio = Fraction(len(lhs_set), len(rhs_set))
+    rhs = exact_bracket(len(rhs_set))
     return BoundReport(
         name="product-identity",
         lhs=len(lhs_set),
-        rhs=exact_bracket(len(rhs_set)),
-        ratio=Bracket(ratio, ratio),
+        rhs=rhs,
+        ratio=ratio_bracket(len(lhs_set), rhs),
         verdict=VERDICT_HOLDS if agree else VERDICT_VIOLATED,
         witness={"sides_equal": agree},
     )

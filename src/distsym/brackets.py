@@ -77,7 +77,7 @@ def nth_root_bracket(x, n: int, digits: int = 8) -> Bracket:
         return Bracket(root, root)
     scale = 10 ** digits
     t = (xf.numerator * scale ** n) // xf.denominator
-    r = int_nth_root(t, n)
+    r = rn if t == xf.numerator else int_nth_root(t, n)
     return Bracket(Fraction(r, scale), Fraction(r + 1, scale))
 
 

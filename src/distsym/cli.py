@@ -33,6 +33,7 @@ from .errors import CapExceededError
 from .families import FamilySpec, generate_family
 from .incidence import (
     BRUTE_CAP_DEFAULT,
+    IncidenceReport,
     isosceles_count,
     isosceles_count_brute,
     st_bound_report,
@@ -62,6 +63,8 @@ from .scalar_sets import ScalarSet
 
 OUT_DIR_ENV = "DISTSYM_OUT_DIR"
 BISECTOR_MAP_CAP = 5000
+# the checks that take a size cap, and its default; --max-size overrides it
+CHECK_CAPS = {"thm1": CHAIN_CAP_DEFAULT, "thm2": BISECTOR_MAP_CAP, "st": BISECTOR_MAP_CAP}
 
 SCALAR_CHECKS = ("hanson", "plunnecke", "abc", "thm1", "guth-katz", "product-identity")
 POINT_CHECKS = ("thm2", "st")
@@ -110,9 +113,11 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _cap(args, default: int) -> int:
+def _cap(args, default):
+    """The size cap for a command: --max-size, else the default; None for a
+    check without a cap, which ignores --max-size."""
     cap = getattr(args, "max_size", None)
-    if cap is None:
+    if cap is None or default is None:
         return default
     if cap > default:
         _warn(f"cap raised from {default} to {cap}; runtime and memory grow quickly")
@@ -120,29 +125,18 @@ def _cap(args, default: int) -> int:
 
 
 def _family_spec(kind: str, args, size=None, dim=None) -> FamilySpec:
-    n = size if size is not None else args.n
-    if kind == "ap":
-        return FamilySpec(kind="ap", n=n, start=args.start, step=args.step)
-    if kind == "gap2":
-        return FamilySpec(kind="gap2", n=n, n2=args.n2, d1=args.d1, d2=args.d2)
-    if kind == "geometric":
-        start = args.start if args.start != 0 else 1
-        return FamilySpec(kind="geometric", n=n, start=start, ratio=args.ratio)
-    if kind == "random-int":
-        seed = args.seed if size is None else args.seed + size
-        return FamilySpec(
-            kind="random_int", n=n, coord_range=args.range, seed=seed,
-            dim=args.dim if dim is None else dim,
-        )
-    if kind == "grid":
-        return FamilySpec(kind="grid", n=n)
+    """The family the flags describe, at size or --n.  A sweep passes size,
+    and its random-int draws then use seed + size."""
+    n = args.n if size is None else size
     if kind == "cartesian-of":
-        base_kind = args.of or "ap"
-        base = _family_spec(base_kind, args, size=n)
-        if base.dim != 1 or base.kind == "grid":
-            raise ValueError("cartesian-of needs a scalar base family")
-        return FamilySpec(kind="cartesian_of", base=base)
-    raise ValueError(f"unknown family {kind!r}")
+        return FamilySpec(kind="cartesian_of", base=_family_spec(args.of or "ap", args, size=n))
+    return FamilySpec(
+        kind=kind.replace("-", "_"), n=n,
+        start=1 if kind == "geometric" and args.start == 0 else args.start,
+        step=args.step, ratio=args.ratio, n2=args.n2, d1=args.d1, d2=args.d2,
+        coord_range=args.range, seed=args.seed if size is None else args.seed + size,
+        dim=args.dim if dim is None else dim,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +157,7 @@ def cmd_distset(args) -> int:
     ds = squared_distance_set(p, include_zero=args.include_zero_distance)
     _emit_formatted(
         args,
-        lambda: {
-            "count": len(ds),
-            "includes_zero": ds.includes_zero,
-            "squared_distances": jsonable(ds.squared),
-        },
+        lambda: {"count": len(ds), **jsonable(ds)},
         lambda: (("squared_distance",), ((format_scalar(x),) for x in ds.squared)),
     )
     return 0
@@ -189,7 +179,7 @@ def cmd_isosceles(args) -> int:
 
 def cmd_symmetry(args) -> int:
     p = _read_points(args.input)
-    _check_point_cap(args, len(p))
+    _check_point_cap(len(p), _cap(args, BISECTOR_MAP_CAP))
     sub = extract_symmetric_subset(p, include_fixed_points=args.include_fixed_points)
     _emit_formatted(
         args,
@@ -209,64 +199,60 @@ def cmd_symmetry(args) -> int:
     return 0
 
 
-def _check_point_cap(args, n: int) -> None:
-    cap = _cap(args, BISECTOR_MAP_CAP)
+def _check_point_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceededError(
             f"bisector maps capped at {cap} points; pass --max-size to override"
         )
 
 
-def run_check(name: str, args, scalars=None, points=None):
-    """One named check on parsed config args.  Returns (kind, report) where
-    kind is 'bound' or 'incidence'."""
-    if name in SCALAR_CHECKS:
-        a = scalars if scalars is not None else _read_scalars(args.input)
-    else:
-        p = points if points is not None else _read_points(args.input)
+def run_check(name: str, args, cap, data=None):
+    """One named check on data, or else on the --input file, under the cap
+    _cap resolved for it.  Returns the report."""
+    if data is None:
+        data = (_read_scalars if name in SCALAR_CHECKS else _read_points)(args.input)
+    if name in POINT_CHECKS:
+        _check_point_cap(len(data), cap)
     if name == "hanson":
-        return "bound", hanson_inclusion_check(a)
+        return hanson_inclusion_check(data)
     if name == "plunnecke":
-        return "bound", plunnecke_check(a, args.m, args.n_fold)
+        return plunnecke_check(data, args.m, args.n_fold)
     if name == "abc":
-        b = _read_scalars(args.input_b) if args.input_b else a
-        c = _read_scalars(args.input_c) if args.input_c else a
-        return "bound", abc_lower_report(a, b, c)
+        b = _read_scalars(args.input_b) if args.input_b else data
+        c = _read_scalars(args.input_c) if args.input_c else data
+        return abc_lower_report(data, b, c)
     if name == "thm1":
-        return "bound", thm1_report(a, max_size=_cap(args, CHAIN_CAP_DEFAULT))
+        return thm1_report(data, max_size=cap)
     if name == "guth-katz":
-        return "bound", guth_katz_ratio(a)
+        return guth_katz_ratio(data)
     if name == "product-identity":
-        return "bound", product_identity_report(a)
+        return product_identity_report(data)
     if name == "thm2":
-        _check_point_cap(args, len(p))
-        report, _ = thm2_report(
-            p,
-            include_zero=args.include_zero_distance,
-            include_fixed_points=args.include_fixed_points,
-        )
-        return "bound", report
+        return thm2_report(data, include_zero=args.include_zero_distance,
+                           include_fixed_points=args.include_fixed_points)[0]
     if name == "st":
-        _check_point_cap(args, len(p))
-        return "incidence", st_bound_report(p, bisector_weight_map(p))
+        return st_bound_report(data, bisector_weight_map(data))
     raise ValueError(f"unknown check {name!r}")
 
 
+def _render(report, witness: bool = True):
+    """(csv row, json thunk, violated flag) of a bound or incidence report,
+    chosen by its type.  The incidence bound has a constant: never violated."""
+    if isinstance(report, IncidenceReport):
+        return incidence_csv_row(report), lambda: incidence_json_dict(report), False
+    return (bound_csv_row(report), lambda: bound_json_dict(report, include_witness=witness),
+            report.verdict == VERDICT_VIOLATED)
+
+
+def _csv_header(name: str) -> tuple:
+    return INCIDENCE_CSV_HEADER if name == "st" else BOUND_CSV_HEADER
+
+
 def cmd_check(args) -> int:
-    kind, report = run_check(args.name, args)
-    if kind == "bound":
-        _emit_formatted(
-            args,
-            lambda: bound_json_dict(report),
-            lambda: (BOUND_CSV_HEADER, [bound_csv_row(report)]),
-        )
-        return 1 if report.verdict == VERDICT_VIOLATED else 0
-    _emit_formatted(
-        args,
-        lambda: incidence_json_dict(report),
-        lambda: (INCIDENCE_CSV_HEADER, [incidence_csv_row(report)]),
-    )
-    return 0
+    report = run_check(args.name, args, _cap(args, CHECK_CAPS.get(args.name)))
+    row, json_payload, violated = _render(report)
+    _emit_formatted(args, json_payload, lambda: (_csv_header(args.name), [row]))
+    return 1 if violated else 0
 
 
 def _parse_sizes(spec: str):
@@ -284,51 +270,36 @@ def run_sweep(args):
     json rows, violated flag); capped sizes become skipped rows, not gaps."""
     name = args.check
     point_check = name in POINT_CHECKS
-    if point_check and args.family not in POINT_FAMILIES:
-        raise ValueError(f"check {name!r} needs a point family, not {args.family!r}")
-    if not point_check and args.family not in SCALAR_FAMILIES:
-        raise ValueError(f"check {name!r} needs a scalar family, not {args.family!r}")
+    families, what = (POINT_FAMILIES, "point") if point_check else (SCALAR_FAMILIES, "scalar")
+    if args.family not in families:
+        raise ValueError(f"check {name!r} needs a {what} family, not {args.family!r}")
     # point checks draw random-int families in the plane whatever --dim says
     dim = 2 if point_check and args.family == "random-int" else None
+    cap = _cap(args, CHECK_CAPS.get(name))
+    header = ["input", *_csv_header(name)]
+    if name == "st":
+        header.append("status")  # bound rows have their verdict for a status
     rows = []
     json_rows = []
     violated = False
     for size in _parse_sizes(args.sizes):
-        spec = _family_spec(args.family, args, size=size, dim=dim)
-        fam = generate_family(spec)
+        fam = generate_family(_family_spec(args.family, args, size=size, dim=dim))
         label = f"{args.family}({size})"
         started = time.perf_counter()
         try:
-            if point_check:
-                kind, report = run_check(name, args, points=fam)
-            else:
-                kind, report = run_check(name, args, scalars=fam)
+            report = run_check(name, args, cap, fam)
         except CapExceededError:
-            elapsed = time.perf_counter() - started
-            if name == "st":
-                row = [label] + [""] * len(INCIDENCE_CSV_HEADER) + ["skipped"]
-            else:
-                row = [label, name, "", "", "", "", "", "skipped"]
-            if args.timings:
-                row.append(f"{elapsed:.3f}")
-            rows.append(row)
+            row = [label, "" if name == "st" else name] + [""] * (len(header) - 3) + ["skipped"]
             json_rows.append({"input": label, "skipped": True})
-            continue
-        elapsed = time.perf_counter() - started
-        if kind == "bound":
-            row = [label, *bound_csv_row(report)]
-            violated = violated or report.verdict == VERDICT_VIOLATED
-            json_rows.append({"input": label, "report": bound_json_dict(report, include_witness=False)})
         else:
-            row = [label, *incidence_csv_row(report), "ok"]
-            json_rows.append({"input": label, "report": incidence_json_dict(report)})
+            cells, json_payload, row_violated = _render(report, witness=False)
+            row = [label, *cells]
+            row += ["ok"] * (len(header) - len(row))  # the status column, if any
+            json_rows.append({"input": label, "report": json_payload()})
+            violated = violated or row_violated
         if args.timings:
-            row.append(f"{elapsed:.3f}")
+            row.append(f"{time.perf_counter() - started:.3f}")
         rows.append(row)
-    if name == "st":
-        header = ["input", *INCIDENCE_CSV_HEADER, "status"]
-    else:
-        header = ["input", *BOUND_CSV_HEADER]
     if args.timings:
         header.append("wall_time_s")
     return header, rows, json_rows, violated

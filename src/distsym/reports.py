@@ -11,8 +11,6 @@ import json
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .bisectors import Line, SymmetricSubset
 from .bounds import BoundReport
 from .brackets import Bracket
@@ -71,8 +69,6 @@ def jsonable(value):
         return value
     if isinstance(value, (int, str)):
         return value
-    if isinstance(value, np.integer):
-        return int(value)
     if isinstance(value, ScalarSet):
         return [format_scalar(x) for x in value.elements]
     if isinstance(value, PlanarPointSet):
@@ -82,8 +78,6 @@ def jsonable(value):
             "includes_zero": value.includes_zero,
             "squared_distances": jsonable(value.squared),
         }
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

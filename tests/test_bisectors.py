@@ -151,7 +151,7 @@ def test_weight_map_matches_per_pair_bisectors():
     for p, dtype in ((integer, np.int64), (rational, np.int64), (huge, object)):
         wm = bisector_weight_map(p)
         assert wm.line_arrays()[0].dtype == dtype
-        assert wm.weights() == per_pair_weights(p)
+        assert dict(wm.items()) == per_pair_weights(p)
 
 
 def random_int_points(rng, n, span):
@@ -211,7 +211,7 @@ def test_weight_map_survives_key_collisions(monkeypatch, name, weak_key):
     monkeypatch.setattr(bisectors, "_row_key", weak_key)
     wm = bisector_weight_map(p)
     assert wm.max_weight > 2
-    assert wm.weights() == per_pair_weights(p)
+    assert dict(wm.items()) == per_pair_weights(p)
     assert heaviest_bisector(wm) == heaviest == least_heaviest(p)
 
 

@@ -62,6 +62,21 @@ def test_nth_root_bracket_contains_root(x, n, digits):
     assert b.width <= Fraction(1, 10**digits)
 
 
+def test_integer_radicand_is_rooted_once_at_digits_zero(monkeypatch):
+    radicands = []
+
+    def counting_root(x, n):
+        radicands.append(x)
+        return int_nth_root(x, n)
+
+    monkeypatch.setattr("distsym.brackets.int_nth_root", counting_root)
+    assert nth_root_bracket(10, 3, digits=0) == (2, 3)
+    assert radicands == [10, 1]  # numerator and denominator, nothing scaled
+    for x in range(300):
+        b = nth_root_bracket(x, 3, digits=0)
+        assert b.lo ** 3 <= x <= b.hi ** 3 and b.width <= 1
+
+
 def test_sqrt_bracket_values():
     b = sqrt_bracket(Fraction(2), digits=10)
     assert b.lo < b.hi

@@ -1,9 +1,14 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from distsym.cli import build_parser, main, run_sweep
 from distsym.corpus import verify_corpus
+from distsym.families import FamilySpec, generate_family
+from distsym.parsing import point_set_to_text, scalar_set_to_text
+from distsym.scalar_sets import ScalarSet
 
 
 def run(capsys, *argv):
@@ -208,3 +213,89 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["check", "nonsense", "--input", "x"])
     assert e.value.code == 2
+
+
+# sha256 of stdout: a change to any byte of a check's report shows here
+CHECK_DIGESTS = {
+    ("hanson", "csv"): "bf693045f47859eafcf1b20115b93c99efc1171d910b9d0bb495d2300158adf9",
+    ("hanson", "json"): "fdde3897c5d159fe6e352cd57c45cd52ede1dbfdc982c481796196ccc7caf65d",
+    ("plunnecke", "csv"): "b84474c8e86f2b0f1f16df2dac6351ca81e788c4c1be7e6407de2597d6559649",
+    ("plunnecke", "json"): "71017abfe3c7e98405f904656c68ec0a950035a5dfa9cf2d92986e53521b17ac",
+    ("abc", "csv"): "81beb8c7c08e66fe65c98a60dd066baae0032dbbe97d13d49c4d4e7b4a13311c",
+    ("abc", "json"): "74fa411f26de0a1f21abcd4569a45e02807c6520e7385b54841a5adfa646b2f7",
+    ("thm1", "csv"): "3e2bee1ec10ca653fc2d9b38006af9a2e8e6fe061dd6326ebd02acff5a72bb25",
+    ("thm1", "json"): "7ba790f370dcbe0318678607e2e0878829cb1c25efd444e90afbac18fa63776a",
+    ("guth-katz", "csv"): "a7fc93e54acd4cefec9c6c276f5cf229f9c575bdab16c73f1ab0b208b4e896c4",
+    ("guth-katz", "json"): "c2dd5446481acd142ccbb1ba6d715e6a4987049a71f42e43480db4e269ed951f",
+    ("product-identity", "csv"): "8695cd819d06bc8e0c9ca243e3d4579c54c5f8c0cb120f9167c5824cf62f25d1",
+    ("product-identity", "json"): "1900729ca2e15b7a86bb01a5315e150f4dc7d5edabac69b27c6dd64d08fa89bf",
+    ("thm2", "csv"): "98bae048cd9b6c2a17d57af0844f44ca1a6c33e43fc7f8b688bd4bdb2626c485",
+    ("thm2", "json"): "cb337823f4ae9c6e18ebafb53fa00f7b2e932c605217ee6ee294cc9b66a58a09",
+    ("st", "csv"): "7f3b22bb09c9ee78e29b06deb8362795218d5d4ea7e2ce91587ebf3d4210fc5f",
+    ("st", "json"): "290e125a052b573870d777cc4a9069b6f0d65ba1ad59da0be65e6eeda198a813",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(CHECK_DIGESTS))
+def test_check_stdout_digest(tmp_path, capsys, name, fmt):
+    scalars, points = tmp_path / "scalars.txt", tmp_path / "points.txt"
+    scalars.write_text("1/2\n3\n-7/3\n5\n11/4\n0\n")
+    points.write_text("".join(f"{x} {y}\n" for x in range(3) for y in range(3)) + "1/2 5/3\n")
+    path = points if name in ("thm2", "st") else scalars
+    code, out, _ = run(capsys, "check", name, "--input", str(path), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[name, fmt]
+
+
+# one capped sweep per check with a cap; each has a skipped row
+SWEEP_DIGESTS = {
+    ("thm1", "ap", "3:7", "5", "csv"): "68bbb46bc1ca2420a3518ce6812b545d3afec9f45e0e3941ce996faecb5eb727",
+    ("thm1", "ap", "3:7", "5", "json"): "52d5155f0d8fa26292ca90ef86073971212d1724b433c461fe61769159906157",
+    ("thm2", "grid", "2:4", "9", "csv"): "33aeabe22e981404f9bbaf983e63a212cb48f89601882283d659c1f6a91f889c",
+    ("thm2", "grid", "2:4", "9", "json"): "8161bb48006a2dc7b3dd9c037e9d9372040a604a14c88bced11dbfddefd572b6",
+    ("st", "grid", "2:4", "9", "csv"): "73b448db000c7db799c3c013132281c43543f0f2e65620321679eacfab99c507",
+    ("st", "grid", "2:4", "9", "json"): "adf3db57e8169b73c3847687fe874f266fbd65eb0193685d3c4b46e64f18684d",
+}
+
+
+@pytest.mark.parametrize("check, family, sizes, cap, fmt", sorted(SWEEP_DIGESTS))
+def test_capped_sweep_stdout_digest(capsys, check, family, sizes, cap, fmt):
+    code, out, _ = run(capsys, "sweep", "--check", check, "--family", family, "--sizes", sizes,
+                       "--max-size", cap, "--format", fmt)
+    assert code == 0
+    assert "skipped" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[check, family, sizes, cap, fmt]
+
+
+def test_sweep_warns_once_when_the_cap_is_raised(capsys):
+    code, _, err = run(capsys, "sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:6",
+                       "--max-size", "300")
+    assert code == 0
+    assert err == "warning: cap raised from 256 to 300; runtime and memory grow quickly\n"
+
+
+GEN_CASES = [
+    ("ap --start 1/2 --step 3", FamilySpec("ap", n=8, start=Fraction(1, 2), step=3)),
+    ("gap2 --n2 3 --d2 7/2", FamilySpec("gap2", n=8, n2=3, d1=1, d2=Fraction(7, 2))),
+    ("geometric", FamilySpec("geometric", n=8, start=1, ratio=2)),
+    ("geometric --start 3 --ratio 1/2",
+     FamilySpec("geometric", n=8, start=3, ratio=Fraction(1, 2))),
+    ("random-int --seed 7 --range 50", FamilySpec("random_int", n=8, coord_range=50, seed=7)),
+    ("random-int --dim 2 --seed 7", FamilySpec("random_int", n=8, seed=7, dim=2)),
+    ("grid --n 4", FamilySpec("grid", n=4)),
+    ("cartesian-of --n 3", FamilySpec("cartesian_of", base=FamilySpec("ap", n=3))),
+    ("cartesian-of --of gap2",
+     FamilySpec("cartesian_of", base=FamilySpec("gap2", n=8, n2=2, d1=1, d2=1))),
+    # gen's cartesian-of draws its random base with seed + n, as a sweep does
+    ("cartesian-of --of random-int --n 4 --seed 3",
+     FamilySpec("cartesian_of", base=FamilySpec("random_int", n=4, seed=7))),
+]
+
+
+@pytest.mark.parametrize("argv, spec", GEN_CASES, ids=[argv for argv, _ in GEN_CASES])
+def test_gen_matches_the_family_spec(tmp_path, capsys, argv, spec):
+    out = tmp_path / "family.txt"
+    assert run(capsys, "gen", "--kind", *argv.split(), "--out", str(out))[0] == 0
+    fam = generate_family(spec)
+    to_text = scalar_set_to_text if isinstance(fam, ScalarSet) else point_set_to_text
+    assert out.read_text() == to_text(fam)

@@ -180,7 +180,7 @@ def check_against_oracles(p):
     t = sum(m * (m - 1) for counts in rmap.by_center.values() for m in counts.values())
     assert isosceles_count(p) == isosceles_count_brute(p) == t
     wm = bisector_weight_map(p)
-    assert wm.weights() == per_pair_weights(p)
+    assert dict(wm.items()) == per_pair_weights(p)
     assert weighted_incidences(p, wm) == t
     return wm
 
