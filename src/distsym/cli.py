@@ -273,8 +273,9 @@ def run_sweep(args):
     families, what = (POINT_FAMILIES, "point") if point_check else (SCALAR_FAMILIES, "scalar")
     if args.family not in families:
         raise ValueError(f"check {name!r} needs a {what} family, not {args.family!r}")
-    # point checks draw random-int families in the plane whatever --dim says
-    dim = 2 if point_check and args.family == "random-int" else None
+    # the check fixes random-int's dimension whatever --dim says: points in
+    # the plane for point checks, scalars on the line for scalar checks
+    dim = 2 if point_check else 1
     cap = _cap(args, CHECK_CAPS.get(name))
     header = ["input", *_csv_header(name)]
     if name == "st":

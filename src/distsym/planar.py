@@ -133,11 +133,14 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
     return PlanarPointSet._from_sorted((x, y) for x in elems for y in elems)
 
 
-def sq_dist_rows(xs: np.ndarray, ys: np.ndarray):
+def sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int | None = None):
     """Squared distances from a block of centres to every point, one fresh
-    (block, N) array at a time, blocks sized to bound memory and formed in
-    place so a block holds two (block, N) arrays at its peak."""
-    for rows in row_blocks(len(xs), len(xs)):
+    (rows, N) array of about block values at a time (row_blocks' default,
+    _CHUNK, unless given), formed in place so a block holds two such arrays
+    at its peak.  squared_distance_set merges the blocks and takes the
+    default; the radius-class pass reduces each block and passes
+    _CACHE_BLOCK."""
+    for rows in row_blocks(len(xs), len(xs), block):
         dx = xs[rows, None] - xs[None, :]
         dy = ys[rows, None] - ys[None, :]
         dx *= dx

@@ -101,6 +101,13 @@ def test_point_sweep_over_random_int_leaves_args_alone():
     assert [row[1] for row in rows] == ["3", "4"]  # N column: point sets of 3 and 4
 
 
+def test_scalar_sweep_over_random_int_draws_on_the_line_whatever_dim_says(capsys):
+    argv = ["sweep", "--check", "hanson", "--family", "random-int", "--sizes", "2:4"]
+    code, out, err = run(capsys, *argv, "--dim", "2")
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--dim", "1") == (0, out, "")
+
+
 def test_sweep_marks_capped_rows_skipped(tmp_path, capsys):
     code, out, _ = run(
         capsys,

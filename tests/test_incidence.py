@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_pair_weights
-from distsym import incidence, scalar_sets
+from distsym import incidence, planar, scalar_sets
 from distsym.bisectors import WeightedBisectorMap, bisector_weight_map
 from distsym.errors import CapExceededError, MismatchedInputsError
-from distsym.families import FamilySpec, generate_family, random_rational_point_set
+from distsym.families import (
+    FamilySpec,
+    generate_family,
+    random_point_set,
+    random_rational_point_set,
+)
 from distsym.incidence import (
     _scan_dtype,
     isosceles_count,
@@ -234,11 +240,32 @@ def test_scan_at_its_reach_guard(reach):
     assert weighted_incidences(p, wm) == want == 2 * 3 + 4 * 3
 
 
-# With _CHUNK at 40, 13 centres or lines of 13 points go in blocks of 3 rows
-# with a partial last block, so every pair kernel crosses block edges.
+def spy_cache_blocks(monkeypatch):
+    """Row counts of the blocks of every row_blocks call that the radius-class
+    pass (through planar.sq_dist_rows) and the incidence scan make with a
+    block size of their own, keyed by (n_rows, width)."""
+    seen = {}
+    real = scalar_sets.row_blocks
+
+    def spy(n_rows, width, block=None):
+        slices = list(real(n_rows, width, block))
+        if block is not None:
+            seen[n_rows, width] = [len(range(n_rows)[s]) for s in slices]
+        return iter(slices)
+
+    monkeypatch.setattr(planar, "row_blocks", spy)
+    monkeypatch.setattr(incidence, "row_blocks", spy)
+    return seen
+
+
+# With _CHUNK and _CACHE_BLOCK at 40, 13 centres or lines of 13 points go in
+# blocks of 3 rows with a partial last block, so every pair kernel crosses
+# block edges.
 @pytest.mark.parametrize("scale", (1, Fraction(1, 3), 10**25))
 def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
+    monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
+    seen = spy_cache_blocks(monkeypatch)
     rng = random.Random(17)
     grid = rng.sample([(x, y) for x in range(5) for y in range(5)], 13)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
@@ -247,10 +274,13 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     assert len(wm) % 3 and len(wm) > 3  # the scan's last line block is partial too
     rep = st_bound_report(p, wm)
     assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
+    # the radius-class pass and the scan each ran in blocks of 3 rows
+    assert seen == {(13, 13): [3, 3, 3, 3, 1], (len(wm), 13): [3] * (len(wm) // 3) + [len(wm) % 3]}
 
 
 # Rich classes are read from stretches of repeated values in a block of
-# sorted rows.  With _CHUNK at 40 a block holds several rows of these sets:
+# sorted rows.  With _CHUNK and _CACHE_BLOCK at 40 a block holds several rows
+# of these sets:
 # grid(4) has back-to-back rich classes in a row (0, 1, 1, 2, 4, 4, 5, 5, ...),
 # the concentric squares' centre row ends with its rich class of four 8s
 # right before the next row in its block, and N = 1, 2 have no rich class.
@@ -268,12 +298,40 @@ CONCENTRIC_SQUARES = PlanarPointSet(
 ], ids=["grid4", "grid5", "squares", "rational_squares", "n1", "n2"])
 def test_rich_classes_match_the_radius_map(monkeypatch, p):
     monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
+    monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
     mults = [m for counts in radius_multiplicity_map(p).by_center.values() for m in counts.values()]
     rich = sorted(m for m in mults if m >= 2)
-    assert sorted(np.concatenate(list(incidence._radius_classes(p))).tolist()) == rich
+    blocks = list(incidence._radius_classes(p))
+    assert len(blocks) == -(-len(p) // max(1, 40 // len(p)))  # one per block of rows
+    assert sorted(np.concatenate(blocks).tolist()) == rich
     t = sum(m * (m - 1) for m in mults)
     assert isosceles_count(p) == t
     if len(p) >= 2:
         rep = st_bound_report(p, bisector_weight_map(p))
         assert rep.triples == t
         assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
+
+
+# The radius-class pass and the scan reduce each cache-sized block on the
+# spot, so their peaks stay near a few blocks whatever N is; with _CHUNK
+# blocks they were 16.2 MiB and 10.6 MiB on these inputs.
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_isosceles_count_peak_stays_within_four_mib():
+    p = random_point_set(random.Random(1), 1000, bound=10**6)
+    p.scaled_int_coords()
+    assert traced_peak(isosceles_count, p) <= 4 << 20
+
+
+def test_incidence_scan_peak_stays_within_four_mib():
+    p = generate_family(FamilySpec(kind="grid", n=12))
+    wm = bisector_weight_map(p)
+    assert wm.distinct_lines == 4748
+    assert traced_peak(weighted_incidences, p, wm) <= 4 << 20
