@@ -47,8 +47,8 @@ _CHUNK = 1 << 22
 # (2-core host, numpy 2.4), isosceles_count at N = 4000 took 0.30-0.39 s and
 # 37.9k minor page faults per call with _CHUNK blocks, and 0.15-0.17 s and
 # none with these (sorting 0.141 -> 0.108 s, the distance arithmetic
-# 0.164 -> 0.033 s); of 2^14 to 2^22 values, 2^15 and 2^16 were fastest.  In
-# a fresh process that has freed nothing larger it still faults 27.5k pages
+# 0.164 -> 0.033 s); of 2^14 to 2^22 values, 2^14 to 2^16 were fastest, 2^16
+# by a little.  In a fresh process that has freed nothing larger it still faults 27.5k pages
 # per call, and takes 0.19-0.25 s against 0.34 s with _CHUNK blocks.
 # The merging kernels keep _CHUNK: with this size everywhere, the thm2 and st
 # jobs on 1000 random points went from 0.028 to 0.046 s and from 0.037 to

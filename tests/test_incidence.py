@@ -313,8 +313,8 @@ def test_rich_classes_match_the_radius_map(monkeypatch, p):
 
 
 # The radius-class pass and the scan reduce each cache-sized block on the
-# spot, so their peaks stay near a few blocks whatever N is; with _CHUNK
-# blocks they were 16.2 MiB and 10.6 MiB on these inputs.
+# spot, so their peaks stay at a few blocks: 2.1 and 1.7 MiB on these inputs,
+# against 16.2 and 10.6 MiB with _CHUNK blocks.
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
