@@ -134,19 +134,25 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
 
 
 def sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int | None = None):
-    """Squared distances from a block of centres to every point, one fresh
-    (rows, N) array of about block values at a time (row_blocks' default,
-    _CHUNK, unless given), formed in place so a block holds two such arrays
-    at its peak.  squared_distance_set merges the blocks and takes the
-    default; the radius-class pass reduces each block and passes
-    _CACHE_BLOCK."""
+    """Squared distances from a block of centres to every point, as (rows, N)
+    arrays of about block values (row_blocks' default, _CHUNK, unless given).
+    Every block is written into the leading rows of one of two buffers
+    allocated once, so each yielded block is overwritten by the next: a
+    consumer copies or reduces a block before it asks for the next one.
+    squared_distance_set merges the blocks and takes the default; the
+    radius-class pass reduces each block and passes _CACHE_BLOCK."""
+    dx = dy = None
     for rows in row_blocks(len(xs), len(xs), block):
-        dx = xs[rows, None] - xs[None, :]
-        dy = ys[rows, None] - ys[None, :]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        yield dx
+        cx, cy = xs[rows, None], ys[rows, None]
+        if dx is None:
+            dx, dy = (np.empty((len(cx), len(xs)), dtype=xs.dtype) for _ in range(2))
+        bx, by = dx[:len(cx)], dy[:len(cx)]
+        np.subtract(cx, xs, out=bx)
+        np.subtract(cy, ys, out=by)
+        bx *= bx
+        by *= by
+        bx += by
+        yield bx
 
 
 def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> DistanceSet:

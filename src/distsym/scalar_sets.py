@@ -11,8 +11,8 @@ ints); floats are rejected at the boundary.
 Every pair kernel of the package, here and in the planar modules, takes its
 blocks from row_blocks and reads runs of equal sorted values with run_starts
 (or, where only runs of two or more count, with repeat_runs).  Kernels that
-merge their blocks take _CHUNK values per block; kernels that reduce each
-block on the spot take cache-sized _CACHE_BLOCK blocks.
+keep what their blocks yield take _CHUNK values per block; kernels that
+reduce each block on the spot take cache-sized _CACHE_BLOCK blocks.
 """
 
 from __future__ import annotations
@@ -31,25 +31,25 @@ CombineOp = Literal["add", "subtract", "multiply"]
 # int64 arithmetic stays exact as long as every intermediate fits; the
 # per-operation guards below compare actual magnitudes against this margin.
 _I64_LIMIT = 1 << 62
-# values per block in the pair kernels that merge their blocks: the
-# deduplicating unique_blocks (behind _unique_outer and squared_distance_set)
-# and the bisector weight map's pair blocks.  Their sorted parts are merged
-# by sorting again, so fewer, larger blocks cost less.
+# values per block in the pair kernels that keep what their blocks yield:
+# the deduplicating unique_blocks (behind _unique_outer and
+# squared_distance_set), whose sorted parts are merged by sorting again, so
+# fewer, larger blocks cost less; and the bisector weight map, which writes
+# its blocks into columns allocated once for all pairs (with _CACHE_BLOCK
+# blocks its job in the planar benchmark took 0.109 against 0.102 s).
 _CHUNK = 1 << 22
 # values per block in the row-local kernels that reduce each block to a few
 # integers on the spot and drop it: the radius-class pass and the incidence
 # scan.  At int64 a block is 512 KiB, so it and its one or two temporaries of
-# the same shape stay inside a 2 MiB L2, and once an earlier free of a larger
-# array has raised glibc's dynamic mmap and trim thresholds, as the earlier
-# jobs of the planar benchmark do, the allocator reuses the block's memory.
-# A _CHUNK block of distances at N = 4000 is 33.5 MB, and such blocks were
-# faulted in afresh on every call.  In the planar benchmark's job list
-# (2-core host, numpy 2.4), isosceles_count at N = 4000 took 0.30-0.39 s and
-# 37.9k minor page faults per call with _CHUNK blocks, and 0.15-0.17 s and
-# none with these (sorting 0.141 -> 0.108 s, the distance arithmetic
-# 0.164 -> 0.033 s); of 2^14 to 2^22 values, 2^14 to 2^16 were fastest, 2^16
-# by a little.  In a fresh process that has freed nothing larger it still faults 27.5k pages
-# per call, and takes 0.19-0.25 s against 0.34 s with _CHUNK blocks.
+# the same shape stay inside a 2 MiB L2.  A _CHUNK block of distances at
+# N = 4000 is 33.5 MB, and in the planar benchmark's job list (2-core host,
+# numpy 2.4) isosceles_count at N = 4000 took 0.30-0.39 s and 37.9k minor
+# page faults per call with _CHUNK blocks, and 0.15-0.17 s and none with
+# these (sorting 0.141 -> 0.108 s, the distance arithmetic 0.164 -> 0.033 s);
+# of 2^14 to 2^22 values, 2^14 to 2^16 were fastest, 2^16 by a little.
+# planar.sq_dist_rows writes these blocks into two buffers made once per
+# call, so a fresh process faults about 220 pages per such call (0.17 s), not
+# the 27.5k (0.26 s) of a fresh pair of arrays per block.
 # The merging kernels keep _CHUNK: with this size everywhere, the thm2 and st
 # jobs on 1000 random points went from 0.028 to 0.046 s and from 0.037 to
 # 0.052 s, as the many small sorted parts are sorted again when merged (a
@@ -60,8 +60,9 @@ _CACHE_BLOCK = 1 << 16
 def row_blocks(n_rows: int, width: int, block: int | None = None):
     """Slices covering range(n_rows), each of at most max(1, block // width)
     rows, so that a (rows, width) block of pair values stays near block
-    values.  block defaults to _CHUNK, for kernels that merge their blocks;
-    kernels that reduce each block on the spot pass _CACHE_BLOCK."""
+    values.  block defaults to _CHUNK, for kernels that keep what their
+    blocks yield; kernels that reduce each block on the spot pass
+    _CACHE_BLOCK."""
     step = max(1, (_CHUNK if block is None else block) // width)
     for i in range(0, n_rows, step):
         yield slice(i, i + step)
@@ -291,7 +292,15 @@ _BITSET_SPAN_PER_PAIR = 4
 def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
     """Sorted distinct ufunc(x, y) over x in ua, y in ub (both sorted).  Sums
     and differences over a small span take the bitset route; products and
-    wide spans sort every pair value, block by block."""
+    wide spans sort every pair value, block by block.  A one-element operand
+    k takes neither: x + k, x - k, k - x and k * x map the other operand,
+    already sorted and distinct, monotonically (or, for k * x with k = 0, to
+    one value)."""
+    if len(ua) == 1 or len(ub) == 1:
+        out = ufunc(ua, ub)
+        if out[0] == out[-1]:
+            return out[:1].copy()
+        return out[::-1] if out[0] > out[-1] else out
     if ufunc is not np.multiply:
         # the span of the result is the same for a + b and a - b
         span = int(ua[-1]) - int(ua[0]) + int(ub[-1]) - int(ub[0])

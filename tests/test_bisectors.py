@@ -196,12 +196,13 @@ def split_key(a, b, c, key=_row_key):
 
 # A constant key puts every row in one key run and a 1-bit key in two, so
 # nearly every run collides; lines must still come out whole, also when
-# clean runs sit between the collided ones.  _CHUNK = 40 makes the rows come
-# from several blocks.
+# clean runs sit between the collided ones.  The weight map clears the low
+# bits of the key to pack the row index into them, so the 1-bit key keeps
+# bit 63.  _CHUNK = 40 makes the rows come from several blocks.
 @pytest.mark.parametrize("name", sorted(KEYED_SETS))
 @pytest.mark.parametrize("weak_key", [
     lambda a, b, c: np.zeros(len(a), dtype=np.uint64),
-    lambda a, b, c, key=_row_key: key(a, b, c) & np.uint64(1),
+    lambda a, b, c, key=_row_key: key(a, b, c) & np.uint64(1 << 63),
     split_key,
 ], ids=["constant", "one_bit", "split"])
 def test_weight_map_survives_key_collisions(monkeypatch, name, weak_key):
@@ -244,9 +245,23 @@ def test_random_points_tie_every_line():
     assert set(per_pair_weights(p).values()) == {2}
 
 
-def test_weight_map_peak_stays_within_four_times_the_finished_map():
+# The packed sort carries the row index in the low (m - 1).bit_length() bits
+# of the key, m = N(N - 1)/2: none at N = 2, 2 at N = 3, 8 at N = 23 and 9 at
+# N = 24.
+@pytest.mark.parametrize("n", [2, 3, 23, 24])
+@pytest.mark.parametrize("scale", [1, 10**25], ids=["int64", "object"])
+def test_weight_map_across_packed_index_widths(n, scale):
+    base = random_int_points(random.Random(n), n, 6)
+    p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in base.points])
+    wm = bisector_weight_map(p)
+    assert wm.line_arrays()[0].dtype == (np.int64 if scale == 1 else object)
+    assert dict(wm.items()) == per_pair_weights(p)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_weight_map_peak_stays_within_twice_the_finished_map(n):
     # random points tie nearly every line, so the map holds about one row per pair
-    p = random_int_points(random.Random(3), 300, 10**6)
+    p = random_int_points(random.Random(3), n, 10**6)
     tracemalloc.start()
     try:
         wmap = bisector_weight_map(p)
@@ -254,7 +269,7 @@ def test_weight_map_peak_stays_within_four_times_the_finished_map():
     finally:
         tracemalloc.stop()
     lines, weights = wmap.line_arrays()
-    assert peak <= 4 * (lines.nbytes + weights.nbytes)
+    assert peak <= 2 * (lines.nbytes + weights.nbytes)
 
 
 def test_row_key_is_the_same_for_int64_and_object_rows():

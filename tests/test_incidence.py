@@ -278,6 +278,28 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     assert seen == {(13, 13): [3, 3, 3, 3, 1], (len(wm), 13): [3] * (len(wm) // 3) + [len(wm) % 3]}
 
 
+# sq_dist_rows writes every block into the leading rows of two buffers made
+# once.  Blocks of 40 and 65 values give 13 points blocks of 3 and 5 rows
+# with a short last one: the radius-class pass must read only that block's
+# rows, and the distance set's merge must keep copies, not the buffer.
+@pytest.mark.parametrize("scale", (1, Fraction(1, 3), 10**25))
+@pytest.mark.parametrize("block, heights", [(40, [3, 3, 3, 3, 1]), (65, [5, 5, 3])])
+def test_distance_blocks_reuse_two_buffers(monkeypatch, scale, block, heights):
+    monkeypatch.setattr(scalar_sets, "_CHUNK", block)
+    monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", block)
+    grid = random.Random(19).sample([(x, y) for x in range(5) for y in range(5)], 13)
+    p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
+    xs, ys, _ = p.scaled_int_coords()
+    views = list(planar.sq_dist_rows(xs, ys))
+    assert [len(v) for v in views] == heights
+    assert all(np.shares_memory(v, views[0]) for v in views)
+    rmap = radius_multiplicity_map(p)
+    want = sorted({r for counts in rmap.by_center.values() for r in counts})
+    assert list(squared_distance_set(p).squared.elements) == want
+    t = sum(m * (m - 1) for counts in rmap.by_center.values() for m in counts.values())
+    assert isosceles_count(p) == isosceles_count_brute(p) == t
+
+
 # Rich classes are read from stretches of repeated values in a block of
 # sorted rows.  With _CHUNK and _CACHE_BLOCK at 40 a block holds several rows
 # of these sets:
