@@ -32,7 +32,7 @@ from . import scalar_sets
 from .bisectors import WeightedBisectorMap, check_weight_map
 from .brackets import Bracket, nth_root_bracket
 from .errors import CapExceededError, EmptyInputError
-from .planar import PlanarPointSet, sq_dist_rows, squared_distance_set
+from .planar import PlanarPointSet, _sq_dist_rows, squared_distance_set
 from .scalar_sets import int_dtype, repeat_runs, row_blocks
 
 BRUTE_CAP_DEFAULT = 60
@@ -46,7 +46,7 @@ def _radius_classes(p: PlanarPointSet):
     row opens with its centre's own 0, and with distinct points only a lone
     point's row ends at 0."""
     xs, ys, _ = p.scaled_int_coords()
-    for d2 in sq_dist_rows(xs, ys, scalar_sets._CACHE_BLOCK):
+    for d2 in _sq_dist_rows(xs, ys, scalar_sets._CACHE_BLOCK):
         d2.sort(axis=1)
         yield repeat_runs(d2.ravel())
 

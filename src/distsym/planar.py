@@ -133,7 +133,7 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
     return PlanarPointSet._from_sorted((x, y) for x in elems for y in elems)
 
 
-def sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int | None = None):
+def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int | None = None):
     """Squared distances from a block of centres to every point, as (rows, N)
     arrays of about block values (row_blocks' default, _CHUNK, unless given).
     Every block is written into the leading rows of one of two buffers
@@ -160,7 +160,7 @@ def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> Distan
     if not p:
         raise EmptyInputError("distance set of an empty point set")
     xs, ys, den = p.scaled_int_coords()
-    vals = unique_blocks(sq_dist_rows(xs, ys))
+    vals = unique_blocks(_sq_dist_rows(xs, ys))
     if not include_zero:
         vals = vals[1:]  # the diagonal's 0 is the least value
     return DistanceSet(ScalarSet._from_numerators(vals, den * den), include_zero)

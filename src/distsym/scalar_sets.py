@@ -47,7 +47,7 @@ _CHUNK = 1 << 22
 # page faults per call with _CHUNK blocks, and 0.15-0.17 s and none with
 # these (sorting 0.141 -> 0.108 s, the distance arithmetic 0.164 -> 0.033 s);
 # of 2^14 to 2^22 values, 2^14 to 2^16 were fastest, 2^16 by a little.
-# planar.sq_dist_rows writes these blocks into two buffers made once per
+# planar._sq_dist_rows writes these blocks into two buffers made once per
 # call, so a fresh process faults about 220 pages per such call (0.17 s), not
 # the 27.5k (0.26 s) of a fresh pair of arrays per block.
 # The merging kernels keep _CHUNK: with this size everywhere, the thm2 and st
@@ -292,15 +292,7 @@ _BITSET_SPAN_PER_PAIR = 4
 def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
     """Sorted distinct ufunc(x, y) over x in ua, y in ub (both sorted).  Sums
     and differences over a small span take the bitset route; products and
-    wide spans sort every pair value, block by block.  A one-element operand
-    k takes neither: x + k, x - k, k - x and k * x map the other operand,
-    already sorted and distinct, monotonically (or, for k * x with k = 0, to
-    one value)."""
-    if len(ua) == 1 or len(ub) == 1:
-        out = ufunc(ua, ub)
-        if out[0] == out[-1]:
-            return out[:1].copy()
-        return out[::-1] if out[0] > out[-1] else out
+    wide spans sort every pair value, block by block."""
     if ufunc is not np.multiply:
         # the span of the result is the same for a + b and a - b
         span = int(ua[-1]) - int(ua[0]) + int(ub[-1]) - int(ub[0])

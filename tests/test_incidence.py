@@ -242,7 +242,7 @@ def test_scan_at_its_reach_guard(reach):
 
 def spy_cache_blocks(monkeypatch):
     """Row counts of the blocks of every row_blocks call that the radius-class
-    pass (through planar.sq_dist_rows) and the incidence scan make with a
+    pass (through planar._sq_dist_rows) and the incidence scan make with a
     block size of their own, keyed by (n_rows, width)."""
     seen = {}
     real = scalar_sets.row_blocks
@@ -278,7 +278,7 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     assert seen == {(13, 13): [3, 3, 3, 3, 1], (len(wm), 13): [3] * (len(wm) // 3) + [len(wm) % 3]}
 
 
-# sq_dist_rows writes every block into the leading rows of two buffers made
+# _sq_dist_rows writes every block into the leading rows of two buffers made
 # once.  Blocks of 40 and 65 values give 13 points blocks of 3 and 5 rows
 # with a short last one: the radius-class pass must read only that block's
 # rows, and the distance set's merge must keep copies, not the buffer.
@@ -290,7 +290,7 @@ def test_distance_blocks_reuse_two_buffers(monkeypatch, scale, block, heights):
     grid = random.Random(19).sample([(x, y) for x in range(5) for y in range(5)], 13)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
     xs, ys, _ = p.scaled_int_coords()
-    views = list(planar.sq_dist_rows(xs, ys))
+    views = list(planar._sq_dist_rows(xs, ys))
     assert [len(v) for v in views] == heights
     assert all(np.shares_memory(v, views[0]) for v in views)
     rmap = radius_multiplicity_map(p)

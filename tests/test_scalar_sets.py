@@ -297,8 +297,7 @@ def test_representation_is_canonical():
 # _BITSET_WORDS_PER_PAIR and its span at most _BITSET_SPAN_PER_PAIR, and sorts
 # every pair value past either bound.  Each fold below is put at threshold - 1,
 # at it and + 1 of one bound by a monkeypatched (Fraction) constant, with the
-# other bound lifted out of the way.  A fold with a one-element operand takes
-# neither route at any threshold: it is a translation of the other operand.
+# other bound lifted out of the way.
 BIG = 10**25
 ASYM_A, ASYM_B = ScalarSet([0, 1, 5, 40, 300, 301, 302]), ScalarSet(range(0, 90, 4))
 ROUTE_FOLDS = {
@@ -356,13 +355,12 @@ def test_routes_agree_at_the_cost_threshold(monkeypatch, case, bound):
     for name in BOUNDS.values():
         monkeypatch.setattr(scalar_sets_module, name, 2**64)
     expected = comprehension(a, other, OPS[op])
-    one_element = min(len(a), len(other)) == 1
     results = []
     for threshold, route in ((cost + 1, "bitset"), (cost, "bitset"), (cost - 1, "sort")):
         monkeypatch.setattr(scalar_sets_module, BOUNDS[bound], Fraction(threshold, pairs))
         taken.clear()
         got = difference_set(a) if b is None else pairwise_combine(a, b, op)
-        assert taken == ([] if one_element else [route])
+        assert taken == [route]
         assert got.elements == expected
         results.append(got)
     for got in results[1:]:
@@ -381,41 +379,15 @@ def test_default_cost_model_routes(monkeypatch):
     difference_set(ap)
     pairwise_combine(ap, ScalarSet([10**6, -(10**6)]), "add")  # one short row over a wide span
     pairwise_combine(ap, ap, "multiply")
-    # two elements against 300: a span of 4 per pair value is the last the
-    # bitset takes (2393 of 2400 at step 8, 2692 at step 9); at step 256 its
-    # words (2392) are still within bound, but its span is not
-    pairwise_combine(ScalarSet([3, 4]), ScalarSet(range(0, 8 * 300, 8)), "add")
-    pairwise_combine(ScalarSet([3, 4]), ScalarSet(range(0, 9 * 300, 9)), "add")
-    pairwise_combine(ScalarSet([3, 4]), ScalarSet(range(0, 256 * 300, 256)), "add")
-    # one element takes neither route
+    # one element against 300: a span of 4 per pair value is the last the
+    # bitset takes; at 256 per pair its words are still within bound, but its
+    # span is not
     pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 4 * 300, 4)), "add")
+    pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 5 * 300, 5)), "add")
+    pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 256 * 300, 256)), "add")
     # 100 elements 120 apart, added to themselves: 3.7 words per pair value;
     # 150 apart: 4.6, with the span still within bound
     for step in (120, 150):
         spread = ScalarSet(range(0, 100 * step, step))
         pairwise_combine(spread, spread, "add")
     assert taken == ["bitset", "sort", "sort", "bitset", "sort", "sort", "bitset", "sort"]
-
-
-# A one-element operand k makes the fold x + k, x - k, k - x or k * x of the
-# other operand: reversed where the map decreases, {0} for k * x with k = 0.
-@pytest.mark.parametrize("dtype", [np.int64, object])
-@pytest.mark.parametrize("k", [-3, 0, 5])
-@pytest.mark.parametrize("op", sorted(OPS))
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_one_element_fold_matches_the_sort_route(monkeypatch, dtype, k, op, side):
-    scale = 1 if dtype is np.int64 else BIG
-    other = np.array([v * scale for v in (-7, -2, 0, 1, 4, 9)], dtype=dtype)
-    single = np.array([k], dtype=dtype)
-    ua, ub = (single, other) if side == "left" else (other, single)
-    ufunc = scalar_sets_module._NP_OPS[op]
-    want = scalar_sets_module._sorted_unique(ufunc.outer(ua, ub))
-
-    def no_route(*args):
-        raise AssertionError("a one-element fold took the bitset or the sort route")
-
-    monkeypatch.setattr(scalar_sets_module, "_bitset_sum", no_route)
-    monkeypatch.setattr(scalar_sets_module, "unique_blocks", no_route)
-    got = scalar_sets_module._unique_outer(ua, ub, ufunc)
-    assert got.dtype == want.dtype
-    assert got.tolist() == want.tolist()
