@@ -3,12 +3,14 @@
 Constant-free claims (inclusions, fold-growth with explicit constant 1, the
 product-form distance identity) can genuinely be violated and then carry the
 verdict "violated"; asymptotic lower bounds always hold with some constant,
-so their reports record the observed ratio instead.  Ratios against
-irrational comparators are rational brackets, never floats.
+so their reports record the observed ratio lhs / rhs instead.  Ratios
+against irrational comparators are rational brackets, never floats.
 
 The Hanson inclusion enumerates A x A and D x D once each: D and {2}DD are
 the distinct values of those enumerations, and their first occurrences are
-the certificates, checked on integer arrays under one int64 guard.
+the certificates, checked on integer arrays under one int64 guard.  Every
+certificate value is read off the elements of A, D and {2}DD, so it is in
+canonical form: an int when integral, else a reduced Fraction.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .scalar_sets import (
     Scalar,
     ScalarSet,
     ab_plus_c_set,
+    check_fold_budget,
     difference_set,
     dilate,
     elementwise_square,
@@ -56,16 +59,20 @@ CHAIN_CAP_DEFAULT = 256
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One inequality on one input: exact left side, bracketed right side,
-    bracketed ratio, verdict, and whatever certifies the claim."""
+    """One inequality on one input: exact left side, bracketed (positive)
+    right side, verdict, and whatever certifies the claim.  The ratio
+    bracket is derived from lhs and rhs."""
 
     name: str
     lhs: Scalar
     rhs: Bracket
-    ratio: Bracket
     verdict: str
     witness: Optional[dict] = None
     flags: Tuple[str, ...] = ()
+
+    @property
+    def ratio(self) -> Bracket:
+        return ratio_bracket(self.lhs, self.rhs)
 
 
 def hanson_witness(a, b, c, d):
@@ -93,12 +100,10 @@ def hanson_inclusion_check(a: ScalarSet) -> BoundReport:
         raise EmptyInputError("inclusion check of an empty set")
     d, two_dd, witnesses = _hanson_certificates(a)
     rhs_set = iterated_combination(2, 2, elementwise_square(d))
-    rhs = exact_bracket(len(rhs_set))
     return BoundReport(
         name="hanson-inclusion",
         lhs=len(two_dd),
-        rhs=rhs,
-        ratio=ratio_bracket(len(two_dd), rhs),
+        rhs=exact_bracket(len(rhs_set)),
         verdict=VERDICT_HOLDS if two_dd.issubset(rhs_set) else VERDICT_VIOLATED,
         witness={"certified_elements": len(witnesses), "witnesses": witnesses},
     )
@@ -118,59 +123,39 @@ def _hanson_certificates(a: ScalarSet):
     """
     den = a.denominator
     # over L, A - A stays within 2 max|A| L, and 2uv and every term of the
-    # identity within 2 (2 max|A| L)^2; L^2 bounds the integrality tests
+    # identity within 2 (2 max|A| L)^2
     diff_bound = 2 * int(a.max_abs * den)
-    na = a.numerators.astype(int_dtype(max(2 * diff_bound ** 2, den * den)), copy=False)
+    na = a.numerators.astype(int_dtype(2 * diff_bound ** 2), copy=False)
+    # both enumerations are materialised whole, so each is budgeted first
+    check_fold_budget("A - A", (len(na), len(na)), len(na) ** 2)
     # first (x, y) in row-major order for each value of A - A
     diffs, first_diff = _first_occurrences(np.subtract.outer(na, na).ravel())
+    check_fold_budget("2DD", (len(diffs), len(diffs)), len(diffs) ** 2)
     # first (u, v) in row-major order for each value of {2}DD
     prods, first_prod = _first_occurrences(2 * np.multiply.outer(diffs, diffs).ravel())
     d = ScalarSet._from_numerators(diffs, den)
     two_dd = ScalarSet._from_numerators(prods, den * den)
-    # quadruples as indices into A: u = a1 - b1 and v = c1 - d1
+    # quadruples (a, b, c, d) as rows of indices into A: u = a - b, v = c - d
     ii, jj = np.divmod(first_prod, len(diffs))
     ia, ib = np.divmod(first_diff, len(na))
-    quad = (ia[ii], ib[ii], ia[jj], ib[jj])
-    nq = [na[i] for i in quad]
-    comps = [nq[i] - nq[j] for i, j in _WITNESS_PAIRS]
+    quad = np.stack((ia[ii], ib[ii], ia[jj], ib[jj]))
+    nq = na[quad]
+    # hanson_witness's components (a - d, b - c, a - c, b - d) as rows
+    comps = nq[[0, 1, 0, 1]] - nq[[3, 2, 2, 3]]
     # 2(a-b)(c-d) = w^2 + x^2 - y^2 - z^2
     u, v, (w, x, y, z) = nq[0] - nq[1], nq[2] - nq[3], comps
     if not np.array_equal(2 * u * v, w * w + x * x - y * y - z * z):
         raise AssertionError("witness expansion identity failed")
     # each component is found in A - A, so it names an element of D
-    flat = np.concatenate(comps)
-    pos = np.searchsorted(diffs, flat)
-    if pos.max() == len(diffs) or np.any(diffs[pos] != flat):
+    pos = np.searchsorted(diffs, comps)
+    if pos.max() == len(diffs) or np.any(diffs[pos] != comps):
         raise AssertionError("witness components escaped the difference set")
-    # values are read off the sets' elements, where integral values are
-    # ints; plain arithmetic with a non-integral operand (hanson_witness's)
-    # keeps them Fractions, which JSON writes as strings
-    frac_a = na % den != 0
-    frac_d = diffs % den != 0
-    ts = _keep_fractions(
-        list(two_dd.elements), (frac_d[ii] | frac_d[jj]) & (prods % (den * den) == 0)
-    )
-    flat_frac = np.concatenate([frac_a[quad[i]] | frac_a[quad[j]] for i, j in _WITNESS_PAIRS])
-    flat_elems = _keep_fractions(
-        np.array(d.elements, dtype=object)[pos].tolist(), flat_frac & (flat % den == 0)
-    )
-    aelems = np.array(a.elements, dtype=object)
-    quads = zip(*(aelems[i].tolist() for i in quad))
-    n = len(ts)
-    parts = zip(*(flat_elems[m * n:(m + 1) * n] for m in range(4)))
-    return d, two_dd, list(zip(ts, quads, parts))
-
-
-# hanson_witness's components (a - d, b - c, a - c, b - d) as index pairs
-# into the quadruple (a, b, c, d)
-_WITNESS_PAIRS = ((0, 3), (1, 2), (0, 2), (1, 3))
-
-
-def _keep_fractions(values: list, flags: np.ndarray) -> list:
-    """values with each flagged (integral) entry made a Fraction again."""
-    for i in np.flatnonzero(flags).tolist():
-        values[i] = Fraction(values[i])
-    return values
+    # values are read off the sets' elements, which are canonical: an int
+    # when integral, else a reduced Fraction
+    aelems, delems = (np.array(s.elements, dtype=object) for s in (a, d))
+    quads = zip(*aelems[quad].tolist())
+    parts = zip(*delems[pos].tolist())
+    return d, two_dd, list(zip(two_dd.elements, quads, parts))
 
 
 def _first_occurrences(values: np.ndarray):
@@ -194,7 +179,6 @@ def plunnecke_check(a: ScalarSet, m: int, n: int) -> BoundReport:
         name="plunnecke",
         lhs=lhs,
         rhs=rhs,
-        ratio=ratio_bracket(lhs, rhs),
         verdict=VERDICT_HOLDS if lhs <= rhs.lo else VERDICT_VIOLATED,
         witness={"m": m, "n": n, "doubling_ratio": doubling},
     )
@@ -204,13 +188,10 @@ def abc_lower_report(a: ScalarSet, b: ScalarSet, c: ScalarSet) -> BoundReport:
     """|AB + C| against sqrt(|A| |B| |C|), bracketed by integer square roots."""
     if not (a and b and c):
         raise EmptyInputError("AB + C needs three nonempty sets")
-    lhs = len(ab_plus_c_set(a, b, c))
-    rhs = sqrt_bracket(len(a) * len(b) * len(c), digits=0)
     return BoundReport(
         name="abc-lower",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio_bracket(lhs, rhs),
+        lhs=len(ab_plus_c_set(a, b, c)),
+        rhs=sqrt_bracket(len(a) * len(b) * len(c), digits=0),
         verdict=VERDICT_HOLDS_WITH_CONSTANT,
         witness={"sizes": (len(a), len(b), len(c))},
     )
@@ -239,7 +220,6 @@ def thm1_report(a: ScalarSet, max_size: Optional[int] = CHAIN_CAP_DEFAULT) -> Bo
     dsq = elementwise_square(d)
     dist = iterated_combination(2, 0, dsq)
     lhs = len(dist)
-    comparator = nth_root_bracket(Fraction(len(d)) ** 11, 10)
     chain_lhs = pairwise_combine(dilate(2, pairwise_combine(d, d, "multiply")), dsq, "add")
     chain_mid = iterated_combination(3, 2, dsq)
     inclusion = chain_lhs.issubset(chain_mid)
@@ -249,8 +229,7 @@ def thm1_report(a: ScalarSet, max_size: Optional[int] = CHAIN_CAP_DEFAULT) -> Bo
     return BoundReport(
         name="thm1",
         lhs=lhs,
-        rhs=comparator,
-        ratio=ratio_bracket(lhs, comparator),
+        rhs=nth_root_bracket(Fraction(len(d)) ** 11, 10),
         verdict=verdict,
         witness={
             "diff_size": len(d),
@@ -276,7 +255,6 @@ def guth_katz_ratio(a: ScalarSet) -> BoundReport:
         name="guth-katz",
         lhs=lhs,
         rhs=Bracket(asq / ln.hi, asq / ln.lo),
-        ratio=Bracket(lhs * ln.lo / asq, lhs * ln.hi / asq),
         verdict=VERDICT_HOLDS_WITH_CONSTANT,
         witness={"log_bracket": ln},
     )
@@ -302,12 +280,10 @@ def thm2_report(
     subset = extract_symmetric_subset(
         p, include_fixed_points=include_fixed_points, weight_map=wmap
     )
-    rhs = exact_bracket(k ** 3)
     report = BoundReport(
         name="thm2",
         lhs=wmap.max_weight,
-        rhs=rhs,
-        ratio=ratio_bracket(wmap.max_weight, rhs),
+        rhs=exact_bracket(k ** 3),
         verdict=VERDICT_HOLDS_WITH_CONSTANT,
         witness={
             "n": n,
@@ -325,12 +301,10 @@ def thm2_report(
 def product_identity_report(a: ScalarSet) -> BoundReport:
     """Equality of the two routes to the squared distances of a x a."""
     agree, lhs_set, rhs_set = verify_product_identity(a)
-    rhs = exact_bracket(len(rhs_set))
     return BoundReport(
         name="product-identity",
         lhs=len(lhs_set),
-        rhs=rhs,
-        ratio=ratio_bracket(len(lhs_set), rhs),
+        rhs=exact_bracket(len(rhs_set)),
         verdict=VERDICT_HOLDS if agree else VERDICT_VIOLATED,
         witness={"sides_equal": agree},
     )

@@ -129,11 +129,13 @@ def test_array_certificates_match_hanson_witness_on_every_element(values):
     assert isinstance(witnesses, list) and len(witnesses) == rep.lhs
     d = set(difference_set(a).elements)
     for t, quad, comps in witnesses:
+        # values are canonical: the oracle's, as ints when integral
         oracle = hanson_witness(*quad)
-        assert comps == oracle and list(map(type, comps)) == list(map(type, oracle))
+        assert comps == oracle
+        assert [type(v) for v in comps] == [type(as_scalar(v)) for v in oracle]
         assert set(comps) <= d
         p, q, r, s = quad
-        plain = 2 * as_scalar(p - q) * as_scalar(r - s)  # 2uv over the elements of D
+        plain = as_scalar(2 * (p - q) * (r - s))
         assert t == plain and type(t) is type(plain)
 
 

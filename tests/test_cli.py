@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,7 +227,7 @@ def test_usage_error_exits_2(capsys):
 # sha256 of stdout: a change to any byte of a check's report shows here
 CHECK_DIGESTS = {
     ("hanson", "csv"): "bf693045f47859eafcf1b20115b93c99efc1171d910b9d0bb495d2300158adf9",
-    ("hanson", "json"): "fdde3897c5d159fe6e352cd57c45cd52ede1dbfdc982c481796196ccc7caf65d",
+    ("hanson", "json"): "119047ae067f945e69cf3be74415c986a972a1b8e0dda250e009f98143df109e",
     ("plunnecke", "csv"): "b84474c8e86f2b0f1f16df2dac6351ca81e788c4c1be7e6407de2597d6559649",
     ("plunnecke", "json"): "71017abfe3c7e98405f904656c68ec0a950035a5dfa9cf2d92986e53521b17ac",
     ("abc", "csv"): "81beb8c7c08e66fe65c98a60dd066baae0032dbbe97d13d49c4d4e7b4a13311c",
@@ -306,3 +308,77 @@ def test_gen_matches_the_family_spec(tmp_path, capsys, argv, spec):
     fam = generate_family(spec)
     to_text = scalar_set_to_text if isinstance(fam, ScalarSet) else point_set_to_text
     assert out.read_text() == to_text(fam)
+
+
+def test_distset_json(grid3_file, capsys):
+    code, out, _ = run(capsys, "distset", "--input", grid3_file, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"count": 6, "includes_zero": True,
+                               "squared_distances": ["0", "1", "2", "4", "5", "8"]}
+
+
+def test_isosceles_brute_matches_and_is_capped(grid3_file, tmp_path, capsys):
+    code, out, _ = run(capsys, "isosceles", "--input", grid3_file, "--brute")
+    assert code == 0
+    assert out == "N,T\n9,88\n"
+    big = tmp_path / "line61.txt"
+    big.write_text("".join(f"{x} 0\n" for x in range(61)))
+    code, out, err = run(capsys, "isosceles", "--input", str(big), "--brute")
+    assert code == 2
+    assert out == "" and "capped" in err
+
+
+def test_sweep_timings_add_a_wall_time_column(capsys):
+    code, out, _ = run(capsys, "sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:4",
+                       "--timings")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()]
+    assert rows[0][-1] == "wall_time_s" and len(rows) == 3
+    assert all(len(row) == len(rows[0]) and float(row[-1]) >= 0 for row in rows[1:])
+
+
+def test_verify_accepts_a_larger_scale(capsys):
+    code, out, _ = run(capsys, "verify", "--scale", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "verification PASSED (7 properties)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--check", "thm1", "--family", "ap", "--sizes", "5"),
+    ("--check", "thm1", "--family", "ap", "--sizes", "4:2"),
+    ("--check", "thm2", "--family", "ap", "--sizes", "2:3"),
+], ids=["sizes-without-range", "sizes-reversed", "point-check-on-scalar-family"])
+def test_bad_sweep_exits_2(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_gen_rejects_a_zero_step(capsys):
+    code, out, err = run(capsys, "gen", "--kind", "ap", "--step", "0")
+    assert code == 2
+    assert out == "" and err == "error: ap step must be nonzero\n"
+
+
+def test_hanson_past_the_fold_budget_exits_2_quickly(tmp_path, capsys):
+    # 2D^2 - D^2 here predicts 4.2e7 values and the last fold 1.8e10, which
+    # the kernel would kill the process for; the budget refuses the first
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"{v}\n" for v in random.Random(0).sample(range(-10**6, 10**6 + 1), 30)))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "check", "hanson", "--input", str(path))
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert err == ("error: fold subtract of 95266 x 436 values predicts 41535976 values, "
+                   "past the budget of 16777216\n")
+
+
+@pytest.mark.parametrize("name", ["hanson", "plunnecke", "abc", "thm1", "guth-katz",
+                                  "product-identity"])
+def test_every_scalar_check_refuses_a_fold_past_the_budget(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr("distsym.scalar_sets._FOLD_VALUE_BUDGET", 4)
+    path = tmp_path / "scalars.txt"
+    path.write_text("1/2\n3\n-7/3\n5\n11/4\n0\n")
+    code, out, err = run(capsys, "check", name, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: fold ") and err.endswith(" past the budget of 4\n")

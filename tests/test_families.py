@@ -1,0 +1,26 @@
+import pytest
+
+from distsym.families import FamilySpec, generate_family
+
+REJECTED = [
+    (FamilySpec("ap", n=3, step=0), "ap step must be nonzero"),
+    (FamilySpec("gap2", n=3, n2=2, d2=0), "gap2 generators must be nonzero"),
+    (FamilySpec("geometric", n=3, start=0), "geometric start must be nonzero"),
+    (FamilySpec("geometric", n=3, start=1, ratio=0), "geometric ratio must be nonzero"),
+    (FamilySpec("random_int", n=3, coord_range=-1), "coordinate range must be nonnegative"),
+    (FamilySpec("random_int", n=4, coord_range=1), "range too small for a distinct sample"),
+    (FamilySpec("random_int", n=10, coord_range=1, dim=2), "range too small for distinct points"),
+    (FamilySpec("random_int", n=3, dim=3), "dim must be 1 or 2"),
+    (FamilySpec("cartesian_of"), "cartesian_of needs a base family"),
+    (FamilySpec("cartesian_of", base=FamilySpec("grid", n=2)),
+     "cartesian_of base must be a scalar family"),
+    (FamilySpec("spiral", n=3), "unknown family kind: 'spiral'"),
+    (FamilySpec("grid", n=0), "family size must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("spec, message", REJECTED, ids=[m for _, m in REJECTED])
+def test_generate_family_rejects_bad_specs(spec, message):
+    with pytest.raises(ValueError) as e:
+        generate_family(spec)
+    assert str(e.value) == message

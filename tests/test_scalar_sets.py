@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distsym.scalar_sets as scalar_sets_module
-from distsym.errors import EmptyInputError
+from distsym.errors import CapExceededError, EmptyInputError
 from distsym.scalar_sets import (
     _I64_LIMIT,
     ScalarSet,
@@ -391,3 +391,20 @@ def test_default_cost_model_routes(monkeypatch):
         spread = ScalarSet(range(0, 100 * step, step))
         pairwise_combine(spread, spread, "add")
     assert taken == ["bitset", "sort", "sort", "bitset", "sort", "sort", "bitset", "sort"]
+
+
+@pytest.mark.parametrize("op, side, refused", [
+    # 3 x 3 products over corners 0 and 4: 5 values predicted, not 9 pairs
+    ("multiply", 3, False),
+    ("multiply", 4, True),  # 16 pairs, 10 values over corners 0 and 9
+    ("add", 3, False),  # 9 pairs, span 4: 5 values
+    ("subtract", 4, True),  # 16 pairs, span 6: 7 values
+])
+def test_fold_budget_predicts_the_lesser_of_pairs_and_span(monkeypatch, op, side, refused):
+    monkeypatch.setattr(scalar_sets_module, "_FOLD_VALUE_BUDGET", 6)
+    a = ScalarSet(range(side))
+    if refused:
+        with pytest.raises(CapExceededError, match=f"fold {op} of {side} x {side} values"):
+            pairwise_combine(a, a, op)
+    else:
+        assert len(pairwise_combine(a, a, op)) <= 5
