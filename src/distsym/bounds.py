@@ -127,10 +127,10 @@ def _hanson_certificates(a: ScalarSet):
     diff_bound = 2 * int(a.max_abs * den)
     na = a.numerators.astype(int_dtype(2 * diff_bound ** 2), copy=False)
     # both enumerations are materialised whole, so each is budgeted first
-    check_fold_budget("A - A", (len(na), len(na)), len(na) ** 2)
+    check_fold_budget("A - A", len(na), len(na), len(na) ** 2)
     # first (x, y) in row-major order for each value of A - A
     diffs, first_diff = _first_occurrences(np.subtract.outer(na, na).ravel())
-    check_fold_budget("2DD", (len(diffs), len(diffs)), len(diffs) ** 2)
+    check_fold_budget("2DD", len(diffs), len(diffs), len(diffs) ** 2)
     # first (u, v) in row-major order for each value of {2}DD
     prods, first_prod = _first_occurrences(2 * np.multiply.outer(diffs, diffs).ravel())
     d = ScalarSet._from_numerators(diffs, den)

@@ -292,16 +292,17 @@ _BITSET_SPAN_PER_PAIR = 4
 # The most values a fold may be predicted to yield; past it the fold is
 # refused before it allocates.  Peak bytes per predicted value (ru_maxrss,
 # distinct values): 36 on the int64 sort route, 170 on Python ints, 240 in the
-# Hanson certificates.  2^24 values is 2 GiB at 128, and 16.8 times the largest
+# Hanson certificates.  2^24 values is 2 GiB at 128 each, 16.8 times the largest
 # fold of the tests, verify, the sweeps and the benchmarks (1000 x 1000 products).
 _FOLD_VALUE_BUDGET = 1 << 24
 
 
-def check_fold_budget(fold: str, sizes, predicted: int) -> None:
-    """Refuse, before it allocates, a fold predicted past _FOLD_VALUE_BUDGET."""
+def check_fold_budget(fold: str, m: int, n: int, predicted: int) -> None:
+    """Refuse, before it allocates, a fold of m x n values predicted to yield
+    more than _FOLD_VALUE_BUDGET values."""
     if predicted > _FOLD_VALUE_BUDGET:
-        raise CapExceededError(f"fold {fold} of {' x '.join(map(str, sizes))} values predicts "
-                               f"{predicted} values, past the budget of {_FOLD_VALUE_BUDGET}")
+        raise CapExceededError(f"fold {fold} of {m} x {n} values predicts {predicted} values, "
+                               f"past the budget of {_FOLD_VALUE_BUDGET}")
 
 
 def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
@@ -315,7 +316,7 @@ def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
     else:
         # the span of the result is the same for a + b and a - b
         span = int(ua[-1]) - int(ua[0]) + int(ub[-1]) - int(ub[0])
-    check_fold_budget(ufunc.__name__, (len(ua), len(ub)), min(pairs, span + 1))
+    check_fold_budget(ufunc.__name__, len(ua), len(ub), min(pairs, span + 1))
     if (ufunc is not np.multiply
             and min(len(ua), len(ub)) * (span >> 6) <= _BITSET_WORDS_PER_PAIR * pairs
             and span <= _BITSET_SPAN_PER_PAIR * pairs):
