@@ -21,11 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bisectors import (
-    WeightedBisectorMap,
-    bisector_weight_map,
-    extract_symmetric_subset,
-)
+from .bisectors import WeightedBisectorMap, extract_symmetric_subset
 from .brackets import (
     Bracket,
     exact_bracket,
@@ -93,13 +89,15 @@ def hanson_inclusion_check(a: ScalarSet) -> BoundReport:
 
     Checked two ways: elementwise against the computed right side, and per
     element through a certifying quadruple whose expansion identity is
-    verified exactly.  D and {2}DD are read off the same two enumerations
-    that find the quadruples.  Constant-free, so failure would be a violation.
+    verified exactly.  {2}DD is read off the same enumeration that finds the
+    quadruples.  The right side is folded first, so the fold budget refuses a
+    wide input before any certificate is built.  Constant-free, so failure
+    would be a violation.
     """
     if not a:
         raise EmptyInputError("inclusion check of an empty set")
-    d, two_dd, witnesses = _hanson_certificates(a)
-    rhs_set = iterated_combination(2, 2, elementwise_square(d))
+    rhs_set = iterated_combination(2, 2, elementwise_square(difference_set(a)))
+    _, two_dd, witnesses = _hanson_certificates(a)
     return BoundReport(
         name="hanson-inclusion",
         lhs=len(two_dd),
@@ -250,11 +248,10 @@ def guth_katz_ratio(a: ScalarSet) -> BoundReport:
         raise ValueError("log ratio needs at least two elements")
     lhs = len(iterated_combination(2, 0, elementwise_square(difference_set(a))))
     ln = ln_bracket(len(a))
-    asq = Fraction(len(a) ** 2)
     return BoundReport(
         name="guth-katz",
         lhs=lhs,
-        rhs=Bracket(asq / ln.hi, asq / ln.lo),
+        rhs=ratio_bracket(len(a) ** 2, ln),
         verdict=VERDICT_HOLDS_WITH_CONSTANT,
         witness={"log_bracket": ln},
     )
@@ -273,16 +270,15 @@ def thm2_report(
     """
     if len(p) < 2:
         raise TooFewPointsError("mirror extraction needs at least two points")
-    wmap = weight_map if weight_map is not None else bisector_weight_map(p)
     n = len(p)
     d_count = len(squared_distance_set(p, include_zero).squared)
     k = Fraction(n, d_count)
     subset = extract_symmetric_subset(
-        p, include_fixed_points=include_fixed_points, weight_map=wmap
+        p, include_fixed_points=include_fixed_points, weight_map=weight_map
     )
     report = BoundReport(
         name="thm2",
-        lhs=wmap.max_weight,
+        lhs=subset.weight,
         rhs=exact_bracket(k ** 3),
         verdict=VERDICT_HOLDS_WITH_CONSTANT,
         witness={

@@ -69,7 +69,7 @@ def nth_root_bracket(x, n: int, digits: int = 8) -> Bracket:
     if xf < 0:
         raise ValueError("negative radicand")
     if xf == 0:
-        return Bracket(Fraction(0), Fraction(0))
+        return exact_bracket(0)
     rn = int_nth_root(xf.numerator, n)
     rd = int_nth_root(xf.denominator, n)
     if rn ** n == xf.numerator and rd ** n == xf.denominator:
@@ -91,7 +91,7 @@ def _atanh_series_bracket(z: Fraction, tol: Fraction) -> Bracket:
     if not 0 <= z < 1:
         raise ValueError("series needs 0 <= z < 1")
     if z == 0:
-        return Bracket(Fraction(0), Fraction(0))
+        return exact_bracket(0)
     total = Fraction(0)
     term = z
     z2 = z * z
@@ -123,7 +123,7 @@ def ln_bracket(x, digits: int = 12) -> Bracket:
     if xf <= 0:
         raise ValueError("log of a nonpositive value")
     if xf == 1:
-        return Bracket(Fraction(0), Fraction(0))
+        return exact_bracket(0)
     if xf < 1:
         inner = ln_bracket(1 / xf, digits)
         return Bracket(-inner.hi, -inner.lo)

@@ -24,13 +24,12 @@ half the time (see _CACHE_BLOCK).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import scalar_sets
 from .bisectors import WeightedBisectorMap, check_weight_map
-from .brackets import Bracket, nth_root_bracket
+from .brackets import Bracket, nth_root_bracket, ratio_bracket
 from .errors import CapExceededError, EmptyInputError
 from .planar import PlanarPointSet, _sq_dist_rows, squared_distance_set
 from .scalar_sets import int_dtype, repeat_runs, row_blocks
@@ -123,7 +122,8 @@ def _abs_max(values: np.ndarray) -> int:
 @dataclass(frozen=True)
 class IncidenceReport:
     """Everything the incidence bound needs, with the irrational term held as
-    an integer floor/ceil pair so the ratio is decided without floats."""
+    an integer floor/ceil pair so the ratio is decided without floats.  The
+    fields are declared in the column order of the report's CSV and JSON."""
 
     n: int
     triples: int
@@ -136,10 +136,7 @@ class IncidenceReport:
 
     @property
     def ratio(self) -> Bracket:
-        return Bracket(
-            Fraction(self.weighted, self.rhs_ceil),
-            Fraction(self.weighted, self.rhs_floor),
-        )
+        return ratio_bracket(self.weighted, Bracket(self.rhs_floor, self.rhs_ceil))
 
 
 def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceReport:

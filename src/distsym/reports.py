@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import astuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -45,16 +46,8 @@ def bound_csv_row(r: BoundReport) -> tuple:
 
 
 def incidence_csv_row(r: IncidenceReport) -> tuple:
-    return (
-        str(r.n),
-        str(r.triples),
-        str(r.weighted),
-        str(r.total_weight),
-        str(r.max_weight),
-        str(r.rhs_floor),
-        str(r.rhs_ceil),
-        str(r.low_multiplicity_classes),
-    )
+    # IncidenceReport declares its fields in the order of INCIDENCE_CSV_HEADER
+    return tuple(map(str, astuple(r)))
 
 
 def jsonable(value):
@@ -100,17 +93,7 @@ def bound_json_dict(r: BoundReport, include_witness: bool = True) -> dict:
 
 
 def incidence_json_dict(r: IncidenceReport) -> dict:
-    return {
-        "N": r.n,
-        "T": r.triples,
-        "I_w": r.weighted,
-        "W_total": r.total_weight,
-        "w_max": r.max_weight,
-        "rhs_floor": r.rhs_floor,
-        "rhs_ceil": r.rhs_ceil,
-        "ratio": jsonable(r.ratio),
-        "low_mult_classes": r.low_multiplicity_classes,
-    }
+    return {**dict(zip(INCIDENCE_CSV_HEADER, astuple(r))), "ratio": jsonable(r.ratio)}
 
 
 def symmetric_subset_json_dict(s: SymmetricSubset) -> dict:

@@ -344,9 +344,7 @@ def pairwise_combine(a: ScalarSet, b: ScalarSet, op: CombineOp) -> ScalarSet:
 
 def difference_set(a: ScalarSet) -> ScalarSet:
     """All pairwise differences of a with itself; contains 0, symmetric about it."""
-    _require_nonempty(a)
-    ua = a._lifted(1, int_dtype(2 * a._bound()))
-    return ScalarSet._from_numerators(_unique_outer(ua, ua, np.subtract), a._den)
+    return pairwise_combine(a, a, "subtract")
 
 
 def iterated_combination(m: int, n: int, a: ScalarSet) -> ScalarSet:

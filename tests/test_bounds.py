@@ -19,8 +19,9 @@ from distsym.bounds import (
     thm1_report,
     thm2_report,
 )
-from distsym.errors import CapExceededError
-from distsym.families import FamilySpec, generate_family, random_scalar_set
+from distsym.bisectors import bisector_weight_map
+from distsym.errors import CapExceededError, MismatchedInputsError
+from distsym.families import FamilySpec, generate_family, random_point_set, random_scalar_set
 from distsym.planar import PlanarPointSet
 from distsym.scalar_sets import (
     ScalarSet,
@@ -172,6 +173,18 @@ def test_certificates_take_one_guard_int64_up_to_the_identity_edge(monkeypatch, 
     assert picked == [dtype]
 
 
+def test_hanson_refuses_a_wide_input_before_building_certificates(monkeypatch):
+    def unreachable(a):
+        raise AssertionError("certificates built for an input the fold budget refuses")
+
+    monkeypatch.setattr(bounds, "_hanson_certificates", unreachable)
+    a = ScalarSet(random.Random(0).sample(range(-10**6, 10**6 + 1), 30))
+    with pytest.raises(CapExceededError) as refused:
+        hanson_inclusion_check(a)
+    assert str(refused.value) == ("fold subtract of 95266 x 436 values predicts 41535976 values, "
+                                  "past the budget of 16777216")
+
+
 def test_plunnecke_worked_examples():
     rep = plunnecke_check(ScalarSet([0, 1]), 1, 1)
     assert rep.lhs == 3
@@ -277,6 +290,14 @@ def test_thm2_zero_convention_changes_k():
     without, _ = thm2_report(g3, include_zero=False)
     assert with_zero.witness["K"] == Fraction(3, 2)
     assert without.witness["K"] == Fraction(9, 5)
+
+
+def test_thm2_takes_the_given_weight_map_and_refuses_another_sets():
+    p = random_point_set(random.Random(5), 30, bound=12)
+    assert thm2_report(p) == thm2_report(p, weight_map=bisector_weight_map(p))
+    other = PlanarPointSet([(x + 1, y) for x, y in p.points])
+    with pytest.raises(MismatchedInputsError):
+        thm2_report(p, weight_map=bisector_weight_map(other))
 
 
 def test_product_identity_report():

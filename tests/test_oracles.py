@@ -19,6 +19,14 @@ FAST_PATH_HELPERS = {
     "_row_key",
     "_radius_classes",
     "_first_occurrences",
+    "_bitset_sum",
+    "_sorted_unique",
+    "_unique_outer",
+    "_pair_bisectors",
+    "_line_starts",
+    "_mirror_indices",
+    "_sq_dist_rows",
+    "_hanson_certificates",
 }
 
 
