@@ -29,7 +29,7 @@ from .bounds import (
     thm2_report,
 )
 from .corpus import verify_corpus
-from .errors import CapExceededError
+from .errors import CapExceededError, ParseError
 from .families import FamilySpec, generate_family
 from .incidence import (
     BRUTE_CAP_DEFAULT,
@@ -63,11 +63,6 @@ from .scalar_sets import ScalarSet
 
 OUT_DIR_ENV = "DISTSYM_OUT_DIR"
 BISECTOR_MAP_CAP = 5000
-# the checks that take a size cap, and its default; --max-size overrides it
-CHECK_CAPS = {"thm1": CHAIN_CAP_DEFAULT, "thm2": BISECTOR_MAP_CAP, "st": BISECTOR_MAP_CAP}
-
-SCALAR_CHECKS = ("hanson", "plunnecke", "abc", "thm1", "guth-katz", "product-identity")
-POINT_CHECKS = ("thm2", "st")
 
 SCALAR_FAMILIES = ("ap", "gap2", "geometric", "random-int")
 POINT_FAMILIES = ("grid", "random-int", "cartesian-of")
@@ -106,7 +101,10 @@ def _read_points(path) -> PlanarPointSet:
 
 
 def _scalar_flag(value: str):
-    return parse_scalar_token(value)
+    try:
+        return parse_scalar_token(value)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _warn(msg: str) -> None:
@@ -132,7 +130,7 @@ def _family_spec(kind: str, args, size=None, dim=None) -> FamilySpec:
         return FamilySpec(kind="cartesian_of", base=_family_spec(args.of or "ap", args, size=n))
     return FamilySpec(
         kind=kind.replace("-", "_"), n=n,
-        start=1 if kind == "geometric" and args.start == 0 else args.start,
+        start=(1 if kind == "geometric" else 0) if args.start is None else args.start,
         step=args.step, ratio=args.ratio, n2=args.n2, d1=args.d1, d2=args.d2,
         coord_range=args.range, seed=args.seed if size is None else args.seed + size,
         dim=args.dim if dim is None else dim,
@@ -188,7 +186,7 @@ def cmd_symmetry(args) -> int:
             ("axis", "weight", "subset_size", "mirror_size"),
             [
                 (
-                    f"{sub.axis.a} {sub.axis.b} {sub.axis.c}",
+                    jsonable(sub.axis),
                     str(sub.weight),
                     str(len(sub.subset)),
                     str(len(sub.mirror)),
@@ -206,33 +204,40 @@ def _check_point_cap(n: int, cap: int) -> None:
         )
 
 
+def _abc(data, args, cap):
+    b = _read_scalars(args.input_b) if args.input_b else data
+    c = _read_scalars(args.input_c) if args.input_c else data
+    return abc_lower_report(data, b, c)
+
+
+# name: (reads points, default size cap or None, CSV header, run(data, args, cap) -> report);
+# each runner looks its report function up when called, so a rebound module name holds
+CHECKS = {
+    "hanson": (False, None, BOUND_CSV_HEADER, lambda data, args, cap: hanson_inclusion_check(data)),
+    "plunnecke": (False, None, BOUND_CSV_HEADER,
+                  lambda data, args, cap: plunnecke_check(data, args.m, args.n_fold)),
+    "abc": (False, None, BOUND_CSV_HEADER, _abc),
+    "thm1": (False, CHAIN_CAP_DEFAULT, BOUND_CSV_HEADER,
+             lambda data, args, cap: thm1_report(data, max_size=cap)),
+    "guth-katz": (False, None, BOUND_CSV_HEADER, lambda data, args, cap: guth_katz_ratio(data)),
+    "product-identity": (False, None, BOUND_CSV_HEADER,
+                         lambda data, args, cap: product_identity_report(data)),
+    "thm2": (True, BISECTOR_MAP_CAP, BOUND_CSV_HEADER, lambda data, args, cap: thm2_report(
+        data, args.include_zero_distance, args.include_fixed_points)[0]),
+    "st": (True, BISECTOR_MAP_CAP, INCIDENCE_CSV_HEADER,
+           lambda data, args, cap: st_bound_report(data, bisector_weight_map(data))),
+}
+
+
 def run_check(name: str, args, cap, data=None):
     """One named check on data, or else on the --input file, under the cap
     _cap resolved for it.  Returns the report."""
+    reads_points, _, _, run = CHECKS[name]
     if data is None:
-        data = (_read_scalars if name in SCALAR_CHECKS else _read_points)(args.input)
-    if name in POINT_CHECKS:
+        data = (_read_points if reads_points else _read_scalars)(args.input)
+    if reads_points:
         _check_point_cap(len(data), cap)
-    if name == "hanson":
-        return hanson_inclusion_check(data)
-    if name == "plunnecke":
-        return plunnecke_check(data, args.m, args.n_fold)
-    if name == "abc":
-        b = _read_scalars(args.input_b) if args.input_b else data
-        c = _read_scalars(args.input_c) if args.input_c else data
-        return abc_lower_report(data, b, c)
-    if name == "thm1":
-        return thm1_report(data, max_size=cap)
-    if name == "guth-katz":
-        return guth_katz_ratio(data)
-    if name == "product-identity":
-        return product_identity_report(data)
-    if name == "thm2":
-        return thm2_report(data, include_zero=args.include_zero_distance,
-                           include_fixed_points=args.include_fixed_points)[0]
-    if name == "st":
-        return st_bound_report(data, bisector_weight_map(data))
-    raise ValueError(f"unknown check {name!r}")
+    return run(data, args, cap)
 
 
 def _render(report, witness: bool = True):
@@ -244,14 +249,11 @@ def _render(report, witness: bool = True):
             report.verdict == VERDICT_VIOLATED)
 
 
-def _csv_header(name: str) -> tuple:
-    return INCIDENCE_CSV_HEADER if name == "st" else BOUND_CSV_HEADER
-
-
 def cmd_check(args) -> int:
-    report = run_check(args.name, args, _cap(args, CHECK_CAPS.get(args.name)))
+    _, default_cap, header, _ = CHECKS[args.name]
+    report = run_check(args.name, args, _cap(args, default_cap))
     row, json_payload, violated = _render(report)
-    _emit_formatted(args, json_payload, lambda: (_csv_header(args.name), [row]))
+    _emit_formatted(args, json_payload, lambda: (header, [row]))
     return 1 if violated else 0
 
 
@@ -269,16 +271,16 @@ def run_sweep(args):
     """One check across a family size range.  Returns (header, csv rows,
     json rows, violated flag); capped sizes become skipped rows, not gaps."""
     name = args.check
-    point_check = name in POINT_CHECKS
-    families, what = (POINT_FAMILIES, "point") if point_check else (SCALAR_FAMILIES, "scalar")
+    reads_points, default_cap, csv_header, _ = CHECKS[name]
+    families, what = (POINT_FAMILIES, "point") if reads_points else (SCALAR_FAMILIES, "scalar")
     if args.family not in families:
         raise ValueError(f"check {name!r} needs a {what} family, not {args.family!r}")
     # the check fixes random-int's dimension whatever --dim says: points in
     # the plane for point checks, scalars on the line for scalar checks
-    dim = 2 if point_check else 1
-    cap = _cap(args, CHECK_CAPS.get(name))
-    header = ["input", *_csv_header(name)]
-    if name == "st":
+    dim = 2 if reads_points else 1
+    cap = _cap(args, default_cap)
+    header = ["input", *csv_header]
+    if "verdict" not in csv_header:
         header.append("status")  # bound rows have their verdict for a status
     rows = []
     json_rows = []
@@ -290,7 +292,7 @@ def run_sweep(args):
         try:
             report = run_check(name, args, cap, fam)
         except CapExceededError:
-            row = [label, "" if name == "st" else name] + [""] * (len(header) - 3) + ["skipped"]
+            row = [label, *(name if col == "name" else "" for col in header[1:-1]), "skipped"]
             json_rows.append({"input": label, "skipped": True})
         else:
             cells, json_payload, row_violated = _render(report, witness=False)
@@ -300,6 +302,7 @@ def run_sweep(args):
             violated = violated or row_violated
         if args.timings:
             row.append(f"{time.perf_counter() - started:.3f}")
+            json_rows[-1]["wall_time_s"] = row[-1]
         rows.append(row)
     if args.timings:
         header.append("wall_time_s")
@@ -337,7 +340,7 @@ def _add_out_flags(sp, default_format="csv"):
 
 def _add_family_flags(sp):
     sp.add_argument("--n", type=int, default=8, help="family size")
-    sp.add_argument("--start", type=_scalar_flag, default=0)
+    sp.add_argument("--start", type=_scalar_flag, help="default 1 for geometric, else 0")
     sp.add_argument("--step", type=_scalar_flag, default=1)
     sp.add_argument("--ratio", type=_scalar_flag, default=2)
     sp.add_argument("--n2", type=int, default=2, help="gap2 second dimension")
@@ -403,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_symmetry)
 
     sp = sub.add_parser("check", help="run one named check on an input file")
-    sp.add_argument("name", choices=SCALAR_CHECKS + POINT_CHECKS)
+    sp.add_argument("name", choices=tuple(CHECKS))
     sp.add_argument("--input", required=True)
     _add_check_flags(sp, "--n")
     _add_out_flags(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("sweep", help="run one check across a family of growing inputs")
-    sp.add_argument("--check", required=True, choices=SCALAR_CHECKS + POINT_CHECKS)
+    sp.add_argument("--check", required=True, choices=tuple(CHECKS))
     sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--sizes", required=True, help="inclusive size range LO:HI")
     _add_family_flags(sp)

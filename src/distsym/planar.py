@@ -15,16 +15,13 @@ from .scalar_sets import (
     clear_denominators,
     difference_set,
     elementwise_square,
+    int_dtype,
     iterated_combination,
     row_blocks,
     unique_blocks,
 )
 
 Point = Tuple[Scalar, Scalar]
-
-# squared distances reach 8 * M^2 for scaled magnitude M, and bisector
-# coefficients 4 * L * M; bounding M and L by this keeps both inside exact int64
-_COORD_LIMIT = 1 << 29
 
 
 def as_point(value) -> Point:
@@ -63,13 +60,13 @@ class PlanarPointSet:
 
     def scaled_int_coords(self):
         """(xs, ys, L): coordinates times their common denominator L, as
-        int64 arrays when L and every scaled coordinate are within
-        _COORD_LIMIT, else as object arrays of Python ints."""
+        int64 arrays when int_dtype admits the kernels' reach (8 M^2 for the
+        squared distances, 4 L M for the bisector coefficients, M the largest
+        scaled magnitude), else as object arrays of Python ints."""
         if self._scaled is None:
             nums, den = clear_denominators([v for pt in self._points for v in pt])
-            bound = max(map(abs, nums), default=0)
-            dtype = np.int64 if max(bound, den) <= _COORD_LIMIT else object
-            flat = np.array(nums, dtype=dtype)
+            m = max(max(map(abs, nums), default=0), 1)
+            flat = np.array(nums, dtype=int_dtype(max(8 * m * m, 4 * den * m)))
             self._scaled = (flat[0::2].copy(), flat[1::2].copy(), den)
         return self._scaled
 

@@ -222,6 +222,9 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["check", "nonsense", "--input", "x"])
     assert e.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "distsym check: error: argument name: invalid choice: 'nonsense' (choose from "
+        "'hanson', 'plunnecke', 'abc', 'thm1', 'guth-katz', 'product-identity', 'thm2', 'st')")
 
 
 # sha256 of stdout: a change to any byte of a check's report shows here
@@ -274,6 +277,50 @@ def test_capped_sweep_stdout_digest(capsys, check, family, sizes, cap, fmt):
     assert code == 0
     assert "skipped" in out
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[check, family, sizes, cap, fmt]
+
+
+# the per-check arguments that reach a check's runner; S, P, G, B and C name
+# the input files below.  hanson has no cap, so --max-size leaves its bytes alone.
+ARGUMENT_DIGESTS = {
+    "abc-b-c-csv": ("check abc --input S --input-b B --input-c C",
+                    "932dff8b7633d73658a2cbfaad6aeb3d22b70e0d9589ea7cef32f1ae66110a41"),
+    "abc-b-c-json": ("check abc --input S --input-b B --input-c C --format json",
+                     "f0520e6d938cb1eaaba4ebffabf0f747b3b627542d3aba9c3d616edcc580a520"),
+    # --m 2 --n 3 has the default's lhs and rhs (2A - 3A is -(3A - 2A)); the
+    # JSON witness records m and n
+    "plunnecke-m-n": ("check plunnecke --input S --m 2 --n 3 --format json",
+                      "8650ddc8512200e2e018b8412d16604b4e933382dddfadff02f6964969aad00f"),
+    "thm2-flags": ("check thm2 --input P --no-include-zero-distance --include-fixed-points "
+                   "--format json", "2c0e261dd1c7dbe4827255001cabf3083efc05c569f64c5989604e5b309c5f3a"),
+    "hanson-max-size": ("check hanson --input S --max-size 2", CHECK_DIGESTS["hanson", "csv"]),
+    "symmetry-csv": ("symmetry --input G --format csv",
+                     "80bb707881e9f997824ed566e18b76afde2f4b1dfc4a2e29dff2a67d6e1b3701"),
+    "sweep-abc-b": ("sweep --check abc --family gap2 --sizes 2:4 --input-b B",
+                    "484c87da0096550f7cd8f10fbe028b41fe77db08d50beaddb111fd43a9bf2bd1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_DIGESTS))
+def test_check_argument_stdout_digest(tmp_path, capsys, case):
+    grid3 = "".join(f"{x} {y}\n" for x in range(3) for y in range(3))
+    files = {"S": "1/2\n3\n-7/3\n5\n11/4\n0\n", "P": grid3 + "1/2 5/3\n", "G": grid3,
+             "B": "0\n1\n4\n9\n", "C": "2\n-5/2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv, digest = ARGUMENT_DIGESTS[case]
+    code, out, _ = run(capsys, *(str(tmp_path / w) if w in files else w for w in argv.split()))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if case == "symmetry-csv":
+        assert out == "axis,weight,subset_size,mirror_size\n0 1 -1,6,6,6\n"
+
+
+def test_symmetry_refuses_a_set_past_its_cap(tmp_path, capsys):
+    path = tmp_path / "grid8.txt"
+    path.write_text("".join(f"{x} {y}\n" for x in range(8) for y in range(8)))
+    code, out, err = run(capsys, "symmetry", "--input", str(path), "--max-size", "10")
+    assert code == 2 and out == ""
+    assert err == "error: bisector maps capped at 10 points; pass --max-size to override\n"
 
 
 def test_sweep_warns_once_when_the_cap_is_raised(capsys):
@@ -329,12 +376,18 @@ def test_isosceles_brute_matches_and_is_capped(grid3_file, tmp_path, capsys):
 
 
 def test_sweep_timings_add_a_wall_time_column(capsys):
-    code, out, _ = run(capsys, "sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:4",
-                       "--timings")
+    argv = ("sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:4", "--timings")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     rows = [row.split(",") for row in out.splitlines()]
     assert rows[0][-1] == "wall_time_s" and len(rows) == 3
     assert all(len(row) == len(rows[0]) and float(row[-1]) >= 0 for row in rows[1:])
+    # JSON rows carry the same text under the same name
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["input"] for r in records] == ["ap(3)", "ap(4)"]
+    assert all(f"{float(r['wall_time_s']):.3f}" == r["wall_time_s"] for r in records)
 
 
 def test_verify_accepts_a_larger_scale(capsys):
@@ -358,6 +411,31 @@ def test_gen_rejects_a_zero_step(capsys):
     code, out, err = run(capsys, "gen", "--kind", "ap", "--step", "0")
     assert code == 2
     assert out == "" and err == "error: ap step must be nonzero\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "geometric", "--n", "3"),
+    ("sweep", "--check", "thm2", "--family", "cartesian-of", "--of", "geometric",
+     "--sizes", "2:3"),
+], ids=["gen", "sweep-cartesian-of"])
+def test_an_explicit_geometric_start_of_0_is_refused(capsys, argv):
+    # an omitted --start is 1 for geometric; a given 0 is refused as FamilySpec refuses it
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--start", "0")
+    assert code == 2
+    assert out == "" and err == "error: geometric start must be nonzero\n"
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("abc", "malformed scalar 'abc'"),
+], ids=["zero-denominator", "malformed"])
+def test_a_bad_scalar_flag_names_the_reason(capsys, value, reason):
+    with pytest.raises(SystemExit) as e:
+        main(["gen", "--kind", "ap", "--step", value])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"distsym gen: error: argument --step: {reason}")
 
 
 def test_hanson_past_the_fold_budget_exits_2_quickly(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -23,12 +24,7 @@ from distsym.incidence import (
     st_bound_report,
     weighted_incidences,
 )
-from distsym.planar import (
-    _COORD_LIMIT,
-    PlanarPointSet,
-    radius_multiplicity_map,
-    squared_distance_set,
-)
+from distsym.planar import PlanarPointSet, radius_multiplicity_map, squared_distance_set
 from distsym.scalar_sets import _I64_LIMIT
 
 TRIANGLE = PlanarPointSet([(0, 0), (1, 0), (0, 1)])
@@ -172,9 +168,10 @@ def test_st_report_internal_consistency(p):
     assert rep.rhs_ceil == base + (root if root**3 == cube else root + 1)
 
 
-# The planar guard picks the coordinate dtype (int64 while L and every scaled
-# coordinate are at most _COORD_LIMIT) and the scan's reach guard picks the
-# scan's dtype.  Each route is checked against the independent oracles on
+# The planar guard picks the coordinate dtype (int64 while the squared
+# distances' reach 8 M^2 and the bisector coefficients' reach 4 L M, for
+# scaled magnitude M, stay below _I64_LIMIT) and the scan's reach guard picks
+# the scan's dtype.  Each route is checked against the independent oracles on
 # both sides of each edge.
 
 
@@ -191,29 +188,35 @@ def check_against_oracles(p):
     return wm
 
 
-@pytest.mark.parametrize("edge", (_COORD_LIMIT - 1, _COORD_LIMIT, _COORD_LIMIT + 1))
+# the last int64 inputs: 8 M^2 < 2^62 at L = 1, and 4 L M < 2^62 at M = 3
+COORD_EDGE = math.isqrt((_I64_LIMIT - 1) // 8)
+DEN_EDGE = (_I64_LIMIT - 1) // 12
+EDGE_IDS = ("edge-1", "edge", "edge+1")
+
+
+@pytest.mark.parametrize("edge", (COORD_EDGE - 1, COORD_EDGE, COORD_EDGE + 1), ids=EDGE_IDS)
 def test_coordinates_at_the_planar_guard(edge):
     p = PlanarPointSet([(0, 0), (edge, 0), (0, 1), (1, 1), (edge, edge), (-edge, 1)])
-    dtype = np.int64 if edge <= _COORD_LIMIT else object
+    dtype = np.int64 if edge <= COORD_EDGE else object
     xs, ys, den = p.scaled_int_coords()
     assert den == 1 and xs.dtype == ys.dtype == dtype
     wm = check_against_oracles(p)
     assert wm.line_arrays()[0].dtype == dtype
 
 
-@pytest.mark.parametrize("den", (_COORD_LIMIT - 1, _COORD_LIMIT, _COORD_LIMIT + 1))
+@pytest.mark.parametrize("den", (DEN_EDGE - 1, DEN_EDGE, DEN_EDGE + 1), ids=EDGE_IDS)
 def test_common_denominator_at_the_planar_guard(den):
     # coordinates k / den keep the scaled magnitudes tiny, so only L crosses
     p = PlanarPointSet([(Fraction(x, den), Fraction(y, den))
                         for x, y in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (-1, 2))])
     xs, ys, lcm = p.scaled_int_coords()
     assert lcm == den
-    assert xs.dtype == (np.int64 if den <= _COORD_LIMIT else object)
+    assert xs.dtype == (np.int64 if den <= DEN_EDGE else object)
     check_against_oracles(p)
 
 
 def test_scan_trips_to_object_on_int64_coordinates():
-    # L = 797 * 809 * 811 < 2^29 keeps the coordinates int64, while the
+    # L = 797 * 809 * 811 keeps the coordinates int64 (4 L M < 2^56), while the
     # cleared line coefficients push the scan's reach past 2^62
     rng = random.Random(5)
     p = PlanarPointSet({(Fraction(rng.randint(-40, 40), rng.choice((797, 809, 811))),
