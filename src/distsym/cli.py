@@ -130,8 +130,7 @@ def _family_spec(kind: str, args, size=None, dim=None) -> FamilySpec:
         return FamilySpec(kind="cartesian_of", base=_family_spec(args.of or "ap", args, size=n))
     return FamilySpec(
         kind=kind.replace("-", "_"), n=n,
-        start=(1 if kind == "geometric" else 0) if args.start is None else args.start,
-        step=args.step, ratio=args.ratio, n2=args.n2, d1=args.d1, d2=args.d2,
+        start=args.start, step=args.step, ratio=args.ratio, n2=args.n2, d1=args.d1, d2=args.d2,
         coord_range=args.range, seed=args.seed if size is None else args.seed + size,
         dim=args.dim if dim is None else dim,
     )
@@ -442,7 +441,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        hint = " or a lower --max-size" if hasattr(args, "max_size") else ""
+        check = getattr(args, "name", None) or getattr(args, "check", None)
+        capped = args.command == "symmetry" or getattr(args, "brute", False) or (
+            check is not None and CHECKS[check][1] is not None)
+        hint = " or a lower --max-size" if capped else ""
         print(f"error: out of memory in {args.command}; try a smaller input{hint}",
               file=sys.stderr)
         return 2

@@ -20,8 +20,6 @@ from .bisectors import (
 )
 from .bounds import VERDICT_HOLDS, VERDICT_VIOLATED, hanson_inclusion_check, plunnecke_check
 from .families import (
-    FamilySpec,
-    generate_family,
     random_point_set,
     random_rational_point_set,
     random_rational_scalar_set,
@@ -170,33 +168,3 @@ _PROPERTIES = (
     ("weights-vs-reflections", 8, _weights_vs_reflections),
     ("canonical-rescaling", 150, _canonical_rescaling),
 )
-
-
-# frozen families used by the regression constants and the ratio corpora
-
-def st_ratio_corpus():
-    """Fixed labelled point sets for the incidence-ratio regression."""
-    out = []
-    for n in range(2, 9):
-        out.append((f"grid({n})", generate_family(FamilySpec(kind="grid", n=n))))
-    rng = random.Random(96251)
-    for size in (10, 25, 50, 100, 150, 200):
-        for rep in range(3):
-            out.append((f"random({size},{rep})", random_point_set(rng, size, bound=10 * size)))
-    out.append(("triangle", generate_family(FamilySpec(kind="cartesian_of", base=FamilySpec(kind="ap", n=2)))))
-    return out
-
-
-def abc_ratio_corpus():
-    """Fixed labelled triples for the AB + C ratio regression."""
-    rng = random.Random(70424)
-    out = []
-    for rep in range(12):
-        a = random_scalar_set(rng, rng.randint(3, 16), bound=90)
-        b = random_scalar_set(rng, rng.randint(3, 16), bound=90)
-        c = random_scalar_set(rng, rng.randint(3, 16), bound=90)
-        out.append((f"triple({rep})", a, b, c))
-    for n in (4, 8, 16):
-        ap = generate_family(FamilySpec(kind="ap", n=n))
-        out.append((f"ap({n})^3", ap, ap, ap))
-    return out

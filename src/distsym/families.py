@@ -26,7 +26,7 @@ class FamilySpec:
 
     kind: str
     n: int = 1
-    start: Union[int, Fraction] = 0
+    start: Optional[Union[int, Fraction]] = None  # 1 for geometric, else 0
     step: Union[int, Fraction] = 1
     ratio: Union[int, Fraction] = 2
     n2: int = 1
@@ -45,7 +45,7 @@ def generate_family(spec: FamilySpec):
         step = as_scalar(spec.step)
         if step == 0:
             raise ValueError("ap step must be nonzero")
-        start = as_scalar(spec.start)
+        start = as_scalar(spec.start or 0)
         return ScalarSet(start + i * step for i in range(spec.n))
 
     if spec.kind == "gap2":
@@ -60,11 +60,14 @@ def generate_family(spec: FamilySpec):
 
     if spec.kind == "geometric":
         _check_size(spec.n)
-        start, ratio = as_scalar(spec.start), as_scalar(spec.ratio)
+        start = as_scalar(1 if spec.start is None else spec.start)
+        ratio = as_scalar(spec.ratio)
         if start == 0:
             raise ValueError("geometric start must be nonzero")
         if ratio == 0:
             raise ValueError("geometric ratio must be nonzero")
+        if abs(ratio) == 1:
+            raise ValueError("geometric ratio must not be 1 or -1")
         vals, v = [], start
         for _ in range(spec.n):
             vals.append(v)

@@ -9,7 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ABC_RATIO_MIN, ST_RATIO_MAX, THM1_AP_RATIO_MIN
+from conftest import (
+    ABC_RATIO_MIN,
+    ST_RATIO_MAX,
+    THM1_AP_RATIO_MIN,
+    abc_ratio_corpus,
+    st_ratio_corpus,
+)
 
 from distsym.bisectors import bisector_weight_map, extract_symmetric_subset, reflect_point
 from distsym.bounds import (
@@ -21,7 +27,6 @@ from distsym.bounds import (
     thm2_report,
 )
 from distsym.cli import main
-from distsym.corpus import abc_ratio_corpus, st_ratio_corpus
 from distsym.families import (
     FamilySpec,
     generate_family,
@@ -130,26 +135,30 @@ def test_c6_micro_fixtures():
 
 
 def test_c7_frozen_ratio_regressions():
-    worst_hi = Fraction(0)
-    for _, p in st_ratio_corpus():
-        rep = st_bound_report(p, bisector_weight_map(p))
-        worst_hi = max(worst_hi, rep.ratio.hi)
-    assert worst_hi <= ST_RATIO_MAX
+    # (label, value) of each corpus-wide extreme; max and min keep the first in corpus order
+    def value(extreme):
+        return extreme[1]
 
-    best_lo = None
-    for _, a, b, c in abc_ratio_corpus():
-        lo = abc_lower_report(a, b, c).ratio.lo
-        best_lo = lo if best_lo is None else min(best_lo, lo)
-    assert best_lo >= ABC_RATIO_MIN
-
-    min_ratio = None
+    thm1 = []
     for n in range(3, 65):
         rep = thm1_report(generate_family(FamilySpec(kind="ap", n=n)))
         assert rep.witness["ratio_at_least_one"] is True
         assert rep.ratio.lo >= 1
-        min_ratio = rep.ratio.lo if min_ratio is None else min(min_ratio, rep.ratio.lo)
-    assert min_ratio >= THM1_AP_RATIO_MIN
-    print("PASS criterion 7: frozen ratio regressions all inside their records")
+        thm1.append((f"ap({n})", rep.ratio.lo))
+    found = {
+        "ST_RATIO_MAX": max(((label, st_bound_report(p, bisector_weight_map(p)).ratio.hi)
+                             for label, p in st_ratio_corpus()), key=value),
+        "ABC_RATIO_MIN": min(((label, abc_lower_report(a, b, c).ratio.lo)
+                              for label, a, b, c in abc_ratio_corpus()), key=value),
+        "THM1_AP_RATIO_MIN": min(thm1, key=value),
+    }
+    literals = "\n".join(f'{name} = Fraction("{v}")  # {label}' for name, (label, v) in found.items())
+    assert {name: v for name, (_, v) in found.items()} == {
+        "ST_RATIO_MAX": ST_RATIO_MAX,
+        "ABC_RATIO_MIN": ABC_RATIO_MIN,
+        "THM1_AP_RATIO_MIN": THM1_AP_RATIO_MIN,
+    }, f"the pinned ratio extremes moved; if on purpose, paste into tests/conftest.py:\n{literals}"
+    print("PASS criterion 7: frozen ratio extremes equal their pinned literals")
 
 
 def test_c8_quadratic_pipelines_meet_budgets():

@@ -204,15 +204,35 @@ def test_cap_exit_code(grid3_file, capsys):
     assert "capped" in err
 
 
-@pytest.mark.parametrize("argv, hint", [
-    (("distset",), ""),  # distset has no --max-size to lower
-    (("check", "thm2"), " or a lower --max-size"),
-], ids=["distset", "check"])
-def test_out_of_memory_exits_2(grid3_file, capsys, monkeypatch, argv, hint):
-    def exhausted(values):
+HINT = " or a lower --max-size"
+# name: (function made to run out of memory, argv, hint); the hint names
+# --max-size only where it caps something, and GRID3 and AP5 are input files
+OUT_OF_MEMORY = {
+    "distset": ("distsym.scalar_sets._sorted_unique", "distset --input GRID3", ""),
+    "check": ("distsym.scalar_sets._sorted_unique", "check thm2 --input GRID3", HINT),
+    "check-hanson": ("distsym.scalar_sets._sorted_unique", "check hanson --input AP5", ""),
+    "sweep-hanson": ("distsym.scalar_sets._sorted_unique",
+                     "sweep --check hanson --family ap --sizes 3:4", ""),
+    "sweep-thm1": ("distsym.scalar_sets._sorted_unique",
+                   "sweep --check thm1 --family ap --sizes 3:4", HINT),
+    "isosceles": ("distsym.cli.isosceles_count", "isosceles --input GRID3", ""),
+    "isosceles-brute": ("distsym.cli.isosceles_count_brute",
+                        "isosceles --brute --input GRID3", HINT),
+    "symmetry": ("distsym.cli.extract_symmetric_subset", "symmetry --input GRID3", HINT),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_MEMORY)
+def test_out_of_memory_exits_2(grid3_file, tmp_path, capsys, monkeypatch, name):
+    target, argv, hint = OUT_OF_MEMORY[name]
+
+    def exhausted(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr("distsym.scalar_sets._sorted_unique", exhausted)
-    code, out, err = run(capsys, *argv, "--input", grid3_file)
+    monkeypatch.setattr(target, exhausted)
+    ap5 = tmp_path / "ap5.txt"
+    ap5.write_text("0\n1\n2\n3\n4\n")
+    argv = [{"GRID3": grid3_file, "AP5": str(ap5)}.get(arg, arg) for arg in argv.split()]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: out of memory in {argv[0]}; try a smaller input{hint}\n"
@@ -400,7 +420,10 @@ def test_verify_accepts_a_larger_scale(capsys):
     ("--check", "thm1", "--family", "ap", "--sizes", "5"),
     ("--check", "thm1", "--family", "ap", "--sizes", "4:2"),
     ("--check", "thm2", "--family", "ap", "--sizes", "2:3"),
-], ids=["sizes-without-range", "sizes-reversed", "point-check-on-scalar-family"])
+    # a ratio of 1 would make every size one set, {1}
+    ("--check", "hanson", "--family", "geometric", "--ratio", "1", "--sizes", "2:4"),
+], ids=["sizes-without-range", "sizes-reversed", "point-check-on-scalar-family",
+        "geometric-ratio-1"])
 def test_bad_sweep_exits_2(capsys, argv):
     code, out, err = run(capsys, "sweep", *argv)
     assert code == 2
