@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     DegeneratePairError,
-    EmptyInputError,
     MismatchedInputsError,
     TooFewPointsError,
 )
@@ -251,8 +250,6 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
 def heaviest_bisector(wmap: WeightedBisectorMap) -> Tuple[Line, int]:
     """Line of maximum weight; ties break to the lexicographically least
     triple, found by keeping the rows of least a, then b, then c."""
-    if wmap.distinct_lines == 0:
-        raise EmptyInputError("empty bisector map")
     lines, weights = wmap.line_arrays()
     cand = np.flatnonzero(weights == wmap.max_weight)
     for col in lines.T:
@@ -305,8 +302,6 @@ def extract_symmetric_subset(
     axis weight exactly, and that equality is checked before returning, as
     is mirror[mirror[i]] == i for every paired point.
     """
-    if len(p) < 2:
-        raise TooFewPointsError("symmetry extraction needs at least two points")
     wmap = weight_map if weight_map is not None else bisector_weight_map(p)
     check_weight_map(p, wmap)
     axis, wmax = heaviest_bisector(wmap)

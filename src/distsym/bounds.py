@@ -245,7 +245,7 @@ def thm1_report(a: ScalarSet, max_size: Optional[int] = CHAIN_CAP_DEFAULT) -> Bo
 def guth_katz_ratio(a: ScalarSet) -> BoundReport:
     """|D^2 + D^2| against |A|^2 / log |A|, the natural log held as a bracket."""
     if len(a) < 2:
-        raise ValueError("log ratio needs at least two elements")
+        raise TooFewPointsError("log ratio needs at least two elements")
     lhs = len(iterated_combination(2, 0, elementwise_square(difference_set(a))))
     ln = ln_bracket(len(a))
     return BoundReport(
@@ -268,14 +268,12 @@ def thm2_report(
     Returns (report, subset).  The claim is vacuous when K <= 1; that case is
     flagged but still reported.  K follows the zero convention given.
     """
-    if len(p) < 2:
-        raise TooFewPointsError("mirror extraction needs at least two points")
-    n = len(p)
-    d_count = len(squared_distance_set(p, include_zero).squared)
-    k = Fraction(n, d_count)
     subset = extract_symmetric_subset(
         p, include_fixed_points=include_fixed_points, weight_map=weight_map
     )
+    n = len(p)
+    d_count = len(squared_distance_set(p, include_zero).squared)
+    k = Fraction(n, d_count)
     report = BoundReport(
         name="thm2",
         lhs=subset.weight,

@@ -29,7 +29,7 @@ from .bounds import (
     thm2_report,
 )
 from .corpus import verify_corpus
-from .errors import CapExceededError, ParseError
+from .errors import CapExceededError, ParseError, TooFewPointsError
 from .families import FamilySpec, generate_family
 from .incidence import (
     BRUTE_CAP_DEFAULT,
@@ -122,17 +122,16 @@ def _cap(args, default):
     return cap
 
 
-def _family_spec(kind: str, args, size=None, dim=None) -> FamilySpec:
-    """The family the flags describe, at size or --n.  A sweep passes size,
-    and its random-int draws then use seed + size."""
-    n = args.n if size is None else size
+def _family_spec(kind: str, args, n: int, dim: int, seed: int) -> FamilySpec:
+    """The family the flags describe, at size n; random-int draws in dim
+    dimensions with seed.  A cartesian-of base is scalar, drawn with --seed + n."""
     if kind == "cartesian-of":
-        return FamilySpec(kind="cartesian_of", base=_family_spec(args.of or "ap", args, size=n))
+        return FamilySpec(kind="cartesian_of",
+                          base=_family_spec(args.of or "ap", args, n, 1, args.seed + n))
     return FamilySpec(
         kind=kind.replace("-", "_"), n=n,
         start=args.start, step=args.step, ratio=args.ratio, n2=args.n2, d1=args.d1, d2=args.d2,
-        coord_range=args.range, seed=args.seed if size is None else args.seed + size,
-        dim=args.dim if dim is None else dim,
+        coord_range=args.range, seed=seed, dim=dim,
     )
 
 
@@ -140,8 +139,7 @@ def _family_spec(kind: str, args, size=None, dim=None) -> FamilySpec:
 # subcommands
 
 def cmd_gen(args) -> int:
-    spec = _family_spec(args.kind, args)
-    fam = generate_family(spec)
+    fam = generate_family(_family_spec(args.kind, args, args.n, args.dim, args.seed))
     if isinstance(fam, ScalarSet):
         _emit(args, scalar_set_to_text(fam))
     else:
@@ -214,7 +212,7 @@ def _abc(data, args, cap):
 CHECKS = {
     "hanson": (False, None, BOUND_CSV_HEADER, lambda data, args, cap: hanson_inclusion_check(data)),
     "plunnecke": (False, None, BOUND_CSV_HEADER,
-                  lambda data, args, cap: plunnecke_check(data, args.m, args.n_fold)),
+                  lambda data, args, cap: plunnecke_check(data, args.m, args.n)),
     "abc": (False, None, BOUND_CSV_HEADER, _abc),
     "thm1": (False, CHAIN_CAP_DEFAULT, BOUND_CSV_HEADER,
              lambda data, args, cap: thm1_report(data, max_size=cap)),
@@ -257,10 +255,11 @@ def cmd_check(args) -> int:
 
 
 def _parse_sizes(spec: str):
-    lo, sep, hi = spec.partition(":")
-    if not sep:
-        raise ValueError("sizes must look like LO:HI")
-    lo, hi = int(lo), int(hi)
+    lo, _, hi = spec.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError("sizes must look like LO:HI") from None
     if lo < 1 or hi < lo:
         raise ValueError("sizes must satisfy 1 <= LO <= HI")
     return range(lo, hi + 1)
@@ -268,15 +267,13 @@ def _parse_sizes(spec: str):
 
 def run_sweep(args):
     """One check across a family size range.  Returns (header, csv rows,
-    json rows, violated flag); capped sizes become skipped rows, not gaps."""
+    json rows, violated flag); a size past the cap or below the check's
+    minimum becomes a skipped row, not a gap."""
     name = args.check
     reads_points, default_cap, csv_header, _ = CHECKS[name]
     families, what = (POINT_FAMILIES, "point") if reads_points else (SCALAR_FAMILIES, "scalar")
     if args.family not in families:
         raise ValueError(f"check {name!r} needs a {what} family, not {args.family!r}")
-    # the check fixes random-int's dimension whatever --dim says: points in
-    # the plane for point checks, scalars on the line for scalar checks
-    dim = 2 if reads_points else 1
     cap = _cap(args, default_cap)
     header = ["input", *csv_header]
     if "verdict" not in csv_header:
@@ -285,12 +282,14 @@ def run_sweep(args):
     json_rows = []
     violated = False
     for size in _parse_sizes(args.sizes):
-        fam = generate_family(_family_spec(args.family, args, size=size, dim=dim))
+        # random-int draws points for a point check, scalars otherwise
+        fam = generate_family(
+            _family_spec(args.family, args, size, 2 if reads_points else 1, args.seed + size))
         label = f"{args.family}({size})"
         started = time.perf_counter()
         try:
             report = run_check(name, args, cap, fam)
-        except CapExceededError:
+        except (CapExceededError, TooFewPointsError):
             row = [label, *(name if col == "name" else "" for col in header[1:-1]), "skipped"]
             json_rows.append({"input": label, "skipped": True})
         else:
@@ -338,7 +337,6 @@ def _add_out_flags(sp, default_format="csv"):
 
 
 def _add_family_flags(sp):
-    sp.add_argument("--n", type=int, default=8, help="family size")
     sp.add_argument("--start", type=_scalar_flag, help="default 1 for geometric, else 0")
     sp.add_argument("--step", type=_scalar_flag, default=1)
     sp.add_argument("--ratio", type=_scalar_flag, default=2)
@@ -346,29 +344,25 @@ def _add_family_flags(sp):
     sp.add_argument("--d1", type=_scalar_flag, default=1)
     sp.add_argument("--d2", type=_scalar_flag, default=1)
     sp.add_argument("--range", type=int, default=100, help="random-int coordinate range")
-    sp.add_argument("--dim", type=int, choices=(1, 2), default=1, help="random-int dimension")
     sp.add_argument("--of", choices=SCALAR_FAMILIES,
                     help="base family for cartesian-of")
     sp.add_argument("--seed", type=int, default=0)
 
 
-def _add_check_flags(sp, n_flag):
-    # n_flag spells plunnecke's difference folds: --n for check, --n-fold
-    # for sweep, whose --n is the family size
+def _add_check_flags(sp):
     sp.add_argument("--input-b", help="second set for abc (defaults to --input)")
     sp.add_argument("--input-c", help="third set for abc (defaults to --input)")
     sp.add_argument("--m", type=int, default=3, help="plunnecke sum folds")
-    sp.add_argument(n_flag, dest="n_fold", type=int, default=2, help="plunnecke difference folds")
+    sp.add_argument("--n", type=int, default=2, help="plunnecke difference folds")
     sp.add_argument("--include-zero-distance", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--include-fixed-points", action=argparse.BooleanOptionalAction, default=False)
-    sp.add_argument("--max-size", type=int, default=None)
+    sp.add_argument("--max-size", type=_positive_int, default=None)
 
 
 def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
+    if not value.isdecimal() or int(value) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
-    return n
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate an input family to a set/point file")
     sp.add_argument("--kind", required=True, choices=FAMILIES)
+    sp.add_argument("--n", type=int, default=8, help="family size")
+    sp.add_argument("--dim", type=int, choices=(1, 2), default=1, help="random-int dimension")
     _add_family_flags(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_gen)
@@ -393,21 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("isosceles", help="equal-distance triple count of a point file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--brute", action="store_true", help="use the cubic oracle instead")
-    sp.add_argument("--max-size", type=int, default=None)
+    sp.add_argument("--max-size", type=_positive_int, default=None)
     _add_out_flags(sp)
     sp.set_defaults(func=cmd_isosceles)
 
     sp = sub.add_parser("symmetry", help="extract the heaviest mirror-symmetric subset")
     sp.add_argument("--input", required=True)
     sp.add_argument("--include-fixed-points", action=argparse.BooleanOptionalAction, default=False)
-    sp.add_argument("--max-size", type=int, default=None)
+    sp.add_argument("--max-size", type=_positive_int, default=None)
     _add_out_flags(sp, default_format="json")
     sp.set_defaults(func=cmd_symmetry)
 
     sp = sub.add_parser("check", help="run one named check on an input file")
     sp.add_argument("name", choices=tuple(CHECKS))
     sp.add_argument("--input", required=True)
-    _add_check_flags(sp, "--n")
+    _add_check_flags(sp)
     _add_out_flags(sp)
     sp.set_defaults(func=cmd_check)
 
@@ -416,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--sizes", required=True, help="inclusive size range LO:HI")
     _add_family_flags(sp)
-    _add_check_flags(sp, "--n-fold")
+    _add_check_flags(sp)
     sp.add_argument("--timings", action="store_true",
                     help="append wall times (off by default to keep reruns byte-identical)")
     _add_out_flags(sp)

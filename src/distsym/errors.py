@@ -6,7 +6,7 @@ class EmptyInputError(ValueError):
 
 
 class TooFewPointsError(ValueError):
-    """A point-set operation needs more points than were supplied."""
+    """An operation needs more points or elements than were supplied."""
 
 
 class DegeneratePairError(ValueError):

@@ -20,7 +20,7 @@ from distsym.bounds import (
     thm2_report,
 )
 from distsym.bisectors import bisector_weight_map
-from distsym.errors import CapExceededError, MismatchedInputsError
+from distsym.errors import CapExceededError, MismatchedInputsError, TooFewPointsError
 from distsym.families import FamilySpec, generate_family, random_point_set, random_scalar_set
 from distsym.planar import PlanarPointSet
 from distsym.scalar_sets import (
@@ -265,6 +265,15 @@ def test_guth_katz_known_brackets():
     assert rep.lhs == 15
     lo, hi = rep.ratio.lo, rep.ratio.hi
     assert Fraction("129/100") < lo <= hi < Fraction("131/100")
+
+
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_too_few_points_or_elements_raise_one_error_type(include_zero):
+    # one point has no bisector, so no K is formed: |d(P)| = 0 without the zero distance
+    with pytest.raises(TooFewPointsError, match="^bisector weights need at least two points$"):
+        thm2_report(PlanarPointSet([(0, 0)]), include_zero=include_zero)
+    with pytest.raises(TooFewPointsError, match="^log ratio needs at least two elements$"):
+        guth_katz_ratio(ScalarSet([5]))
 
 
 def test_thm2_grid3():

@@ -98,16 +98,24 @@ def test_sweep_reruns_byte_identical(tmp_path, capsys):
 def test_point_sweep_over_random_int_leaves_args_alone():
     args = build_parser().parse_args(
         ["sweep", "--check", "st", "--family", "random-int", "--sizes", "3:4", "--range", "9"])
+    before = vars(args).copy()
     _, rows, _, _ = run_sweep(args)
-    assert args.dim == 1  # the planar family is chosen per call, not written back
+    assert vars(args) == before  # the planar family is chosen per call, not written back
     assert [row[1] for row in rows] == ["3", "4"]  # N column: point sets of 3 and 4
 
 
-def test_scalar_sweep_over_random_int_draws_on_the_line_whatever_dim_says(capsys):
-    argv = ["sweep", "--check", "hanson", "--family", "random-int", "--sizes", "2:4"]
-    code, out, err = run(capsys, *argv, "--dim", "2")
+def test_scalar_sweep_over_random_int_draws_on_the_line(tmp_path, capsys):
+    code, out, err = run(capsys, "sweep", "--check", "hanson", "--family", "random-int",
+                         "--sizes", "2:4", "--seed", "5")
     assert (code, err) == (0, "")
-    assert run(capsys, *argv, "--dim", "1") == (0, out, "")
+    # each size draws the scalars gen draws at that size with seed + size
+    for size, row in zip(range(2, 5), out.splitlines()[1:]):
+        path = tmp_path / f"scalars{size}.txt"
+        run(capsys, "gen", "--kind", "random-int", "--n", str(size), "--seed", str(5 + size),
+            "--out", str(path))
+        code, check_out, _ = run(capsys, "check", "hanson", "--input", str(path))
+        assert code == 0
+        assert row == f"random-int({size})," + check_out.splitlines()[1]
 
 
 def test_sweep_marks_capped_rows_skipped(tmp_path, capsys):
@@ -121,6 +129,67 @@ def test_sweep_marks_capped_rows_skipped(tmp_path, capsys):
     assert rows[1].endswith("ok")
     assert rows[2].endswith("ok")
     assert rows[3].endswith("skipped")  # grid(4) has 16 > 9 points
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("check thm2 --input P1", "bisector weights need at least two points"),
+    ("check thm2 --input P1 --no-include-zero-distance", "bisector weights need at least two points"),
+    ("check st --input P1", "bisector weights need at least two points"),
+    ("symmetry --input P1", "bisector weights need at least two points"),
+    ("check guth-katz --input S1", "log ratio needs at least two elements"),
+], ids=["thm2", "thm2-no-zero", "st", "symmetry", "guth-katz"])
+def test_a_set_below_the_check_minimum_exits_2(tmp_path, capsys, argv, message):
+    (tmp_path / "P1").write_text("0 0\n")
+    (tmp_path / "S1").write_text("5\n")
+    code, out, err = run(capsys, *(str(tmp_path / w) if w in ("P1", "S1") else w
+                                   for w in argv.split()))
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("check, family", [("st", "grid"), ("thm2", "grid"), ("guth-katz", "ap")])
+def test_sweep_marks_sizes_below_the_check_minimum_skipped(capsys, check, family):
+    # size 1 is one point or one element, too few for these checks
+    argv = ["sweep", "--check", check, "--family", family, "--sizes", "1:3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [f"{family}({n})" for n in (1, 2, 3)]
+    assert rows[0].endswith(",skipped") and not any(row.endswith("skipped") for row in rows[1:])
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)
+    assert records[0] == {"input": f"{family}(1)", "skipped": True}
+    assert [sorted(r) for r in records[1:]] == [["input", "report"]] * 2
+
+
+@pytest.mark.parametrize("flag", ["--dim 2", "--n-fold 1"])
+def test_sweep_has_no_flag_it_would_not_read(capsys, flag):
+    # the check fixes random-int's dimension, and plunnecke's difference folds are --n
+    with pytest.raises(SystemExit) as e:
+        main(["sweep", "--check", "plunnecke", "--family", "ap", "--sizes", "3:4", *flag.split()])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"distsym: error: unrecognized arguments: {flag}")
+    with pytest.raises(SystemExit):
+        main(["sweep", "-h"])
+    assert flag.split()[0] not in capsys.readouterr().out
+
+
+def test_sweep_and_check_spell_plunnecke_folds_alike(tmp_path, capsys):
+    code, out, _ = run(capsys, "sweep", "--check", "plunnecke", "--family", "ap", "--sizes", "3:4",
+                       "--m", "2", "--n", "1")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    for size, row in zip((3, 4), rows):
+        path = tmp_path / f"ap{size}.txt"
+        path.write_text("".join(f"{i}\n" for i in range(size)))
+        code, check_out, _ = run(capsys, "check", "plunnecke", "--input", str(path),
+                                 "--m", "2", "--n", "1")
+        assert code == 0
+        assert row == f"ap({size})," + check_out.splitlines()[1]
+    # --m 2 --n 1 is not the default --m 3 --n 2
+    assert run(capsys, "sweep", "--check", "plunnecke", "--family", "ap", "--sizes", "3:4")[1] != out
 
 
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
@@ -176,6 +245,22 @@ def test_verify_rejects_scale_below_one(capsys, scale):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"must be a positive integer, not {scale}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+@pytest.mark.parametrize("command", [
+    "check thm1 --input S", "sweep --check thm1 --family ap --sizes 3:4", "isosceles --input S",
+    "symmetry --input S",
+], ids=["check", "sweep", "isosceles", "symmetry"])
+def test_max_size_rejects_values_below_one(capsys, command, value):
+    # a cap of 0 would skip every sweep row and refuse every input
+    with pytest.raises(SystemExit) as e:
+        main([*command.split(), "--max-size", value])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f" error: argument --max-size: must be a positive integer, not {value}")
 
 
 @pytest.mark.parametrize("scale", [0, -3])
@@ -416,18 +501,21 @@ def test_verify_accepts_a_larger_scale(capsys):
     assert out.splitlines()[-1] == "verification PASSED (7 properties)"
 
 
-@pytest.mark.parametrize("argv", [
-    ("--check", "thm1", "--family", "ap", "--sizes", "5"),
-    ("--check", "thm1", "--family", "ap", "--sizes", "4:2"),
-    ("--check", "thm2", "--family", "ap", "--sizes", "2:3"),
+@pytest.mark.parametrize("argv, message", [
+    ("--check thm1 --family ap --sizes 5", "sizes must look like LO:HI"),
+    ("--check thm1 --family ap --sizes 4:2", "sizes must satisfy 1 <= LO <= HI"),
+    ("--check thm2 --family ap --sizes 2:3", "check 'thm2' needs a point family, not 'ap'"),
     # a ratio of 1 would make every size one set, {1}
-    ("--check", "hanson", "--family", "geometric", "--ratio", "1", "--sizes", "2:4"),
+    ("--check hanson --family geometric --ratio 1 --sizes 2:4",
+     "geometric ratio must not be 1 or -1"),
+    ("--check thm1 --family ap --sizes a:3", "sizes must look like LO:HI"),
+    ("--check thm1 --family ap --sizes 3:b", "sizes must look like LO:HI"),
 ], ids=["sizes-without-range", "sizes-reversed", "point-check-on-scalar-family",
-        "geometric-ratio-1"])
-def test_bad_sweep_exits_2(capsys, argv):
-    code, out, err = run(capsys, "sweep", *argv)
+        "geometric-ratio-1", "sizes-lo-not-an-integer", "sizes-hi-not-an-integer"])
+def test_bad_sweep_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", *argv.split())
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_gen_rejects_a_zero_step(capsys):
