@@ -29,7 +29,7 @@ from .bounds import (
     thm2_report,
 )
 from .corpus import verify_corpus
-from .errors import CapExceededError, ParseError, TooFewPointsError
+from .errors import CapExceededError, ParseError, RangeTooSmallError, TooFewPointsError
 from .families import FamilySpec, generate_family
 from .incidence import (
     BRUTE_CAP_DEFAULT,
@@ -267,8 +267,9 @@ def _parse_sizes(spec: str):
 
 def run_sweep(args):
     """One check across a family size range.  Returns (header, csv rows,
-    json rows, violated flag); a size past the cap or below the check's
-    minimum becomes a skipped row, not a gap."""
+    json rows, violated flag); a size past the cap, below the check's
+    minimum or past what a random family's range holds becomes a skipped
+    row, not a gap."""
     name = args.check
     reads_points, default_cap, csv_header, _ = CHECKS[name]
     families, what = (POINT_FAMILIES, "point") if reads_points else (SCALAR_FAMILIES, "scalar")
@@ -282,14 +283,14 @@ def run_sweep(args):
     json_rows = []
     violated = False
     for size in _parse_sizes(args.sizes):
-        # random-int draws points for a point check, scalars otherwise
-        fam = generate_family(
-            _family_spec(args.family, args, size, 2 if reads_points else 1, args.seed + size))
         label = f"{args.family}({size})"
         started = time.perf_counter()
         try:
+            # random-int draws points for a point check, scalars otherwise
+            fam = generate_family(
+                _family_spec(args.family, args, size, 2 if reads_points else 1, args.seed + size))
             report = run_check(name, args, cap, fam)
-        except (CapExceededError, TooFewPointsError):
+        except (CapExceededError, RangeTooSmallError, TooFewPointsError):
             row = [label, *(name if col == "name" else "" for col in header[1:-1]), "skipped"]
             json_rows.append({"input": label, "skipped": True})
         else:

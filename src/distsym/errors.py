@@ -9,6 +9,10 @@ class TooFewPointsError(ValueError):
     """An operation needs more points or elements than were supplied."""
 
 
+class RangeTooSmallError(ValueError):
+    """A random family asks for more distinct values than its range holds."""
+
+
 class DegeneratePairError(ValueError):
     """Two coincident points do not determine a bisector."""
 

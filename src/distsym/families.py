@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .errors import RangeTooSmallError
 from .planar import PlanarPointSet, cartesian_square
 from .scalar_sets import ScalarSet, as_scalar
 
@@ -82,11 +83,11 @@ def generate_family(spec: FamilySpec):
         rng = random.Random(spec.seed)
         if spec.dim == 1:
             if spec.n > 2 * r + 1:
-                raise ValueError("range too small for a distinct sample")
+                raise RangeTooSmallError("range too small for a distinct sample")
             return random_scalar_set(rng, spec.n, bound=r)
         if spec.dim == 2:
             if spec.n > (2 * r + 1) ** 2:
-                raise ValueError("range too small for distinct points")
+                raise RangeTooSmallError("range too small for distinct points")
             return random_point_set(rng, spec.n, bound=r)
         raise ValueError("dim must be 1 or 2")
 

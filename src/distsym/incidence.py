@@ -3,22 +3,28 @@ weighted point-line incidence report.
 
 T counts ordered triples (p, q, s) with p != q and |p - s| = |q - s|.  The
 same number falls out of per-centre radius multiplicities (sum of m(m-1)),
-out of a literal cubic loop, and out of scanning the weighted bisector map
-against the point set; the routes share no counting logic, which is what
-makes their agreement worth testing.
+out of a literal cubic loop, and out of the weighted incidences I_w of the
+bisector map with the point set; the routes share no counting logic, which
+is what makes their agreement worth testing.
 
 The multiplicity route reads the rich (centre, radius) classes, those of two
 or more points, off sorted distance rows with scalar_sets.repeat_runs; the
 singleton classes add nothing to T or to the rich count and are never
 materialised.  st_bound_report takes T and the rich count from that one pass.
 
-Both row-local kernels here, the radius-class pass and the incidence scan,
-reduce each block of pair values to a few integers and drop it, so they take
-cache-sized blocks of scalar_sets._CACHE_BLOCK values rather than the _CHUNK
-blocks of the kernels that merge theirs.  At N = 4000 a _CHUNK block of
-distances is 33.5 MB, and the triple count faulted 37.9k pages per call in
-the planar benchmark; with cache-sized blocks it faults none there and takes
-half the time (see _CACHE_BLOCK).
+The incidence route drops the lines that hold no cleared point, joins the
+lines of each well-filled direction against the points' projections onto
+it, one lookup per point and direction, and scans the other lines against
+every point.  Lattice-like sets, the paper's sets with few distinct
+distances, have few directions, so the join does most of their work.
+
+The three row-local kernels here, the radius-class pass, the join and the
+scan, reduce each block of pair values to a few integers and drop it, so
+they take cache-sized blocks of scalar_sets._CACHE_BLOCK values rather than
+the _CHUNK blocks of the kernels that merge theirs.  At N = 4000 a _CHUNK
+block of distances is 33.5 MB, and the triple count faulted 37.9k pages per
+call in the planar benchmark; with cache-sized blocks it faults none there
+and takes half the time (see _CACHE_BLOCK).
 """
 
 from __future__ import annotations
@@ -36,6 +42,13 @@ from .scalar_sets import int_dtype, repeat_runs, row_blocks
 
 BRUTE_CAP_DEFAULT = 60
 _SCAN_WORK_LIMIT = 10 ** 8
+# A direction with at least this many lines that can hold a point is joined,
+# a smaller one scanned (at least 1).  In process on a 2-core host, with the
+# scan alone at 45, 62, 61 and 64 ms, I_w took 11.2-13.3 ms on grid(2..16)
+# summed, 6.6-7.2 ms on grid(20), 19-29 ms on 300 random points in +-30 and
+# 40-45 ms on 300 in +-10^6 at 4, 8 and 16, with 8 best or within 5% of the
+# best on each; at 32 they were 19, 7.9, 33 and 52 ms.
+_JOIN_MIN_LINES = 8
 
 
 def _radius_classes(p: PlanarPointSet):
@@ -87,8 +100,13 @@ def isosceles_count_brute(p: PlanarPointSet, cap: int = BRUTE_CAP_DEFAULT) -> in
 
 
 def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
-    """I_w: sum of w(l) over incident (point, line) pairs, by scanning every
-    line in the map against every point."""
+    """I_w: sum of w(l) over incident (point, line) pairs.
+
+    The lines of a direction class of at least _JOIN_MIN_LINES lines are
+    joined against the points by offset (_join_by_direction), and the other
+    lines that can hold a cleared point are scanned against every point.
+    Where the scan needs Python ints, or the join's key would not fit in
+    int64, every line is scanned."""
     if not p:
         raise EmptyInputError("incidence scan of an empty point set")
     check_weight_map(p, wmap)
@@ -97,6 +115,17 @@ def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
     dtype = _scan_dtype(xs, ys, den, lines)
     lines = lines.astype(dtype, copy=False)
     xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
+    total = 0
+    if dtype is np.int64:
+        joined = _join_by_direction(xs, ys, den, lines, weights)
+        if joined is not None:
+            total, lines, weights = joined
+    return total + _scan_lines(xs, ys, den, lines, weights)
+
+
+def _scan_lines(xs, ys, den: int, lines, weights) -> int:
+    """Sum of w(l) over the points on each line, testing every line against
+    every point in cache-sized blocks of lines."""
     cl = lines[:, 2] * den
     total = 0
     for rows in row_blocks(len(lines), len(xs), scalar_sets._CACHE_BLOCK):
@@ -104,6 +133,60 @@ def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
         hits = (vals == 0).sum(axis=1)
         total += int(weights[rows] @ hits)
     return total
+
+
+def _join_by_direction(xs, ys, den: int, lines, weights):
+    """(I_w over the joined lines, the lines left to scan, their weights),
+    or None where the join's key would not fit in int64.
+
+    With g = gcd(a, b), a cleared point (X, Y) is on (a, b, c) iff
+    uX + vY = t for the direction (u, v) = (a, b)/g and the offset
+    t = -cL/g; a line with g not dividing cL holds no point and is dropped.
+    The rows are distinct canonical lines, so the offsets within a direction
+    are distinct and a point meets at most one line there: each point's
+    projection is looked up among its direction's offsets, for directions
+    x N work in place of lines x N.  Directions of fewer than
+    _JOIN_MIN_LINES lines go back to the scan."""
+    a, b, c = lines.T
+    g = np.gcd(a, b)
+    t = c * den
+    kept = np.flatnonzero(t % g == 0)
+    g, t = g[kept], t[kept]
+    u, v = a[kept] // g, b[kept] // g
+    t //= g
+    np.negative(t, out=t)
+    del g
+    order = np.lexsort((t, v, u))
+    kept, u, v, t = kept[order], u[order], v[order], t[order]
+    del order
+    firsts = np.flatnonzero(np.concatenate(([True], (u[1:] != u[:-1]) | (v[1:] != v[:-1]))))
+    sizes = np.diff(firsts, append=len(u))
+    big = sizes >= _JOIN_MIN_LINES
+    in_join = np.repeat(big, sizes)
+    scan_rows = kept[~in_join]
+    u, v, t, kept = u[firsts[big]], v[firsts[big]], t[in_join], kept[in_join]
+    # key = direction index * span + offset + reach, one sorted int64 array
+    # since the lines are sorted by direction, then offset; every offset and
+    # projection lies in [-reach, reach]
+    coord_bound = max(_abs_max(xs), _abs_max(ys), 1)
+    reach = max(_abs_max(t), (_abs_max(u) + _abs_max(v)) * coord_bound)
+    span = 2 * reach + 1
+    if int_dtype(len(u) * span) is object:
+        return None
+    base = np.arange(len(u)) * span + reach
+    keys = np.repeat(base, sizes[big])
+    keys += t
+    key_weights = weights[kept]
+    total = 0
+    for rows in row_blocks(len(u), len(xs), scalar_sets._CACHE_BLOCK):
+        q = u[rows, None] * xs
+        q += v[rows, None] * ys
+        q += base[rows, None]
+        q = q.ravel()
+        at = np.searchsorted(keys, q)
+        np.minimum(at, len(keys) - 1, out=at)
+        total += int(key_weights[at[keys[at] == q]].sum())
+    return total, lines[scan_rows], weights[scan_rows]
 
 
 def _scan_dtype(xs, ys, den: int, lines):
@@ -142,10 +225,12 @@ class IncidenceReport:
 def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceReport:
     """Compare I_w against w^(1/3) (N W)^(2/3) + W + w N.
 
-    The cube root is bracketed by exact integer roots of w (N W)^2.  Past
-    _SCAN_WORK_LIMIT line-point tests the scan route is skipped and I_w falls
-    back to the triple count (the identity T = I_w is enforced whenever both
-    are computed, and is exercised exhaustively at oracle scale in tests).
+    The cube root is bracketed by exact integer roots of w (N W)^2.  I_w
+    comes from weighted_incidences, the direction join plus the filtered
+    scan, while lines x N is at most _SCAN_WORK_LIMIT; past it that route is
+    skipped before any of its work and I_w falls back to the triple count
+    (the identity T = I_w is enforced whenever both are computed, and is
+    exercised exhaustively at oracle scale in tests).
 
     The low-multiplicity count covers the (centre, radius) pairs over radius
     in d(P) (zero included) that hit at most one point; empty classes count,

@@ -40,8 +40,8 @@ _I64_LIMIT = 1 << 62
 _CHUNK = 1 << 22
 # values per block in the row-local kernels that reduce each block to a few
 # integers on the spot and drop it: the radius-class pass and the incidence
-# scan.  At int64 a block is 512 KiB, so it and its one or two temporaries of
-# the same shape stay inside a 2 MiB L2.  A _CHUNK block of distances at
+# join and scan.  At int64 a block is 512 KiB, so it and its one or two
+# temporaries of the same shape stay inside a 2 MiB L2.  A _CHUNK block of distances at
 # N = 4000 is 33.5 MB, and in the planar benchmark's job list (2-core host,
 # numpy 2.4) isosceles_count at N = 4000 took 0.30-0.39 s and 37.9k minor
 # page faults per call with _CHUNK blocks, and 0.15-0.17 s and none with

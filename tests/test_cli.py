@@ -163,6 +163,37 @@ def test_sweep_marks_sizes_below_the_check_minimum_skipped(capsys, check, family
     assert [sorted(r) for r in records[1:]] == [["input", "report"]] * 2
 
 
+# [-1, 1] holds 3 distinct integers and 9 distinct points
+@pytest.mark.parametrize("check, sizes, skipped", [
+    ("st", "2:12", (10, 11, 12)),
+    ("hanson", "2:5", (4, 5)),
+], ids=["st", "hanson"])
+def test_sweep_marks_sizes_past_the_random_range_skipped(capsys, check, sizes, skipped):
+    argv = ["sweep", "--check", check, "--family", "random-int", "--sizes", sizes, "--range", "1"]
+    lo, hi = map(int, sizes.split(":"))
+    labels = [f"random-int({n})" for n in range(lo, hi + 1)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == labels
+    assert [label for label, row in zip(labels, rows) if row.endswith(",skipped")] == [
+        f"random-int({n})" for n in skipped]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)
+    assert [r["input"] for r in records] == labels
+    assert [r for r in records if "report" not in r] == [
+        {"input": f"random-int({n})", "skipped": True} for n in skipped]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gen --kind random-int --n 4 --range 1", "range too small for a distinct sample"),
+    ("gen --kind random-int --n 10 --range 1 --dim 2", "range too small for distinct points"),
+], ids=["scalar", "points"])
+def test_gen_past_the_random_range_exits_2(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", ["--dim 2", "--n-fold 1"])
 def test_sweep_has_no_flag_it_would_not_read(capsys, flag):
     # the check fixes random-int's dimension, and plunnecke's difference folds are --n

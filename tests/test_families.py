@@ -1,5 +1,6 @@
 import pytest
 
+from distsym.errors import RangeTooSmallError
 from distsym.families import FamilySpec, generate_family
 from distsym.scalar_sets import ScalarSet
 
@@ -27,6 +28,13 @@ def test_generate_family_rejects_bad_specs(spec, message):
     with pytest.raises(ValueError) as e:
         generate_family(spec)
     assert str(e.value) == message
+
+
+# a sweep skips such a size, so the refusal has its own type
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_range_too_small_raises_its_own_error(dim):
+    with pytest.raises(RangeTooSmallError):
+        generate_family(FamilySpec("random_int", n=3 ** dim + 1, coord_range=1, dim=dim))
 
 
 def test_a_bare_geometric_spec_starts_at_1():

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from distsym.families import (
     random_rational_point_set,
 )
 from distsym.incidence import (
+    BRUTE_CAP_DEFAULT,
     _scan_dtype,
     isosceles_count,
     isosceles_count_brute,
@@ -151,6 +154,97 @@ def test_st_report_skips_the_scan_past_the_work_limit(monkeypatch, p):
     assert skipped == scanned
 
 
+def spy_on(monkeypatch, name):
+    """Replace incidence.<name> by a wrapper that records each call's
+    arguments and result in the returned list."""
+    calls = []
+    real = getattr(incidence, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(incidence, name, spy)
+    return calls
+
+
+def test_st_report_joins_a_grid_by_direction(monkeypatch):
+    p = generate_family(FamilySpec(kind="grid", n=20))
+    wm = bisector_weight_map(p)
+    joins = spy_on(monkeypatch, "_join_by_direction")
+    scans = spy_on(monkeypatch, "_scan_lines")
+    rep = st_bound_report(p, wm)
+    assert len(joins) == 1 and joins[0][1] is not None
+    # 14,530 of the 36,332 lines can hold a point: 228 directions join
+    # 14,470 of them and the 60 lines of the other 12 directions are scanned
+    assert len(scans) == 1 and len(scans[0][0][3]) == 60
+    assert rep.weighted == rep.triples == isosceles_count(p)
+
+
+ROUTE_SETS = {
+    "grid2": generate_family(FamilySpec(kind="grid", n=2)),
+    "grid5": generate_family(FamilySpec(kind="grid", n=5)),
+    "grid9": generate_family(FamilySpec(kind="grid", n=9)),
+    "thirds": generate_family(FamilySpec(kind="cartesian_of", base=FamilySpec(
+        kind="ap", n=6, start=Fraction(1, 3), step=Fraction(1, 3)))),
+    "1e25": PlanarPointSet([(x * 10**25, y * 10**25 + 1) for x in range(4) for y in range(3)]),
+    "geometric": generate_family(FamilySpec(kind="cartesian_of", base=FamilySpec(kind="geometric", n=5))),
+    "n2": PlanarPointSet([(0, 0), (3, 1)]),
+    "grid13": PlanarPointSet(random.Random(17).sample([(x, y + 1) for x in range(5) for y in range(5)], 13)),
+}
+
+
+# At one line every direction that can hold a point is joined and nothing
+# is scanned; at 10^9 the join takes nothing and the scan takes every line
+# that can hold a point.  At 10^25 the scan needs Python ints and takes all.
+@pytest.mark.parametrize("min_lines", [1, 10**9])
+@pytest.mark.parametrize("name", ROUTE_SETS)
+def test_join_and_scan_each_count_the_triples(monkeypatch, name, min_lines):
+    p = ROUTE_SETS[name]
+    monkeypatch.setattr(incidence, "_JOIN_MIN_LINES", min_lines)
+    scans = spy_on(monkeypatch, "_scan_lines")
+    wm = bisector_weight_map(p)
+    t = isosceles_count_brute(p) if len(p) <= BRUTE_CAP_DEFAULT else isosceles_count(p)
+    assert weighted_incidences(p, wm) == t
+    if name == "1e25":
+        scanned = len(wm)
+    else:
+        scanned = 0 if min_lines == 1 else sum(direction_classes(p, wm))
+    assert [len(args[3]) for args, _ in scans] == [scanned]
+
+
+# Two directions with offsets up to |c| make the join's key reach
+# 2 (2 |c| + 1): 2^62 - 2 at the last |c| it takes and 2^62 + 2 past it, where
+# every line is scanned.  The scan's own reach, 2 + |c|, stays in int64.
+@pytest.mark.parametrize("c, joined", [(1 - (1 << 60), True), (-(1 << 60), False)], ids=["edge", "edge+1"])
+def test_join_at_its_key_guard(monkeypatch, c, joined):
+    monkeypatch.setattr(incidence, "_JOIN_MIN_LINES", 1)
+    scans = spy_on(monkeypatch, "_scan_lines")
+    p = PlanarPointSet([(0, 0), (1, 0), (1, 1), (-1, 1), (1, -1)])
+    lines = np.array([(1, 0, -1), (1, 1, 0), (1, 1, c)], dtype=np.int64)
+    wm = WeightedBisectorMap(p.points, lines, np.array([2, 4, 6]))
+    xs, ys, den = p.scaled_int_coords()
+    assert _scan_dtype(xs, ys, den, lines) == np.int64
+    assert 2 * (2 * -c + 1) - _I64_LIMIT == (-2 if joined else 2)
+    assert weighted_incidences(p, wm) == 2 * 3 + 4 * 3
+    assert [len(args[3]) for args, _ in scans] == [0 if joined else 3]
+
+
+# Both offsets are 0, but (0, 1) projects to 1 on the direction (0, 1): a key
+# span sized by the offsets alone would carry that projection into the key
+# of the next direction, (1, 0), and count x = 0 once more.
+def test_join_keys_span_the_projections(monkeypatch):
+    monkeypatch.setattr(incidence, "_JOIN_MIN_LINES", 1)
+    joins = spy_on(monkeypatch, "_join_by_direction")
+    p = PlanarPointSet([(0, 0), (0, 1)])
+    rows = [(0, 1, 0), (1, 0, 0)]
+    wm = WeightedBisectorMap(p.points, np.array(rows, dtype=np.int64), np.array([2, 4]))
+    want = sum(w * sum(1 for x, y in p.points if a * x + b * y + c == 0)
+               for (a, b, c), w in zip(rows, (2, 4)))
+    assert weighted_incidences(p, wm) == want == 2 * 1 + 4 * 2
+    assert len(joins[0][1][1]) == 0  # both lines were joined
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_point_sets)
 def test_st_report_internal_consistency(p):
@@ -245,15 +339,16 @@ def test_scan_at_its_reach_guard(reach):
 
 def spy_cache_blocks(monkeypatch):
     """Row counts of the blocks of every row_blocks call that the radius-class
-    pass (through planar._sq_dist_rows) and the incidence scan make with a
-    block size of their own, keyed by (n_rows, width)."""
+    pass (through planar._sq_dist_rows), the incidence join and the scan make
+    with a block size of their own, keyed by (caller, n_rows, width)."""
     seen = {}
     real = scalar_sets.row_blocks
 
     def spy(n_rows, width, block=None):
         slices = list(real(n_rows, width, block))
         if block is not None:
-            seen[n_rows, width] = [len(range(n_rows)[s]) for s in slices]
+            caller = sys._getframe(1).f_code.co_name
+            seen[caller, n_rows, width] = [len(range(n_rows)[s]) for s in slices]
         return iter(slices)
 
     monkeypatch.setattr(planar, "row_blocks", spy)
@@ -261,24 +356,47 @@ def spy_cache_blocks(monkeypatch):
     return seen
 
 
-# With _CHUNK and _CACHE_BLOCK at 40, 13 centres or lines of 13 points go in
-# blocks of 3 rows with a partial last block, so every pair kernel crosses
-# block edges.
+def direction_classes(p, wm):
+    """Sizes of the direction classes (a, b)/gcd(a, b) of the lines that can
+    hold a cleared point, those whose gcd(a, b) divides cL, in Python ints."""
+    den = p.scaled_int_coords()[2]
+    sizes = Counter()
+    for (a, b, c), _ in wm.items():
+        g = math.gcd(a, b)
+        if c * den % g == 0:
+            sizes[a // g, b // g] += 1
+    return list(sizes.values())
+
+
+# With _CHUNK and _CACHE_BLOCK at 40, 13 centres, directions or lines of 13
+# points go in blocks of 3 rows.  Of this set's 61 lines, 28 can hold a point,
+# in direction classes of sizes 1, 1, 2, 2, 2, 3, 3, 4, 5, 5: joining the
+# classes of 3 or more lines leaves 5 directions to the join and 8 lines to
+# the scan, so each kernel crosses block edges and ends on a partial block.
+# At 10^25 the scan needs Python ints and takes all 61 lines.
 @pytest.mark.parametrize("scale", (1, Fraction(1, 3), 10**25))
 def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
     monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
+    monkeypatch.setattr(incidence, "_JOIN_MIN_LINES", 3)
     seen = spy_cache_blocks(monkeypatch)
     rng = random.Random(17)
     grid = rng.sample([(x, y) for x in range(5) for y in range(5)], 13)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
     assert [len(range(13)[s]) for s in scalar_sets.row_blocks(13, 13)] == [3, 3, 3, 3, 1]
     wm = check_against_oracles(p)
-    assert len(wm) % 3 and len(wm) > 3  # the scan's last line block is partial too
+    assert len(wm) == 61
     rep = st_bound_report(p, wm)
     assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
-    # the radius-class pass and the scan each ran in blocks of 3 rows
-    assert seen == {(13, 13): [3, 3, 3, 3, 1], (len(wm), 13): [3] * (len(wm) // 3) + [len(wm) % 3]}
+    want = {("_sq_dist_rows", 13, 13): [3, 3, 3, 3, 1]}
+    if scale == 10**25:
+        want["_scan_lines", 61, 13] = [3] * 20 + [1]
+    else:
+        sizes = sorted(direction_classes(p, wm))
+        assert sizes == [1, 1, 2, 2, 2, 3, 3, 4, 5, 5]
+        want["_join_by_direction", 5, 13] = [3, 2]
+        want["_scan_lines", 8, 13] = [3, 3, 2]
+    assert seen == want
 
 
 # _sq_dist_rows writes every block into the leading rows of two buffers made
@@ -337,9 +455,11 @@ def test_rich_classes_match_the_radius_map(monkeypatch, p):
         assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
 
 
-# The radius-class pass and the scan reduce each cache-sized block on the
-# spot, so their peaks stay at a few blocks: 2.1 and 1.7 MiB on these inputs,
-# against 16.2 and 10.6 MiB with _CHUNK blocks.
+# The radius-class pass, the join and the scan reduce each cache-sized block
+# on the spot: the triple count peaks at 2.1 MiB on its input, against 16.2
+# MiB with _CHUNK blocks.  The incidence route's peak is mostly the join's
+# arrays of one int64 per line that can hold a point: 0.35 MiB on grid(12)
+# and 2.0 MiB on grid(20), where 14,470 lines take the join and 60 the scan.
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -356,7 +476,8 @@ def test_isosceles_count_peak_stays_within_four_mib():
 
 
 def test_incidence_scan_peak_stays_within_four_mib():
-    p = generate_family(FamilySpec(kind="grid", n=12))
-    wm = bisector_weight_map(p)
-    assert wm.distinct_lines == 4748
-    assert traced_peak(weighted_incidences, p, wm) <= 4 << 20
+    for n, lines in ((12, 4748), (20, 36332)):
+        p = generate_family(FamilySpec(kind="grid", n=n))
+        wm = bisector_weight_map(p)
+        assert wm.distinct_lines == lines
+        assert traced_peak(weighted_incidences, p, wm) <= 4 << 20

@@ -9,7 +9,12 @@ import pytest
 from conftest import per_pair_weights
 from distsym.bisectors import reflect_point
 from distsym.bounds import hanson_witness
-from distsym.incidence import isosceles_count_brute, weighted_incidences
+from distsym.incidence import (
+    _join_by_direction,
+    _scan_lines,
+    isosceles_count_brute,
+    weighted_incidences,
+)
 from distsym.planar import radius_multiplicity_map
 
 FAST_PATH_HELPERS = {
@@ -42,6 +47,8 @@ def referenced_names(code: types.CodeType) -> set:
     isosceles_count_brute,
     radius_multiplicity_map,
     weighted_incidences,
+    _join_by_direction,
+    _scan_lines,
     reflect_point,
     hanson_witness,
     per_pair_weights,
