@@ -207,21 +207,24 @@ def _abc(data, args, cap):
     return abc_lower_report(data, b, c)
 
 
-# name: (reads points, default size cap or None, CSV header, run(data, args, cap) -> report);
-# each runner looks its report function up when called, so a rebound module name holds
+# name: (reads points, default size cap or None, CSV header, report name,
+# run(data, args, cap) -> report); each runner looks its report function up
+# when called, so a rebound module name holds
 CHECKS = {
-    "hanson": (False, None, BOUND_CSV_HEADER, lambda data, args, cap: hanson_inclusion_check(data)),
-    "plunnecke": (False, None, BOUND_CSV_HEADER,
+    "hanson": (False, None, BOUND_CSV_HEADER, "hanson-inclusion",
+               lambda data, args, cap: hanson_inclusion_check(data)),
+    "plunnecke": (False, None, BOUND_CSV_HEADER, "plunnecke",
                   lambda data, args, cap: plunnecke_check(data, args.m, args.n)),
-    "abc": (False, None, BOUND_CSV_HEADER, _abc),
-    "thm1": (False, CHAIN_CAP_DEFAULT, BOUND_CSV_HEADER,
+    "abc": (False, None, BOUND_CSV_HEADER, "abc-lower", _abc),
+    "thm1": (False, CHAIN_CAP_DEFAULT, BOUND_CSV_HEADER, "thm1",
              lambda data, args, cap: thm1_report(data, max_size=cap)),
-    "guth-katz": (False, None, BOUND_CSV_HEADER, lambda data, args, cap: guth_katz_ratio(data)),
-    "product-identity": (False, None, BOUND_CSV_HEADER,
+    "guth-katz": (False, None, BOUND_CSV_HEADER, "guth-katz",
+                  lambda data, args, cap: guth_katz_ratio(data)),
+    "product-identity": (False, None, BOUND_CSV_HEADER, "product-identity",
                          lambda data, args, cap: product_identity_report(data)),
-    "thm2": (True, BISECTOR_MAP_CAP, BOUND_CSV_HEADER, lambda data, args, cap: thm2_report(
+    "thm2": (True, BISECTOR_MAP_CAP, BOUND_CSV_HEADER, "thm2", lambda data, args, cap: thm2_report(
         data, args.include_zero_distance, args.include_fixed_points)[0]),
-    "st": (True, BISECTOR_MAP_CAP, INCIDENCE_CSV_HEADER,
+    "st": (True, BISECTOR_MAP_CAP, INCIDENCE_CSV_HEADER, "st",
            lambda data, args, cap: st_bound_report(data, bisector_weight_map(data))),
 }
 
@@ -229,7 +232,7 @@ CHECKS = {
 def run_check(name: str, args, cap, data=None):
     """One named check on data, or else on the --input file, under the cap
     _cap resolved for it.  Returns the report."""
-    reads_points, _, _, run = CHECKS[name]
+    reads_points, _, _, _, run = CHECKS[name]
     if data is None:
         data = (_read_points if reads_points else _read_scalars)(args.input)
     if reads_points:
@@ -247,7 +250,7 @@ def _render(report, witness: bool = True):
 
 
 def cmd_check(args) -> int:
-    _, default_cap, header, _ = CHECKS[args.name]
+    _, default_cap, header, _, _ = CHECKS[args.name]
     report = run_check(args.name, args, _cap(args, default_cap))
     row, json_payload, violated = _render(report)
     _emit_formatted(args, json_payload, lambda: (header, [row]))
@@ -271,7 +274,7 @@ def run_sweep(args):
     minimum or past what a random family's range holds becomes a skipped
     row, not a gap."""
     name = args.check
-    reads_points, default_cap, csv_header, _ = CHECKS[name]
+    reads_points, default_cap, csv_header, report_name, _ = CHECKS[name]
     families, what = (POINT_FAMILIES, "point") if reads_points else (SCALAR_FAMILIES, "scalar")
     if args.family not in families:
         raise ValueError(f"check {name!r} needs a {what} family, not {args.family!r}")
@@ -291,7 +294,7 @@ def run_sweep(args):
                 _family_spec(args.family, args, size, 2 if reads_points else 1, args.seed + size))
             report = run_check(name, args, cap, fam)
         except (CapExceededError, RangeTooSmallError, TooFewPointsError):
-            row = [label, *(name if col == "name" else "" for col in header[1:-1]), "skipped"]
+            row = [label, *(report_name if col == "name" else "" for col in header[1:-1]), "skipped"]
             json_rows.append({"input": label, "skipped": True})
         else:
             cells, json_payload, row_violated = _render(report, witness=False)

@@ -12,10 +12,12 @@ or more points, off sorted distance rows with scalar_sets.repeat_runs; the
 singleton classes add nothing to T or to the rich count and are never
 materialised.  st_bound_report takes T and the rich count from that one pass.
 
-The incidence route drops the lines that hold no cleared point, joins the
+The incidence route reduces every line once to its direction form
+uX + vY = t and drops the lines that hold no cleared point.  It joins the
 lines of each well-filled direction against the points' projections onto
 it, one lookup per point and direction, and scans the other lines against
-every point.  Lattice-like sets, the paper's sets with few distinct
+every point; one reach picks int64 or Python ints for both, so exact inputs
+join too.  Lattice-like sets, the paper's sets with few distinct
 distances, have few directions, so the join does most of their work.
 
 The three row-local kernels here, the radius-class pass, the join and the
@@ -102,81 +104,77 @@ def isosceles_count_brute(p: PlanarPointSet, cap: int = BRUTE_CAP_DEFAULT) -> in
 def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
     """I_w: sum of w(l) over incident (point, line) pairs.
 
-    The lines of a direction class of at least _JOIN_MIN_LINES lines are
-    joined against the points by offset (_join_by_direction), and the other
-    lines that can hold a cleared point are scanned against every point.
-    Where the scan needs Python ints, or the join's key would not fit in
-    int64, every line is scanned."""
+    With g = gcd(a, b), a cleared point (X, Y) is on (a, b, c) iff
+    uX + vY = t for the direction (u, v) = (a, b)/g and the offset
+    t = -cL/g.  Every line is reduced once to that form, in Python ints
+    where |c| L passes int64, and a line with g not dividing cL holds no
+    point and is dropped.  The lines of each direction of at least
+    _JOIN_MIN_LINES lines are joined against the points by offset, the
+    others scanned against every point.  One reach, max(|t|, (|u| + |v|) M)
+    for cleared coordinates up to M, bounds every offset and every partial
+    sum of uX + vY, and picks int64 or object for both kernels; where int64
+    kernels would overflow the join's key, every line is scanned."""
     if not p:
         raise EmptyInputError("incidence scan of an empty point set")
     check_weight_map(p, wmap)
     xs, ys, den = p.scaled_int_coords()
     lines, weights = wmap.line_arrays()
-    dtype = _scan_dtype(xs, ys, den, lines)
-    lines = lines.astype(dtype, copy=False)
-    xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
-    total = 0
-    if dtype is np.int64:
-        joined = _join_by_direction(xs, ys, den, lines, weights)
-        if joined is not None:
-            total, lines, weights = joined
-    return total + _scan_lines(xs, ys, den, lines, weights)
-
-
-def _scan_lines(xs, ys, den: int, lines, weights) -> int:
-    """Sum of w(l) over the points on each line, testing every line against
-    every point in cache-sized blocks of lines."""
-    cl = lines[:, 2] * den
-    total = 0
-    for rows in row_blocks(len(lines), len(xs), scalar_sets._CACHE_BLOCK):
-        vals = lines[rows, 0:1] * xs[None, :] + lines[rows, 1:2] * ys[None, :] + cl[rows, None]
-        hits = (vals == 0).sum(axis=1)
-        total += int(weights[rows] @ hits)
-    return total
-
-
-def _join_by_direction(xs, ys, den: int, lines, weights):
-    """(I_w over the joined lines, the lines left to scan, their weights),
-    or None where the join's key would not fit in int64.
-
-    With g = gcd(a, b), a cleared point (X, Y) is on (a, b, c) iff
-    uX + vY = t for the direction (u, v) = (a, b)/g and the offset
-    t = -cL/g; a line with g not dividing cL holds no point and is dropped.
-    The rows are distinct canonical lines, so the offsets within a direction
-    are distinct and a point meets at most one line there: each point's
-    projection is looked up among its direction's offsets, for directions
-    x N work in place of lines x N.  Directions of fewer than
-    _JOIN_MIN_LINES lines go back to the scan."""
+    if int_dtype(_abs_max(lines[:, 2]) * den) is object:
+        lines = lines.astype(object, copy=False)
     a, b, c = lines.T
     g = np.gcd(a, b)
     t = c * den
     kept = np.flatnonzero(t % g == 0)
-    g, t = g[kept], t[kept]
-    u, v = a[kept] // g, b[kept] // g
+    g = g[kept]
+    u, v, t = a[kept] // g, b[kept] // g, t[kept]
     t //= g
     np.negative(t, out=t)
     del g
+    coord_bound = max(_abs_max(xs), _abs_max(ys), 1)
+    reach = max(_abs_max(t), (_abs_max(u) + _abs_max(v)) * coord_bound)
+    dtype = int_dtype(reach)
+    xs, ys, u, v, t = (col.astype(dtype, copy=False) for col in (xs, ys, u, v, t))
     order = np.lexsort((t, v, u))
-    kept, u, v, t = kept[order], u[order], v[order], t[order]
-    del order
+    u, v, t, weights = u[order], v[order], t[order], weights[kept[order]]
+    del kept, order
     firsts = np.flatnonzero(np.concatenate(([True], (u[1:] != u[:-1]) | (v[1:] != v[:-1]))))
     sizes = np.diff(firsts, append=len(u))
     big = sizes >= _JOIN_MIN_LINES
+    # the join's keys reach directions x (2 reach + 1)
+    if dtype is np.int64 and int_dtype(np.count_nonzero(big) * (2 * reach + 1)) is object:
+        big[:] = False
     in_join = np.repeat(big, sizes)
-    scan_rows = kept[~in_join]
-    u, v, t, kept = u[firsts[big]], v[firsts[big]], t[in_join], kept[in_join]
-    # key = direction index * span + offset + reach, one sorted int64 array
-    # since the lines are sorted by direction, then offset; every offset and
+    heads, scan = firsts[big], ~in_join
+    return (_join_by_direction(xs, ys, reach, u[heads], v[heads], t[in_join], sizes[big], weights[in_join])
+            + _scan_lines(xs, ys, u[scan], v[scan], t[scan], weights[scan]))
+
+
+def _scan_lines(xs, ys, u, v, t, weights) -> int:
+    """Sum of w(l) over the points on each line uX + vY = t, testing every
+    line against every point in cache-sized blocks of lines."""
+    total = 0
+    for rows in row_blocks(len(t), len(xs), scalar_sets._CACHE_BLOCK):
+        vals = u[rows, None] * xs + v[rows, None] * ys
+        hits = (vals == t[rows, None]).sum(axis=1)
+        total += int(weights[rows] @ hits)
+    return total
+
+
+def _join_by_direction(xs, ys, reach: int, u, v, t, sizes, weights) -> int:
+    """Sum of w(l) over the points on each line uX + vY = t.  The offsets t
+    are sorted by direction, then offset, and the i-th direction (u, v)
+    holds the next sizes[i] of them.
+
+    The rows are distinct canonical lines, so the offsets within a direction
+    are distinct and a point meets at most one line there: each point's
+    projection uX + vY is looked up among its direction's offsets, for
+    directions x N work in place of lines x N."""
+    # key = direction index * span + offset + reach, one sorted array since
+    # the lines are sorted by direction, then offset; every offset and
     # projection lies in [-reach, reach]
-    coord_bound = max(_abs_max(xs), _abs_max(ys), 1)
-    reach = max(_abs_max(t), (_abs_max(u) + _abs_max(v)) * coord_bound)
-    span = 2 * reach + 1
-    if int_dtype(len(u) * span) is object:
-        return None
-    base = np.arange(len(u)) * span + reach
-    keys = np.repeat(base, sizes[big])
+    base = np.arange(len(u), dtype=t.dtype) * (2 * reach + 1) + reach
+    keys = np.repeat(base, sizes)
     keys += t
-    key_weights = weights[kept]
     total = 0
     for rows in row_blocks(len(u), len(xs), scalar_sets._CACHE_BLOCK):
         q = u[rows, None] * xs
@@ -185,17 +183,8 @@ def _join_by_direction(xs, ys, den: int, lines, weights):
         q = q.ravel()
         at = np.searchsorted(keys, q)
         np.minimum(at, len(keys) - 1, out=at)
-        total += int(key_weights[at[keys[at] == q]].sum())
-    return total, lines[scan_rows], weights[scan_rows]
-
-
-def _scan_dtype(xs, ys, den: int, lines):
-    """a x + b y + c = 0 at (X/L, Y/L) iff a X + b Y + c L = 0.  The reach
-    bounds every term and partial sum of that test (and L itself); it picks
-    int64 or object for the scan."""
-    mags = [max(_abs_max(col), 1) for col in lines.T]
-    coord_bound = max(_abs_max(xs), _abs_max(ys), 1)
-    return int_dtype((mags[0] + mags[1]) * coord_bound + mags[2] * den)
+        total += int(weights[at[keys[at] == q]].sum())
+    return total
 
 
 def _abs_max(values: np.ndarray) -> int:

@@ -163,12 +163,14 @@ def test_sweep_marks_sizes_below_the_check_minimum_skipped(capsys, check, family
     assert [sorted(r) for r in records[1:]] == [["input", "report"]] * 2
 
 
-# [-1, 1] holds 3 distinct integers and 9 distinct points
-@pytest.mark.parametrize("check, sizes, skipped", [
-    ("st", "2:12", (10, 11, 12)),
-    ("hanson", "2:5", (4, 5)),
-], ids=["st", "hanson"])
-def test_sweep_marks_sizes_past_the_random_range_skipped(capsys, check, sizes, skipped):
+# [-1, 1] holds 3 distinct integers and 9 distinct points.  A skipped bound
+# row carries the name its report would have: hanson-inclusion, abc-lower.
+@pytest.mark.parametrize("check, sizes, skipped, name", [
+    ("st", "2:12", (10, 11, 12), None),
+    ("hanson", "2:5", (4, 5), "hanson-inclusion"),
+    ("abc", "2:5", (4, 5), "abc-lower"),
+], ids=["st", "hanson", "abc"])
+def test_sweep_marks_sizes_past_the_random_range_skipped(capsys, check, sizes, skipped, name):
     argv = ["sweep", "--check", check, "--family", "random-int", "--sizes", sizes, "--range", "1"]
     lo, hi = map(int, sizes.split(":"))
     labels = [f"random-int({n})" for n in range(lo, hi + 1)]
@@ -178,6 +180,8 @@ def test_sweep_marks_sizes_past_the_random_range_skipped(capsys, check, sizes, s
     assert [row.split(",")[0] for row in rows] == labels
     assert [label for label, row in zip(labels, rows) if row.endswith(",skipped")] == [
         f"random-int({n})" for n in skipped]
+    if name is not None:
+        assert {row.split(",")[1] for row in rows} == {name}
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     records = json.loads(out)

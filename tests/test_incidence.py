@@ -21,7 +21,6 @@ from distsym.families import (
 )
 from distsym.incidence import (
     BRUTE_CAP_DEFAULT,
-    _scan_dtype,
     isosceles_count,
     isosceles_count_brute,
     st_bound_report,
@@ -174,11 +173,27 @@ def test_st_report_joins_a_grid_by_direction(monkeypatch):
     joins = spy_on(monkeypatch, "_join_by_direction")
     scans = spy_on(monkeypatch, "_scan_lines")
     rep = st_bound_report(p, wm)
-    assert len(joins) == 1 and joins[0][1] is not None
     # 14,530 of the 36,332 lines can hold a point: 228 directions join
     # 14,470 of them and the 60 lines of the other 12 directions are scanned
-    assert len(scans) == 1 and len(scans[0][0][3]) == 60
+    assert [(len(args[3]), len(args[5])) for args, _ in joins] == [(228, 14470)]
+    assert [len(args[4]) for args, _ in scans] == [60]
     assert rep.weighted == rep.triples == isosceles_count(p)
+
+
+# Coordinates past the planar guard hold their lines in Python ints; the
+# join's key cannot overflow there, so the object kernels join too.  All
+# 2,300 lines of grid(10) x 10^25 hold a point, and 92 directions of 8 or
+# more lines take 2,212 of them.
+def test_st_report_joins_an_object_grid_by_direction(monkeypatch):
+    p = PlanarPointSet([(x * 10**25, y * 10**25)
+                        for x, y in generate_family(FamilySpec(kind="grid", n=10)).points])
+    wm = bisector_weight_map(p)
+    joins = spy_on(monkeypatch, "_join_by_direction")
+    scans = spy_on(monkeypatch, "_scan_lines")
+    rep = st_bound_report(p, wm)
+    assert [(args[3].dtype, len(args[3]), len(args[5])) for args, _ in joins] == [(object, 92, 2212)]
+    assert [(args[2].dtype, len(args[4])) for args, _ in scans] == [(object, 88)]
+    assert rep.weighted == rep.triples == isosceles_count(p) == 24968
 
 
 ROUTE_SETS = {
@@ -196,7 +211,7 @@ ROUTE_SETS = {
 
 # At one line every direction that can hold a point is joined and nothing
 # is scanned; at 10^9 the join takes nothing and the scan takes every line
-# that can hold a point.  At 10^25 the scan needs Python ints and takes all.
+# that can hold a point.  At 10^25 both kernels run on Python ints.
 @pytest.mark.parametrize("min_lines", [1, 10**9])
 @pytest.mark.parametrize("name", ROUTE_SETS)
 def test_join_and_scan_each_count_the_triples(monkeypatch, name, min_lines):
@@ -206,16 +221,14 @@ def test_join_and_scan_each_count_the_triples(monkeypatch, name, min_lines):
     wm = bisector_weight_map(p)
     t = isosceles_count_brute(p) if len(p) <= BRUTE_CAP_DEFAULT else isosceles_count(p)
     assert weighted_incidences(p, wm) == t
-    if name == "1e25":
-        scanned = len(wm)
-    else:
-        scanned = 0 if min_lines == 1 else sum(direction_classes(p, wm))
-    assert [len(args[3]) for args, _ in scans] == [scanned]
+    scanned = 0 if min_lines == 1 else sum(direction_classes(p, wm))
+    dtype = object if name == "1e25" else np.int64
+    assert [(args[2].dtype, len(args[4])) for args, _ in scans] == [(dtype, scanned)]
 
 
 # Two directions with offsets up to |c| make the join's key reach
 # 2 (2 |c| + 1): 2^62 - 2 at the last |c| it takes and 2^62 + 2 past it, where
-# every line is scanned.  The scan's own reach, 2 + |c|, stays in int64.
+# every line is scanned.  The kernels' reach, |c|, stays in int64.
 @pytest.mark.parametrize("c, joined", [(1 - (1 << 60), True), (-(1 << 60), False)], ids=["edge", "edge+1"])
 def test_join_at_its_key_guard(monkeypatch, c, joined):
     monkeypatch.setattr(incidence, "_JOIN_MIN_LINES", 1)
@@ -223,11 +236,9 @@ def test_join_at_its_key_guard(monkeypatch, c, joined):
     p = PlanarPointSet([(0, 0), (1, 0), (1, 1), (-1, 1), (1, -1)])
     lines = np.array([(1, 0, -1), (1, 1, 0), (1, 1, c)], dtype=np.int64)
     wm = WeightedBisectorMap(p.points, lines, np.array([2, 4, 6]))
-    xs, ys, den = p.scaled_int_coords()
-    assert _scan_dtype(xs, ys, den, lines) == np.int64
     assert 2 * (2 * -c + 1) - _I64_LIMIT == (-2 if joined else 2)
     assert weighted_incidences(p, wm) == 2 * 3 + 4 * 3
-    assert [len(args[3]) for args, _ in scans] == [0 if joined else 3]
+    assert [(args[2].dtype, len(args[4])) for args, _ in scans] == [(np.int64, 0 if joined else 3)]
 
 
 # Both offsets are 0, but (0, 1) projects to 1 on the direction (0, 1): a key
@@ -242,7 +253,7 @@ def test_join_keys_span_the_projections(monkeypatch):
     want = sum(w * sum(1 for x, y in p.points if a * x + b * y + c == 0)
                for (a, b, c), w in zip(rows, (2, 4)))
     assert weighted_incidences(p, wm) == want == 2 * 1 + 4 * 2
-    assert len(joins[0][1][1]) == 0  # both lines were joined
+    assert [len(args[5]) for args, _ in joins] == [2]  # both lines were joined
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,9 +275,9 @@ def test_st_report_internal_consistency(p):
 
 # The planar guard picks the coordinate dtype (int64 while the squared
 # distances' reach 8 M^2 and the bisector coefficients' reach 4 L M, for
-# scaled magnitude M, stay below _I64_LIMIT) and the scan's reach guard picks
-# the scan's dtype.  Each route is checked against the independent oracles on
-# both sides of each edge.
+# scaled magnitude M, stay below _I64_LIMIT), and the incidence reach picks
+# the dtype of the join and the scan.  Each route is checked against the
+# independent oracles on both sides of each edge.
 
 
 def check_against_oracles(p):
@@ -309,9 +320,19 @@ def test_common_denominator_at_the_planar_guard(den):
     check_against_oracles(p)
 
 
-def test_scan_trips_to_object_on_int64_coordinates():
-    # L = 797 * 809 * 811 keeps the coordinates int64 (4 L M < 2^56), while the
-    # cleared line coefficients push the scan's reach past 2^62
+def kernel_dtypes(monkeypatch):
+    """The dtype of the (u, v, t) columns that each call of the join, then
+    of the scan, reads."""
+    calls = {name: spy_on(monkeypatch, name) for name in ("_join_by_direction", "_scan_lines")}
+    return lambda: [args[5 if name == "_join_by_direction" else 4].dtype
+                    for name, seen in calls.items() for args, _ in seen]
+
+
+def test_object_reduction_feeds_int64_kernels(monkeypatch):
+    # L = 797 * 809 * 811 keeps the coordinates int64 (4 L M < 2^56), while
+    # |c| L passes 2^62, so the lines are reduced in Python ints; the reduced
+    # offsets -cL / gcd(a, b) fall back inside the reach of int64 kernels
+    dtypes = kernel_dtypes(monkeypatch)
     rng = random.Random(5)
     p = PlanarPointSet({(Fraction(rng.randint(-40, 40), rng.choice((797, 809, 811))),
                          Fraction(rng.randint(-40, 40), rng.choice((797, 809, 811))))
@@ -319,22 +340,24 @@ def test_scan_trips_to_object_on_int64_coordinates():
     xs, ys, den = p.scaled_int_coords()
     lines, _ = bisector_weight_map(p).line_arrays()
     assert xs.dtype == lines.dtype == np.int64
-    assert _scan_dtype(xs, ys, den, lines) == object
+    assert int(np.abs(lines[:, 2]).max()) * den >= _I64_LIMIT
     check_against_oracles(p)
+    assert dtypes() == [np.int64, np.int64]
 
 
 @pytest.mark.parametrize("reach", (_I64_LIMIT - 1, _I64_LIMIT, _I64_LIMIT + 1))
-def test_scan_at_its_reach_guard(reach):
-    # |coordinates| <= 1 and L = 1, so the reach is |a| + |b| + |c| = 2 + |c|
+def test_scan_at_its_reach_guard(monkeypatch, reach):
+    # |coordinates| <= 1 and L = 1, so the reach max(|t|, (|u| + |v|) M) is
+    # the offset of the third line, -c = reach; past the edge the lines are
+    # reduced in Python ints as well
+    dtypes = kernel_dtypes(monkeypatch)
     p = PlanarPointSet([(0, 0), (1, 0), (1, 1), (-1, 1), (1, -1)])
-    rows = [(1, 0, -1), (1, 1, 0), (1, 1, 2 - reach)]
-    lines = np.array(rows, dtype=np.int64)
-    wm = WeightedBisectorMap(p.points, lines, np.array([2, 4, 6]))
-    xs, ys, den = p.scaled_int_coords()
-    assert _scan_dtype(xs, ys, den, lines) == (np.int64 if reach < _I64_LIMIT else object)
+    rows = [(1, 0, -1), (1, 1, 0), (1, 1, -reach)]
+    wm = WeightedBisectorMap(p.points, np.array(rows, dtype=np.int64), np.array([2, 4, 6]))
     want = sum(w * sum(1 for x, y in p.points if a * x + b * y + c == 0)
                for (a, b, c), w in zip(rows, (2, 4, 6)))
     assert weighted_incidences(p, wm) == want == 2 * 3 + 4 * 3
+    assert dtypes() == [np.int64 if reach < _I64_LIMIT else object] * 2
 
 
 def spy_cache_blocks(monkeypatch):
@@ -373,7 +396,9 @@ def direction_classes(p, wm):
 # in direction classes of sizes 1, 1, 2, 2, 2, 3, 3, 4, 5, 5: joining the
 # classes of 3 or more lines leaves 5 directions to the join and 8 lines to
 # the scan, so each kernel crosses block edges and ends on a partial block.
-# At 10^25 the scan needs Python ints and takes all 61 lines.
+# At 10^25 the kernels run on Python ints, and the lattice Z^2 is finer than
+# the set's, so all 61 lines can hold a point: the join takes 10 directions
+# and the scan 16 lines.
 @pytest.mark.parametrize("scale", (1, Fraction(1, 3), 10**25))
 def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
@@ -389,10 +414,12 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     rep = st_bound_report(p, wm)
     assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
     want = {("_sq_dist_rows", 13, 13): [3, 3, 3, 3, 1]}
+    sizes = sorted(direction_classes(p, wm))
     if scale == 10**25:
-        want["_scan_lines", 61, 13] = [3] * 20 + [1]
+        assert sizes == [1] * 4 + [2] * 6 + [3] * 4 + [4, 5, 5, 6, 6, 7]
+        want["_join_by_direction", 10, 13] = [3, 3, 3, 1]
+        want["_scan_lines", 16, 13] = [3] * 5 + [1]
     else:
-        sizes = sorted(direction_classes(p, wm))
         assert sizes == [1, 1, 2, 2, 2, 3, 3, 4, 5, 5]
         want["_join_by_direction", 5, 13] = [3, 2]
         want["_scan_lines", 8, 13] = [3, 3, 2]
@@ -457,9 +484,9 @@ def test_rich_classes_match_the_radius_map(monkeypatch, p):
 
 # The radius-class pass, the join and the scan reduce each cache-sized block
 # on the spot: the triple count peaks at 2.1 MiB on its input, against 16.2
-# MiB with _CHUNK blocks.  The incidence route's peak is mostly the join's
-# arrays of one int64 per line that can hold a point: 0.35 MiB on grid(12)
-# and 2.0 MiB on grid(20), where 14,470 lines take the join and 60 the scan.
+# MiB with _CHUNK blocks.  The incidence route's peak is mostly its arrays
+# of one int64 per line that can hold a point: 0.39 MiB on grid(12) and
+# 2.4 MiB on grid(20), where 14,470 lines take the join and 60 the scan.
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
