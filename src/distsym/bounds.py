@@ -30,7 +30,7 @@ from .brackets import (
     ratio_bracket,
     sqrt_bracket,
 )
-from .errors import CapExceededError, EmptyInputError, TooFewPointsError
+from .errors import EmptyInputError, TooFewPointsError
 from .planar import PlanarPointSet, squared_distance_set, verify_product_identity
 from .scalar_sets import (
     Scalar,
@@ -49,8 +49,6 @@ from .scalar_sets import (
 VERDICT_HOLDS = "holds"
 VERDICT_HOLDS_WITH_CONSTANT = "holds-with-constant"
 VERDICT_VIOLATED = "violated"
-
-CHAIN_CAP_DEFAULT = 256
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,6 @@ def _first_occurrences(values: np.ndarray):
 
 def plunnecke_check(a: ScalarSet, m: int, n: int) -> BoundReport:
     """Fold growth |mA - nA| against (|A+A|/|A|)^(m+n) |A|, constant exactly 1."""
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError("fold counts must be nonnegative with m + n >= 1")
     if not a:
         raise EmptyInputError("fold growth of an empty set")
     lhs = len(iterated_combination(m, n, a))
@@ -195,7 +191,7 @@ def abc_lower_report(a: ScalarSet, b: ScalarSet, c: ScalarSet) -> BoundReport:
     )
 
 
-def thm1_report(a: ScalarSet, max_size: Optional[int] = CHAIN_CAP_DEFAULT) -> BoundReport:
+def thm1_report(a: ScalarSet) -> BoundReport:
     """Distance growth for cartesian squares: |D^2 + D^2| against |D|^(11/10),
     with every intermediate of the product-set chain recorded.
 
@@ -205,15 +201,12 @@ def thm1_report(a: ScalarSet, max_size: Optional[int] = CHAIN_CAP_DEFAULT) -> Bo
         |3D^2 - 2D^2| <= (|D^2 + D^2| / |D^2|)^5 |D^2|,
 
     are constant-free and are verified outright; |D|^(3/2) is bracketed for
-    the record.  The five-fold combination is the largest intermediate, hence
-    the size cap.
+    the record.  The five-fold combination is the largest intermediate; the
+    fold budget refuses any fold of the chain predicted to pass it, before
+    that fold allocates.
     """
     if not a:
         raise EmptyInputError("distance chain of an empty set")
-    if max_size is not None and len(a) > max_size:
-        raise CapExceededError(
-            f"chain input capped at {max_size} elements; the five-fold combination grows too fast"
-        )
     d = difference_set(a)
     dsq = elementwise_square(d)
     dist = iterated_combination(2, 0, dsq)

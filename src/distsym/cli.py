@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .bisectors import bisector_weight_map, extract_symmetric_subset
 from .bounds import (
-    CHAIN_CAP_DEFAULT,
     VERDICT_VIOLATED,
     abc_lower_report,
     guth_katz_ratio,
@@ -201,31 +200,30 @@ def _check_point_cap(n: int, cap: int) -> None:
         )
 
 
-def _abc(data, args, cap):
+def _abc(data, args):
     b = _read_scalars(args.input_b) if args.input_b else data
     c = _read_scalars(args.input_c) if args.input_c else data
     return abc_lower_report(data, b, c)
 
 
 # name: (reads points, default size cap or None, CSV header, report name,
-# run(data, args, cap) -> report); each runner looks its report function up
+# run(data, args) -> report); each runner looks its report function up
 # when called, so a rebound module name holds
 CHECKS = {
     "hanson": (False, None, BOUND_CSV_HEADER, "hanson-inclusion",
-               lambda data, args, cap: hanson_inclusion_check(data)),
+               lambda data, args: hanson_inclusion_check(data)),
     "plunnecke": (False, None, BOUND_CSV_HEADER, "plunnecke",
-                  lambda data, args, cap: plunnecke_check(data, args.m, args.n)),
+                  lambda data, args: plunnecke_check(data, args.m, args.n)),
     "abc": (False, None, BOUND_CSV_HEADER, "abc-lower", _abc),
-    "thm1": (False, CHAIN_CAP_DEFAULT, BOUND_CSV_HEADER, "thm1",
-             lambda data, args, cap: thm1_report(data, max_size=cap)),
+    "thm1": (False, None, BOUND_CSV_HEADER, "thm1", lambda data, args: thm1_report(data)),
     "guth-katz": (False, None, BOUND_CSV_HEADER, "guth-katz",
-                  lambda data, args, cap: guth_katz_ratio(data)),
+                  lambda data, args: guth_katz_ratio(data)),
     "product-identity": (False, None, BOUND_CSV_HEADER, "product-identity",
-                         lambda data, args, cap: product_identity_report(data)),
-    "thm2": (True, BISECTOR_MAP_CAP, BOUND_CSV_HEADER, "thm2", lambda data, args, cap: thm2_report(
+                         lambda data, args: product_identity_report(data)),
+    "thm2": (True, BISECTOR_MAP_CAP, BOUND_CSV_HEADER, "thm2", lambda data, args: thm2_report(
         data, args.include_zero_distance, args.include_fixed_points)[0]),
     "st": (True, BISECTOR_MAP_CAP, INCIDENCE_CSV_HEADER, "st",
-           lambda data, args, cap: st_bound_report(data, bisector_weight_map(data))),
+           lambda data, args: st_bound_report(data, bisector_weight_map(data))),
 }
 
 
@@ -237,7 +235,7 @@ def run_check(name: str, args, cap, data=None):
         data = (_read_points if reads_points else _read_scalars)(args.input)
     if reads_points:
         _check_point_cap(len(data), cap)
-    return run(data, args, cap)
+    return run(data, args)
 
 
 def _render(report, witness: bool = True):
@@ -270,9 +268,9 @@ def _parse_sizes(spec: str):
 
 def run_sweep(args):
     """One check across a family size range.  Returns (header, csv rows,
-    json rows, violated flag); a size past the cap, below the check's
-    minimum or past what a random family's range holds becomes a skipped
-    row, not a gap."""
+    json rows, violated flag); a size past the cap or the fold budget,
+    below the check's minimum or past what a random family's range holds
+    becomes a skipped row, not a gap."""
     name = args.check
     reads_points, default_cap, csv_header, report_name, _ = CHECKS[name]
     families, what = (POINT_FAMILIES, "point") if reads_points else (SCALAR_FAMILIES, "scalar")

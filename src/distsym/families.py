@@ -30,7 +30,7 @@ class FamilySpec:
     start: Optional[Union[int, Fraction]] = None  # 1 for geometric, else 0
     step: Union[int, Fraction] = 1
     ratio: Union[int, Fraction] = 2
-    n2: int = 1
+    n2: int = 2
     d1: Union[int, Fraction] = 1
     d2: Union[int, Fraction] = 1
     coord_range: int = 100
@@ -41,8 +41,16 @@ class FamilySpec:
 
 def generate_family(spec: FamilySpec):
     """Materialise a spec into a ScalarSet or PlanarPointSet."""
+    if spec.kind == "cartesian_of":
+        if spec.base is None:
+            raise ValueError("cartesian_of needs a base family")
+        base = generate_family(spec.base)
+        if not isinstance(base, ScalarSet):
+            raise ValueError("cartesian_of base must be a scalar family")
+        return cartesian_square(base)
+
+    _check_size(spec.n)
     if spec.kind == "ap":
-        _check_size(spec.n)
         step = as_scalar(spec.step)
         if step == 0:
             raise ValueError("ap step must be nonzero")
@@ -50,7 +58,6 @@ def generate_family(spec: FamilySpec):
         return ScalarSet(start + i * step for i in range(spec.n))
 
     if spec.kind == "gap2":
-        _check_size(spec.n)
         _check_size(spec.n2)
         d1, d2 = as_scalar(spec.d1), as_scalar(spec.d2)
         if d1 == 0 or d2 == 0:
@@ -60,7 +67,6 @@ def generate_family(spec: FamilySpec):
         )
 
     if spec.kind == "geometric":
-        _check_size(spec.n)
         start = as_scalar(1 if spec.start is None else spec.start)
         ratio = as_scalar(spec.ratio)
         if start == 0:
@@ -76,7 +82,6 @@ def generate_family(spec: FamilySpec):
         return ScalarSet(vals)
 
     if spec.kind == "random_int":
-        _check_size(spec.n)
         r = spec.coord_range
         if r < 0:
             raise ValueError("coordinate range must be nonnegative")
@@ -92,16 +97,7 @@ def generate_family(spec: FamilySpec):
         raise ValueError("dim must be 1 or 2")
 
     if spec.kind == "grid":
-        _check_size(spec.n)
         return cartesian_square(ScalarSet(range(spec.n)))
-
-    if spec.kind == "cartesian_of":
-        if spec.base is None:
-            raise ValueError("cartesian_of needs a base family")
-        base = generate_family(spec.base)
-        if not isinstance(base, ScalarSet):
-            raise ValueError("cartesian_of base must be a scalar family")
-        return cartesian_square(base)
 
     raise ValueError(f"unknown family kind: {spec.kind!r}")
 

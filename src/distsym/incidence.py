@@ -53,23 +53,28 @@ _SCAN_WORK_LIMIT = 10 ** 8
 _JOIN_MIN_LINES = 8
 
 
-def _radius_classes(p: PlanarPointSet):
-    """Per block of centres: the sizes of their rich (centre, radius)
-    classes, those of two or more points, read as runs of repeated values in
-    the flattened block of sorted distance rows.  No run crosses rows: each
-    row opens with its centre's own 0, and with distinct points only a lone
+def _radius_class_counts(p: PlanarPointSet):
+    """(T, rich): the sum of m(m-1) over the rich (centre, radius) classes,
+    those of m >= 2 points, and the number of those classes.  A block of
+    centres at a time, the classes are read as runs of repeated values in the
+    flattened block of sorted distance rows.  No run crosses rows: each row
+    opens with its centre's own 0, and with distinct points only a lone
     point's row ends at 0."""
     xs, ys, _ = p.scaled_int_coords()
+    t = rich = 0
     for d2 in _sq_dist_rows(xs, ys, scalar_sets._CACHE_BLOCK):
         d2.sort(axis=1)
-        yield repeat_runs(d2.ravel())
+        lens = repeat_runs(d2.ravel())
+        t += int((lens * (lens - 1)).sum())
+        rich += len(lens)
+    return t, rich
 
 
 def isosceles_count(p: PlanarPointSet) -> int:
     """T via radius multiplicities, O(N^2): sum over classes of m(m-1)."""
     if not p:
         raise EmptyInputError("triple count of an empty point set")
-    return sum(int((lens * (lens - 1)).sum()) for lens in _radius_classes(p))
+    return _radius_class_counts(p)[0]
 
 
 def isosceles_count_brute(p: PlanarPointSet, cap: int = BRUTE_CAP_DEFAULT) -> int:
@@ -227,10 +232,7 @@ def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceRe
     """
     check_weight_map(p, wmap)
     n = len(p)
-    t = rich = 0
-    for lens in _radius_classes(p):
-        t += int((lens * (lens - 1)).sum())
-        rich += len(lens)
+    t, rich = _radius_class_counts(p)
     if wmap.distinct_lines * n <= _SCAN_WORK_LIMIT:
         iw = weighted_incidences(p, wmap)
         if iw != t:

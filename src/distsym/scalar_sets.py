@@ -349,10 +349,8 @@ def difference_set(a: ScalarSet) -> ScalarSet:
 
 def iterated_combination(m: int, n: int, a: ScalarSet) -> ScalarSet:
     """m-fold sumset minus n-fold sumset of a, folded left one combine at a time."""
-    if m < 0 or n < 0:
-        raise ValueError("fold counts must be nonnegative")
-    if m + n == 0:
-        raise ValueError("m + n must be at least 1")
+    if m < 0 or n < 0 or m + n < 1:
+        raise ValueError("fold counts must be nonnegative with m + n >= 1")
     _require_nonempty(a)
     if m >= 1:
         acc, adds, subs = a, m - 1, n

@@ -29,6 +29,7 @@ from distsym.scalar_sets import (
     difference_set,
     dilate,
     int_dtype,
+    iterated_combination,
     pairwise_combine,
 )
 
@@ -196,6 +197,15 @@ def test_plunnecke_worked_examples():
     assert rep.verdict == VERDICT_HOLDS
 
 
+def test_fold_counts_are_checked_once_with_one_message():
+    a = ScalarSet([0, 1, 3])
+    message = r"^fold counts must be nonnegative with m \+ n >= 1$"
+    for fold in (lambda: plunnecke_check(a, 0, 0), lambda: iterated_combination(0, 0, a),
+                 lambda: iterated_combination(-1, 2, a)):
+        with pytest.raises(ValueError, match=message):
+            fold()
+
+
 @settings(max_examples=30, deadline=None)
 @given(int_sets, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
 def test_plunnecke_random(a, m, n):
@@ -253,11 +263,15 @@ def test_thm1_chain_sizes_worked_example():
 
 
 def test_thm1_cap():
-    big = generate_family(FamilySpec(kind="ap", n=300))
-    with pytest.raises(CapExceededError):
-        thm1_report(big)
-    rep = thm1_report(big, max_size=300)
+    # the fold budget is the chain's one size refusal: a long progression
+    # passes it, and 40 integers spread over +-10^6 do not
+    rep = thm1_report(generate_family(FamilySpec(kind="ap", n=300)))
     assert rep.verdict == VERDICT_HOLDS_WITH_CONSTANT
+    wide = ScalarSet(random.Random(3).sample(range(-10**6, 10**6 + 1), 40))
+    with pytest.raises(CapExceededError) as refused:
+        thm1_report(wide)
+    assert str(refused.value) == ("fold add of 609179 x 781 values predicts 475768799 values, "
+                                  "past the budget of 16777216")
 
 
 def test_guth_katz_known_brackets():

@@ -241,17 +241,32 @@ def test_out_absolute_path_ignores_out_dir(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "base").exists()
 
 
-def test_thm1_sweep_over_progressions_skips_past_the_cap(capsys):
-    code, out, _ = run(
-        capsys,
-        "sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:7", "--max-size", "5",
-    )
-    assert code == 0
-    rows = out.splitlines()
-    assert rows[0].startswith("input,")
+def test_thm1_sweep_over_progressions_ignores_max_size(capsys):
+    # thm1 has no size cap, only the fold budget, so --max-size leaves its bytes alone
+    argv = ("sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:7")
+    for fmt in ("csv", "json"):
+        uncapped = run(capsys, *argv, "--format", fmt)
+        assert run(capsys, *argv, "--max-size", "5", "--format", fmt) == uncapped
+        assert uncapped[0] == 0 and uncapped[2] == "" and "skipped" not in uncapped[1]
+    rows = run(capsys, *argv)[1].splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == [f"ap({n})" for n in range(3, 8)]
-    assert rows[3].startswith("ap(5),thm1,") and rows[3].endswith(",holds-with-constant")
-    assert rows[-2:] == [f"ap({n}),thm1,,,,,,skipped" for n in (6, 7)]
+    assert all(row.endswith(",holds-with-constant") for row in rows[1:])
+
+
+def test_check_thm1_runs_past_256_elements_and_stops_at_the_fold_budget(tmp_path, capsys):
+    ap = tmp_path / "ap257.txt"
+    ap.write_text("".join(f"{i}\n" for i in range(257)))
+    code, out, err = run(capsys, "check", "thm1", "--input", str(ap))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("thm1,") and out.endswith(",holds-with-constant\n")
+    # 40 integers spread over +-10^6 pass no cap, and the budget refuses them
+    wide = tmp_path / "wide.txt"
+    run(capsys, "gen", "--kind", "random-int", "--n", "40", "--range", "1000000", "--seed", "3",
+        "--out", str(wide))
+    code, out, err = run(capsys, "check", "thm1", "--input", str(wide))
+    assert (code, out) == (2, "")
+    assert err == ("error: fold add of 609179 x 781 values predicts 475768799 values, "
+                   "past the budget of 16777216\n")
 
 
 def test_verify_passes(capsys):
@@ -334,7 +349,7 @@ OUT_OF_MEMORY = {
     "sweep-hanson": ("distsym.scalar_sets._sorted_unique",
                      "sweep --check hanson --family ap --sizes 3:4", ""),
     "sweep-thm1": ("distsym.scalar_sets._sorted_unique",
-                   "sweep --check thm1 --family ap --sizes 3:4", HINT),
+                   "sweep --check thm1 --family ap --sizes 3:4", ""),
     "isosceles": ("distsym.cli.isosceles_count", "isosceles --input GRID3", ""),
     "isosceles-brute": ("distsym.cli.isosceles_count_brute",
                         "isosceles --brute --input GRID3", HINT),
@@ -401,8 +416,6 @@ def test_check_stdout_digest(tmp_path, capsys, name, fmt):
 
 # one capped sweep per check with a cap; each has a skipped row
 SWEEP_DIGESTS = {
-    ("thm1", "ap", "3:7", "5", "csv"): "68bbb46bc1ca2420a3518ce6812b545d3afec9f45e0e3941ce996faecb5eb727",
-    ("thm1", "ap", "3:7", "5", "json"): "52d5155f0d8fa26292ca90ef86073971212d1724b433c461fe61769159906157",
     ("thm2", "grid", "2:4", "9", "csv"): "33aeabe22e981404f9bbaf983e63a212cb48f89601882283d659c1f6a91f889c",
     ("thm2", "grid", "2:4", "9", "json"): "8161bb48006a2dc7b3dd9c037e9d9372040a604a14c88bced11dbfddefd572b6",
     ("st", "grid", "2:4", "9", "csv"): "73b448db000c7db799c3c013132281c43543f0f2e65620321679eacfab99c507",
@@ -464,10 +477,10 @@ def test_symmetry_refuses_a_set_past_its_cap(tmp_path, capsys):
 
 
 def test_sweep_warns_once_when_the_cap_is_raised(capsys):
-    code, _, err = run(capsys, "sweep", "--check", "thm1", "--family", "ap", "--sizes", "3:6",
-                       "--max-size", "300")
+    code, _, err = run(capsys, "sweep", "--check", "st", "--family", "grid", "--sizes", "2:5",
+                       "--max-size", "6000")
     assert code == 0
-    assert err == "warning: cap raised from 256 to 300; runtime and memory grow quickly\n"
+    assert err == "warning: cap raised from 5000 to 6000; runtime and memory grow quickly\n"
 
 
 GEN_CASES = [
@@ -493,6 +506,16 @@ def test_gen_matches_the_family_spec(tmp_path, capsys, argv, spec):
     out = tmp_path / "family.txt"
     assert run(capsys, "gen", "--kind", *argv.split(), "--out", str(out))[0] == 0
     fam = generate_family(spec)
+    to_text = scalar_set_to_text if isinstance(fam, ScalarSet) else point_set_to_text
+    assert out.read_text() == to_text(fam)
+
+
+@pytest.mark.parametrize("kind", ["ap", "gap2", "geometric", "random-int", "grid"])
+def test_gen_and_a_bare_spec_share_their_defaults(tmp_path, capsys, kind):
+    # gen --kind K --n 4 writes the family of the spec that names only K and n
+    out = tmp_path / "family.txt"
+    assert run(capsys, "gen", "--kind", kind, "--n", "4", "--out", str(out))[0] == 0
+    fam = generate_family(FamilySpec(kind.replace("-", "_"), n=4))
     to_text = scalar_set_to_text if isinstance(fam, ScalarSet) else point_set_to_text
     assert out.read_text() == to_text(fam)
 

@@ -471,10 +471,16 @@ def test_rich_classes_match_the_radius_map(monkeypatch, p):
     monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
     mults = [m for counts in radius_multiplicity_map(p).by_center.values() for m in counts.values()]
     rich = sorted(m for m in mults if m >= 2)
-    blocks = list(incidence._radius_classes(p))
+    blocks = []
+
+    def spy(values):
+        blocks.append(scalar_sets.repeat_runs(values))
+        return blocks[-1]
+    monkeypatch.setattr(incidence, "repeat_runs", spy)
+    t = sum(m * (m - 1) for m in mults)
+    assert incidence._radius_class_counts(p) == (t, len(rich))
     assert len(blocks) == -(-len(p) // max(1, 40 // len(p)))  # one per block of rows
     assert sorted(np.concatenate(blocks).tolist()) == rich
-    t = sum(m * (m - 1) for m in mults)
     assert isosceles_count(p) == t
     if len(p) >= 2:
         rep = st_bound_report(p, bisector_weight_map(p))

@@ -2,10 +2,13 @@
 kernels they check: none of them references the run, block or key helpers
 of the fast paths, directly or in a nested comprehension."""
 
+import importlib
+import pkgutil
 import types
 
 import pytest
 
+import distsym
 from conftest import per_pair_weights
 from distsym.bisectors import reflect_point
 from distsym.bounds import hanson_witness
@@ -22,7 +25,7 @@ FAST_PATH_HELPERS = {
     "repeat_runs",
     "unique_blocks",
     "_row_key",
-    "_radius_classes",
+    "_radius_class_counts",
     "_first_occurrences",
     "_bitset_sum",
     "_sorted_unique",
@@ -55,3 +58,11 @@ def referenced_names(code: types.CodeType) -> set:
 ], ids=lambda f: f.__name__)
 def test_oracles_share_no_counting_logic(oracle):
     assert not referenced_names(oracle.__code__) & FAST_PATH_HELPERS
+
+
+def test_every_fast_path_helper_is_defined():
+    # a renamed helper would otherwise drop out of the check above unseen
+    modules = (importlib.import_module(f"distsym.{m.name}")
+               for m in pkgutil.iter_modules(distsym.__path__))
+    defined = set().union(*map(vars, modules))
+    assert FAST_PATH_HELPERS - defined == set()
