@@ -212,7 +212,10 @@ def thm1_report(a: ScalarSet) -> BoundReport:
     dist = iterated_combination(2, 0, dsq)
     lhs = len(dist)
     chain_lhs = pairwise_combine(dilate(2, pairwise_combine(d, d, "multiply")), dsq, "add")
-    chain_mid = iterated_combination(3, 2, dsq)
+    # 3D^2 - 2D^2 folded on from dist = D^2 + D^2, in iterated_combination's order
+    chain_mid = pairwise_combine(dist, dsq, "add")
+    for _ in range(2):
+        chain_mid = pairwise_combine(chain_mid, dsq, "subtract")
     inclusion = chain_lhs.issubset(chain_mid)
     plun_rhs = Fraction(lhs, len(dsq)) ** 5 * len(dsq)
     plun_ok = len(chain_mid) <= plun_rhs

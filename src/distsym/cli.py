@@ -111,10 +111,9 @@ def _warn(msg: str) -> None:
 
 
 def _cap(args, default):
-    """The size cap for a command: --max-size, else the default; None for a
-    check without a cap, which ignores --max-size."""
+    """The size cap for a command: --max-size, else the default."""
     cap = getattr(args, "max_size", None)
-    if cap is None or default is None:
+    if cap is None:
         return default
     if cap > default:
         _warn(f"cap raised from {default} to {cap}; runtime and memory grow quickly")
@@ -206,31 +205,39 @@ def _abc(data, args):
     return abc_lower_report(data, b, c)
 
 
-# name: (reads points, default size cap or None, CSV header, report name,
-# run(data, args) -> report); each runner looks its report function up
-# when called, so a rebound module name holds
+# name: (reads points, CSV header, report name, run(data, args) -> report);
+# a check that reads points is capped at BISECTOR_MAP_CAP (see _check_cap).
+# Each runner looks its report function up when called, so a rebound module
+# name holds
 CHECKS = {
-    "hanson": (False, None, BOUND_CSV_HEADER, "hanson-inclusion",
+    "hanson": (False, BOUND_CSV_HEADER, "hanson-inclusion",
                lambda data, args: hanson_inclusion_check(data)),
-    "plunnecke": (False, None, BOUND_CSV_HEADER, "plunnecke",
+    "plunnecke": (False, BOUND_CSV_HEADER, "plunnecke",
                   lambda data, args: plunnecke_check(data, args.m, args.n)),
-    "abc": (False, None, BOUND_CSV_HEADER, "abc-lower", _abc),
-    "thm1": (False, None, BOUND_CSV_HEADER, "thm1", lambda data, args: thm1_report(data)),
-    "guth-katz": (False, None, BOUND_CSV_HEADER, "guth-katz",
+    "abc": (False, BOUND_CSV_HEADER, "abc-lower", _abc),
+    "thm1": (False, BOUND_CSV_HEADER, "thm1", lambda data, args: thm1_report(data)),
+    "guth-katz": (False, BOUND_CSV_HEADER, "guth-katz",
                   lambda data, args: guth_katz_ratio(data)),
-    "product-identity": (False, None, BOUND_CSV_HEADER, "product-identity",
+    "product-identity": (False, BOUND_CSV_HEADER, "product-identity",
                          lambda data, args: product_identity_report(data)),
-    "thm2": (True, BISECTOR_MAP_CAP, BOUND_CSV_HEADER, "thm2", lambda data, args: thm2_report(
+    "thm2": (True, BOUND_CSV_HEADER, "thm2", lambda data, args: thm2_report(
         data, args.include_zero_distance, args.include_fixed_points)[0]),
-    "st": (True, BISECTOR_MAP_CAP, INCIDENCE_CSV_HEADER, "st",
+    "st": (True, INCIDENCE_CSV_HEADER, "st",
            lambda data, args: st_bound_report(data, bisector_weight_map(data))),
 }
 
 
+def _check_cap(name: str, args):
+    """The size cap of a named check: the bisector-map cap, or --max-size,
+    for a check that reads points; None for a scalar check, whose only size
+    rule is the fold budget."""
+    return _cap(args, BISECTOR_MAP_CAP) if CHECKS[name][0] else None
+
+
 def run_check(name: str, args, cap, data=None):
     """One named check on data, or else on the --input file, under the cap
-    _cap resolved for it.  Returns the report."""
-    reads_points, _, _, _, run = CHECKS[name]
+    _check_cap resolved for it.  Returns the report."""
+    reads_points, _, _, run = CHECKS[name]
     if data is None:
         data = (_read_points if reads_points else _read_scalars)(args.input)
     if reads_points:
@@ -248,8 +255,8 @@ def _render(report, witness: bool = True):
 
 
 def cmd_check(args) -> int:
-    _, default_cap, header, _, _ = CHECKS[args.name]
-    report = run_check(args.name, args, _cap(args, default_cap))
+    header = CHECKS[args.name][1]
+    report = run_check(args.name, args, _check_cap(args.name, args))
     row, json_payload, violated = _render(report)
     _emit_formatted(args, json_payload, lambda: (header, [row]))
     return 1 if violated else 0
@@ -272,11 +279,11 @@ def run_sweep(args):
     below the check's minimum or past what a random family's range holds
     becomes a skipped row, not a gap."""
     name = args.check
-    reads_points, default_cap, csv_header, report_name, _ = CHECKS[name]
+    reads_points, csv_header, report_name, _ = CHECKS[name]
     families, what = (POINT_FAMILIES, "point") if reads_points else (SCALAR_FAMILIES, "scalar")
     if args.family not in families:
         raise ValueError(f"check {name!r} needs a {what} family, not {args.family!r}")
-    cap = _cap(args, default_cap)
+    cap = _check_cap(name, args)
     header = ["input", *csv_header]
     if "verdict" not in csv_header:
         header.append("status")  # bound rows have their verdict for a status
@@ -441,7 +448,7 @@ def main(argv=None) -> int:
     except MemoryError:
         check = getattr(args, "name", None) or getattr(args, "check", None)
         capped = args.command == "symmetry" or getattr(args, "brute", False) or (
-            check is not None and CHECKS[check][1] is not None)
+            check is not None and CHECKS[check][0])
         hint = " or a lower --max-size" if capped else ""
         print(f"error: out of memory in {args.command}; try a smaller input{hint}",
               file=sys.stderr)

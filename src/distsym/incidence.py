@@ -11,6 +11,12 @@ The multiplicity route reads the rich (centre, radius) classes, those of two
 or more points, off sorted distance rows with scalar_sets.repeat_runs; the
 singleton classes add nothing to T or to the rich count and are never
 materialised.  st_bound_report takes T and the rich count from that one pass.
+It runs on the reduced lattice, the cleared points translated to their
+minimum and divided by their gcd, whose squared distances are at most
+W^2 + H^2 for the reduced box's widths.  On int64 it sorts 32-bit rows of
+residues mod 2^32, which are the distances below 2^32; above, only the rows
+that repeat a residue can hold a rich class, and only they are recomputed
+in int64 (see _radius_class_counts for why each route is exact).
 
 The incidence route reduces every line once to its direction form
 uX + vY = t and drops the lines that hold no cleared point.  It joins the
@@ -24,9 +30,9 @@ The three row-local kernels here, the radius-class pass, the join and the
 scan, reduce each block of pair values to a few integers and drop it, so
 they take cache-sized blocks of scalar_sets._CACHE_BLOCK values rather than
 the _CHUNK blocks of the kernels that merge theirs.  At N = 4000 a _CHUNK
-block of distances is 33.5 MB, and the triple count faulted 37.9k pages per
-call in the planar benchmark; with cache-sized blocks it faults none there
-and takes half the time (see _CACHE_BLOCK).
+block of int64 distances is 33.5 MB, and the triple count faulted 37.9k
+pages per call in the planar benchmark; with cache-sized blocks it faulted
+none there and took half the time (see _CACHE_BLOCK).
 """
 
 from __future__ import annotations
@@ -53,17 +59,61 @@ _SCAN_WORK_LIMIT = 10 ** 8
 _JOIN_MIN_LINES = 8
 
 
+def _reduced_lattice(p: PlanarPointSet):
+    """(xs, ys, reach): p's cleared coordinates translated to their minimum
+    and divided by their common gcd g (g = 1 for a single point), with reach
+    = W^2 + H^2 for the widths W and H of the reduced box, the largest
+    squared distance.  The columns are in int_dtype(reach).  The map is a
+    similarity, so it scales every squared distance by the same (L / g)^2
+    and keeps which of them are equal."""
+    xs, ys, _ = p.scaled_int_coords()
+    xs, ys = xs - xs.min(), ys - ys.min()
+    g = int(np.gcd.reduce(np.concatenate((xs, ys)))) or 1
+    if g > 1:
+        xs //= g
+        ys //= g
+    reach = int(xs.max()) ** 2 + int(ys.max()) ** 2
+    dtype = int_dtype(reach)
+    return xs.astype(dtype, copy=False), ys.astype(dtype, copy=False), reach
+
+
 def _radius_class_counts(p: PlanarPointSet):
     """(T, rich): the sum of m(m-1) over the rich (centre, radius) classes,
     those of m >= 2 points, and the number of those classes.  A block of
     centres at a time, the classes are read as runs of repeated values in the
     flattened block of sorted distance rows.  No run crosses rows: each row
     opens with its centre's own 0, and with distinct points only a lone
-    point's row ends at 0."""
-    xs, ys, _ = p.scaled_int_coords()
-    t = rich = 0
-    for d2 in _sq_dist_rows(xs, ys, scalar_sets._CACHE_BLOCK):
+    point's row ends at 0.
+
+    Exactness.  The rows are those of the reduced lattice
+    (_reduced_lattice): its squared distances are at most reach, and two of
+    them are equal iff the same two distances of p are.  On int64 coordinates
+    the rows are computed in uint32 arithmetic, which is arithmetic mod 2^32,
+    so each entry is its squared distance's residue mod 2^32; 32-bit rows are
+    computed and sorted about twice as fast as 64-bit ones.  Equal distances
+    have equal residues, so residue equality is necessary for equality, and a
+    row whose sorted residues are all distinct holds no rich class.  Where
+    reach < 2^32 each distance is its own residue, so equality of residues
+    is also sufficient and the residue rows are counted as they are.
+    Otherwise only the rows that repeat a residue are recomputed in int64,
+    which holds every value up to reach since int_dtype admitted it, and
+    counted; a block without such a row adds nothing.  Object coordinates
+    give exact rows of Python ints.  No float is compared anywhere."""
+    xs, ys, reach = _reduced_lattice(p)
+    if xs.dtype == object:
+        cols, exact = (xs, ys), True
+    else:
+        cols, exact = (xs.astype(np.uint32), ys.astype(np.uint32)), reach < 1 << 32
+    t = rich = start = 0
+    for d2 in _sq_dist_rows(*cols, scalar_sets._CACHE_BLOCK):
         d2.sort(axis=1)
+        if not exact:
+            again = start + np.flatnonzero((d2[:, 1:] == d2[:, :-1]).any(axis=1))
+            start += len(d2)
+            if not len(again):
+                continue
+            d2 = (xs[again, None] - xs) ** 2 + (ys[again, None] - ys) ** 2
+            d2.sort(axis=1)
         lens = repeat_runs(d2.ravel())
         t += int((lens * (lens - 1)).sum())
         rich += len(lens)

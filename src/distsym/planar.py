@@ -132,7 +132,9 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
 
 def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int | None = None):
     """Squared distances from a block of centres to every point, as (rows, N)
-    arrays of about block values (row_blocks' default, _CHUNK, unless given).
+    arrays of about block values (row_blocks' default, _CHUNK, unless given),
+    in the dtype of xs and ys.  uint32 input yields the distances' residues
+    mod 2^32, since uint32 arithmetic wraps.
     Every block is written into the leading rows of one of two buffers
     allocated once, so each yielded block is overwritten by the next: a
     consumer copies or reduces a block before it asks for the next one.

@@ -40,13 +40,19 @@ _I64_LIMIT = 1 << 62
 _CHUNK = 1 << 22
 # values per block in the row-local kernels that reduce each block to a few
 # integers on the spot and drop it: the radius-class pass and the incidence
-# join and scan.  At int64 a block is 512 KiB, so it and its one or two
-# temporaries of the same shape stay inside a 2 MiB L2.  A _CHUNK block of distances at
-# N = 4000 is 33.5 MB, and in the planar benchmark's job list (2-core host,
-# numpy 2.4) isosceles_count at N = 4000 took 0.30-0.39 s and 37.9k minor
-# page faults per call with _CHUNK blocks, and 0.15-0.17 s and none with
-# these (sorting 0.141 -> 0.108 s, the distance arithmetic 0.164 -> 0.033 s);
-# of 2^14 to 2^22 values, 2^14 to 2^16 were fastest, 2^16 by a little.
+# join and scan.  At int64 a block is 512 KiB (256 KiB for the radius-class
+# pass's 32-bit rows), so it and its one or two temporaries of the same shape
+# stay inside a 2 MiB L2.  A _CHUNK block of int64 distances at N = 4000 is
+# 33.5 MB, and in the planar benchmark's job list (2-core host, numpy 2.4)
+# isosceles_count at N = 4000 on int64 rows took 0.30-0.39 s and 37.9k minor
+# page faults per call with _CHUNK blocks, and none with these (sorting
+# 0.141 -> 0.108 s, the distance arithmetic 0.164 -> 0.033 s); of 2^14 to
+# 2^22 values, 2^14 to 2^16 were fastest, 2^16 by a little.  The job now
+# takes 0.057-0.061 s on 32-bit rows, against 0.119-0.131 s on int64 rows
+# (fastest run of each of ten benchmark runs a side), and 2^16 still
+# measures best: in process, best of 9, the pass took 61.7, 57.6,
+# 55.7, 58.9 and 58.5 ms at 2^14 to 2^18 values on 4000 random points in
+# +-10^6, and 5.4, 5.1, 5.2, 6.1 and 8.1 ms on grid(30).
 # planar._sq_dist_rows writes these blocks into two buffers made once per
 # call, so a fresh process faults about 220 pages per such call (0.17 s), not
 # the 27.5k (0.26 s) of a fresh pair of arrays per block.

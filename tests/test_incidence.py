@@ -26,7 +26,12 @@ from distsym.incidence import (
     st_bound_report,
     weighted_incidences,
 )
-from distsym.planar import PlanarPointSet, radius_multiplicity_map, squared_distance_set
+from distsym.planar import (
+    PlanarPointSet,
+    cartesian_square,
+    radius_multiplicity_map,
+    squared_distance_set,
+)
 from distsym.scalar_sets import _I64_LIMIT
 
 TRIANGLE = PlanarPointSet([(0, 0), (1, 0), (0, 1)])
@@ -488,11 +493,109 @@ def test_rich_classes_match_the_radius_map(monkeypatch, p):
         assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
 
 
+def counted_rows(monkeypatch):
+    """(dtype, rows) of each block of sorted distance rows that the
+    radius-class pass reads its classes from (one repeat_runs call each)."""
+    seen = []
+
+    def spy(values):
+        seen.append(values)
+        return scalar_sets.repeat_runs(values)
+    monkeypatch.setattr(incidence, "repeat_runs", spy)
+    return lambda n: [(v.dtype, len(v) // n) for v in seen]
+
+
+def radius_oracles(p):
+    """(T, rich) from radius_multiplicity_map, with T checked against the
+    cubic count."""
+    mults = [m for counts in radius_multiplicity_map(p).by_center.values() for m in counts.values()]
+    t = sum(m * (m - 1) for m in mults)
+    assert isosceles_count_brute(p, cap=None) == t
+    return t, sum(m >= 2 for m in mults)
+
+
+# (2^28 + 4)^2 - (2^28 - 4)^2 = 4 * 2^28 * 4 = 2^32, so the origin sees its
+# two far points at one residue mod 2^32: its row is recomputed in int64,
+# where they fall into classes of their own.  (2^28, 5) sees both at 41, the
+# one rich class, and the other two rows repeat no residue.
+def test_distances_2_to_the_32_apart_are_counted_apart(monkeypatch):
+    h = 1 << 28
+    p = PlanarPointSet([(0, 0), (h - 4, 0), (h + 4, 0), (h, 5)])
+    assert (h + 4) ** 2 - (h - 4) ** 2 == 1 << 32
+    rows = counted_rows(monkeypatch)
+    assert incidence._radius_class_counts(p) == radius_oracles(p) == (2, 1)
+    assert rows(len(p)) == [(np.int64, 2)]
+
+
+# The route follows reach = W^2 + H^2 of the reduced box.  Below 2^32 the
+# residue rows are the distance rows: 2^32 - 3 = 63982^2 + 14187^2.  At 2^32
+# the ends of the segment see each other at 2^32, the residue of their own 0,
+# so only their two rows are recomputed, and no class is found.  Below 2^62
+# the same holds for (2^31 - 1)^2, the residue of 1; at 2^62 the rows are
+# Python ints.
+@pytest.mark.parametrize("points, reach, route", [
+    ([(0, 0), (1, 0), (63982, 0), (0, 14187), (63982, 14187)], (1 << 32) - 3, [(np.uint32, 5)]),
+    ([(0, 0), (1, 0), ((1 << 16) - 1, 0), (1 << 16, 0)], 1 << 32, [(np.int64, 2)]),
+    ([(0, 0), (1, 0), ((1 << 31) - 2, 0), ((1 << 31) - 1, 0)], ((1 << 31) - 1) ** 2, [(np.int64, 2)]),
+    ([(0, 0), (1, 0), ((1 << 31) - 1, 0), (1 << 31, 0)], 1 << 62, [(object, 4)]),
+], ids=["2^32-3", "2^32", "2^62-2^32+1", "2^62"])
+def test_radius_route_at_its_edges(monkeypatch, points, reach, route):
+    p = PlanarPointSet(points)
+    assert incidence._reduced_lattice(p)[2] == reach
+    rows = counted_rows(monkeypatch)
+    assert incidence._radius_class_counts(p) == radius_oracles(p)
+    assert rows(len(p)) == route
+
+
+# T and the rich count depend on the set only up to similarity, and the
+# pass reduces every copy of grid(6) to grid(6) itself: 10^25 leaves the
+# object path and counts on 32-bit rows.
+GRID6_COUNTS = (2416, 412)
+
+
+@pytest.mark.parametrize("scale, shift", [
+    (1, (0, 0)), (10**4, (7, -3)), (Fraction(1, 3), (0, 0)), (10**25, (0, 0)),
+], ids=["grid6", "1e4+shift", "thirds", "1e25"])
+def test_similar_grids_count_alike(monkeypatch, scale, shift):
+    p = PlanarPointSet([(x * scale + shift[0], y * scale + shift[1])
+                        for x, y in generate_family(FamilySpec(kind="grid", n=6)).points])
+    assert p.scaled_int_coords()[0].dtype == (object if scale == 10**25 else np.int64)
+    xs, ys, reach = incidence._reduced_lattice(p)
+    assert xs.dtype == ys.dtype == np.int64 and reach == 50
+    rows = counted_rows(monkeypatch)
+    assert incidence._radius_class_counts(p) == radius_oracles(p) == GRID6_COUNTS
+    assert rows(len(p)) == [(np.uint32, 36)]
+
+
+# Every row of a cartesian square repeats a distance: (a, a) and (b, b) are
+# both |a - b| from (a, b), and (a, a) sees (x, y) and (y, x) alike.  With
+# ratio 2 the reduced box stays below 2^32 and the residue rows are counted;
+# with ratio 16 it is about 2^49 (the translated coordinates 16^k - 1 share
+# the gcd 15), so every row is flagged and recomputed in int64.
+@pytest.mark.parametrize("ratio, dtype", [(2, np.uint32), (16, np.int64)])
+def test_geometric_square_counts_every_row(monkeypatch, ratio, dtype):
+    p = cartesian_square(generate_family(FamilySpec(kind="geometric", n=8, ratio=ratio)))
+    rows = counted_rows(monkeypatch)
+    assert incidence._radius_class_counts(p) == radius_oracles(p)
+    assert rows(len(p)) == [(dtype, 64)]
+
+
+@pytest.mark.parametrize("point", [(3, 4), (Fraction(1, 3), -7), (10**25, 1)])
+def test_one_point_reduces_to_the_origin(monkeypatch, point):
+    p = PlanarPointSet([point])
+    xs, ys, reach = incidence._reduced_lattice(p)
+    assert (xs.tolist(), ys.tolist(), reach) == ([0], [0], 0)
+    rows = counted_rows(monkeypatch)
+    assert incidence._radius_class_counts(p) == radius_oracles(p) == (0, 0)
+    assert rows(1) == [(np.uint32, 1)]
+
+
 # The radius-class pass, the join and the scan reduce each cache-sized block
-# on the spot: the triple count peaks at 2.1 MiB on its input, against 16.2
-# MiB with _CHUNK blocks.  The incidence route's peak is mostly its arrays
-# of one int64 per line that can hold a point: 0.39 MiB on grid(12) and
-# 2.4 MiB on grid(20), where 14,470 lines take the join and 60 the scan.
+# on the spot: the triple count peaks at 0.65 MiB on its input with 32-bit
+# rows (1.1 MiB with int64 rows), against 8.7 MiB with _CHUNK blocks.  The
+# incidence route's peak is mostly its arrays of one int64 per line that can
+# hold a point: 0.39 MiB on grid(12) and 2.4 MiB on grid(20), where 14,470
+# lines take the join and 60 the scan.
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:

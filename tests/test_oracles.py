@@ -26,6 +26,7 @@ FAST_PATH_HELPERS = {
     "unique_blocks",
     "_row_key",
     "_radius_class_counts",
+    "_reduced_lattice",
     "_first_occurrences",
     "_bitset_sum",
     "_sorted_unique",
