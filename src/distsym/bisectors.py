@@ -176,29 +176,57 @@ def _pair_bisectors(xs, ys, sq, den: int, rows: slice, a, b, c) -> int:
     """Write the canonical bisector rows (a, b, c) of the point pairs i < j
     with i in rows to the start of the columns a, b, c and return how many
     were written; the block's differences and gcd temporaries die with the
-    call."""
+    call.
+
+    xs and ys are the cleared coordinates, translated so that their
+    differences fit their dtype, which may be narrower than the columns'
+    (_difference_coords).  The points are sorted by (x, y), so every pair
+    i < j has dx >= 0, and dy > 0 where dx = 0: the row comes out with a
+    positive first nonzero entry and needs no sign normalisation.  With
+    g0 = gcd(dx, dy), which divides c = |P|^2 - |Q|^2, and (u, v) = (dx, dy)
+    / g0 coprime, gcd(2L dx, 2L dy, c) = g0 h for h = gcd(2L, c / g0), and
+    the canonical row is (2L u, 2L v, c / g0) / h.  For L = 1, h is 2 when
+    c / g0 is even and 1 when odd."""
     idx = np.arange(len(xs))
     upper = (idx[rows, None] < idx[None, :]).ravel()
     k = int(np.count_nonzero(upper))
     a, b, c = a[:k], b[:k], c[:k]
-    # boolean indexing and a copy: np.compress(..., out=) goes through a
-    # buffered take, 5.0 against 2.3 ms a column at N = 1000
-    a[...] = (xs[None, :] - xs[rows, None]).ravel()[upper]
-    b[...] = (ys[None, :] - ys[rows, None]).ravel()[upper]
+    # boolean indexing: np.compress(..., out=) goes through a buffered take,
+    # 5.0 against 2.3 ms a column at N = 1000
     c[...] = (sq[rows, None] - sq[None, :]).ravel()[upper]
-    a *= 2 * den
-    b *= 2 * den
-    # np.gcd ignores signs
-    g = np.gcd(a, b)
-    np.gcd(g, c, out=g)
-    a //= g
-    b //= g
+    dx = (xs[None, :] - xs[rows, None]).ravel()[upper]
+    dy = (ys[None, :] - ys[rows, None]).ravel()[upper]
+    g = np.gcd(dx, dy)
+    dx //= g
+    dy //= g
     c //= g
-    neg = (a < 0) | ((a == 0) & (b < 0))
-    np.negative(a, where=neg, out=a)
-    np.negative(b, where=neg, out=b)
-    np.negative(c, where=neg, out=c)
+    del g
+    if den == 1:
+        # odd c / g0 doubles (u, v), even c / g0 halves c
+        odd = c & 1
+        np.left_shift(dx, odd, out=a)
+        np.left_shift(dy, odd, out=b)
+        odd ^= 1
+        c >>= odd
+    else:
+        h = np.gcd(c, 2 * den)
+        c //= h
+        np.floor_divide(2 * den, h, out=h)
+        np.multiply(dx, h, out=a)
+        np.multiply(dy, h, out=b)
     return k
+
+
+def _difference_coords(xs: np.ndarray, ys: np.ndarray):
+    """xs and ys translated to their minimum, as int32 when both box widths
+    are below 2^31, so that every difference of two entries fits int32; else
+    in their own dtype.  int64 coordinates always pass, since 8 M^2 < 2^62
+    keeps their magnitudes M below 2^29.5; object ones pass where their box
+    is narrow."""
+    xs, ys = xs - xs.min(), ys - ys.min()
+    if max(int(xs.max()), int(ys.max())) < 1 << 31:
+        return xs.astype(np.int32), ys.astype(np.int32)
+    return xs, ys
 
 
 def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
@@ -215,9 +243,10 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     sq = xs * xs + ys * ys
     m = n * (n - 1) // 2
     cols = [np.empty(m, dtype=xs.dtype) for _ in range(3)]
+    dxs, dys = _difference_coords(xs, ys)
     done = 0
     for rows in row_blocks(n, n):
-        done += _pair_bisectors(xs, ys, sq, den, rows, *(col[done:] for col in cols))
+        done += _pair_bisectors(dxs, dys, sq, den, rows, *(col[done:] for col in cols))
     # the key keeps its high bits and carries the row index in the low ones,
     # so one in-place sort of it yields both the key order and the rows' order
     key = _row_key(*cols)

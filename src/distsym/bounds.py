@@ -203,7 +203,10 @@ def thm1_report(a: ScalarSet) -> BoundReport:
     are constant-free and are verified outright; |D|^(3/2) is bracketed for
     the record.  The five-fold combination is the largest intermediate; the
     fold budget refuses any fold of the chain predicted to pass it, before
-    that fold allocates.
+    that fold allocates.  Its last fold, 3D^2 - D^2 minus D^2, is refused up
+    front, once D^2 + D^2 exists: 3D^2 - D^2 contains 2D^2, and with 0 in
+    D^2 the fold spans 5 max D^2, so it predicts at least
+    min(|2D^2| |D^2|, 5 max D^2 + 1) values.
     """
     if not a:
         raise EmptyInputError("distance chain of an empty set")
@@ -211,6 +214,8 @@ def thm1_report(a: ScalarSet) -> BoundReport:
     dsq = elementwise_square(d)
     dist = iterated_combination(2, 0, dsq)
     lhs = len(dist)
+    check_fold_budget("3D^2 - 2D^2", lhs, len(dsq),
+                      min(lhs * len(dsq), 5 * int(dsq.numerators[-1]) + 1))
     chain_lhs = pairwise_combine(dilate(2, pairwise_combine(d, d, "multiply")), dsq, "add")
     # 3D^2 - 2D^2 folded on from dist = D^2 + D^2, in iterated_combination's order
     chain_mid = pairwise_combine(dist, dsq, "add")

@@ -45,7 +45,7 @@ from . import scalar_sets
 from .bisectors import WeightedBisectorMap, check_weight_map
 from .brackets import Bracket, nth_root_bracket, ratio_bracket
 from .errors import CapExceededError, EmptyInputError
-from .planar import PlanarPointSet, _sq_dist_rows, squared_distance_set
+from .planar import PlanarPointSet, _reduced_lattice, _sq_dist_rows, squared_distance_set
 from .scalar_sets import int_dtype, repeat_runs, row_blocks
 
 BRUTE_CAP_DEFAULT = 60
@@ -57,24 +57,6 @@ _SCAN_WORK_LIMIT = 10 ** 8
 # 40-45 ms on 300 in +-10^6 at 4, 8 and 16, with 8 best or within 5% of the
 # best on each; at 32 they were 19, 7.9, 33 and 52 ms.
 _JOIN_MIN_LINES = 8
-
-
-def _reduced_lattice(p: PlanarPointSet):
-    """(xs, ys, reach): p's cleared coordinates translated to their minimum
-    and divided by their common gcd g (g = 1 for a single point), with reach
-    = W^2 + H^2 for the widths W and H of the reduced box, the largest
-    squared distance.  The columns are in int_dtype(reach).  The map is a
-    similarity, so it scales every squared distance by the same (L / g)^2
-    and keeps which of them are equal."""
-    xs, ys, _ = p.scaled_int_coords()
-    xs, ys = xs - xs.min(), ys - ys.min()
-    g = int(np.gcd.reduce(np.concatenate((xs, ys)))) or 1
-    if g > 1:
-        xs //= g
-        ys //= g
-    reach = int(xs.max()) ** 2 + int(ys.max()) ** 2
-    dtype = int_dtype(reach)
-    return xs.astype(dtype, copy=False), ys.astype(dtype, copy=False), reach
 
 
 def _radius_class_counts(p: PlanarPointSet):
@@ -99,7 +81,7 @@ def _radius_class_counts(p: PlanarPointSet):
     which holds every value up to reach since int_dtype admitted it, and
     counted; a block without such a row adds nothing.  Object coordinates
     give exact rows of Python ints.  No float is compared anywhere."""
-    xs, ys, reach = _reduced_lattice(p)
+    xs, ys, reach, _ = _reduced_lattice(p)
     if xs.dtype == object:
         cols, exact = (xs, ys), True
     else:

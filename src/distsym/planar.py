@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
+from . import scalar_sets
 from .errors import EmptyInputError
 from .scalar_sets import (
     Scalar,
@@ -18,7 +21,6 @@ from .scalar_sets import (
     int_dtype,
     iterated_combination,
     row_blocks,
-    unique_blocks,
 )
 
 Point = Tuple[Scalar, Scalar]
@@ -130,16 +132,31 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
     return PlanarPointSet._from_sorted((x, y) for x in elems for y in elems)
 
 
-def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int | None = None):
+def _reduced_lattice(p: PlanarPointSet):
+    """(xs, ys, reach, g): p's cleared coordinates translated to their minimum
+    and divided by their common gcd g (g = 1 for a single point), with reach
+    = W^2 + H^2 for the widths W and H of the reduced box, the largest
+    squared distance.  The columns are in int_dtype(reach).  The map is a
+    similarity, so it scales every squared distance by the same (L / g)^2
+    and keeps which of them are equal."""
+    xs, ys, _ = p.scaled_int_coords()
+    xs, ys = xs - xs.min(), ys - ys.min()
+    g = int(np.gcd.reduce(np.concatenate((xs, ys)))) or 1
+    if g > 1:
+        xs //= g
+        ys //= g
+    reach = int(xs.max()) ** 2 + int(ys.max()) ** 2
+    dtype = int_dtype(reach)
+    return xs.astype(dtype, copy=False), ys.astype(dtype, copy=False), reach, g
+
+
+def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int):
     """Squared distances from a block of centres to every point, as (rows, N)
-    arrays of about block values (row_blocks' default, _CHUNK, unless given),
-    in the dtype of xs and ys.  uint32 input yields the distances' residues
-    mod 2^32, since uint32 arithmetic wraps.
+    arrays of about block values, in the dtype of xs and ys.  uint32 input
+    yields the distances' residues mod 2^32, since uint32 arithmetic wraps.
     Every block is written into the leading rows of one of two buffers
     allocated once, so each yielded block is overwritten by the next: a
-    consumer copies or reduces a block before it asks for the next one.
-    squared_distance_set merges the blocks and takes the default; the
-    radius-class pass reduces each block and passes _CACHE_BLOCK."""
+    consumer reduces a block before it asks for the next one."""
     dx = dy = None
     for rows in row_blocks(len(xs), len(xs), block):
         cx, cy = xs[rows, None], ys[rows, None]
@@ -154,15 +171,83 @@ def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int | None = None):
         yield bx
 
 
+def _upper_rectangles(n: int, block: int) -> list:
+    """(r0, r1) row ranges covering range(n), each paired with the columns
+    [r0, n) in a rectangle of at most block values, or of one row.  Each
+    pair i < j falls in exactly one rectangle; a rectangle's leading square
+    adds only its rows' own zeros and pairs i > j, which repeat values.  One
+    rectangle when n^2 fits one block."""
+    rects, r0 = [], 0
+    while r0 < n:
+        r1 = min(n, r0 + max(1, block // (n - r0)))
+        rects.append((r0, r1))
+        r0 = r1
+    return rects
+
+
+def _distinct_upper_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sorted distinct squared distances of the points (xs, ys), in their
+    dtype, which must hold every one of them.  The rectangles of
+    _upper_rectangles are written one after another into one buffer, each
+    through a cache-sized temporary for its y term, so every pair is written
+    once, not twice as in the full N x N matrix.  The buffer is sized from
+    the rectangles: all of them when they fit _CHUNK values, for one sort,
+    else as many leading ones as fit.  When the next rectangle would not
+    fit, the buffer is sorted and deduplicated in place and keeps only its
+    distinct prefix.  Only when those distinct values leave no room does it
+    grow, twice over but never past what is left to write, so past its first
+    size it stays below twice the distinct values and two rectangles."""
+    n = len(xs)
+    rects = _upper_rectangles(n, scalar_sets._CACHE_BLOCK)
+    sizes = [(r1 - r0) * (n - r0) for r0, r1 in rects]
+    cap = max(sizes)
+    for done in itertools.accumulate(sizes):
+        if done > scalar_sets._CHUNK:
+            break
+        cap = max(cap, done)
+    buf = np.empty(cap, dtype=xs.dtype)
+    tmp = np.empty(max(sizes), dtype=xs.dtype)
+    filled, left = 0, sum(sizes)
+    for (r0, r1), size in zip(rects, sizes):
+        if filled + size > len(buf):
+            distinct = scalar_sets._sorted_unique(buf[:filled])
+            filled = len(distinct)
+            buf[:filled] = distinct
+            del distinct  # before the buffer may grow
+            if filled + size > len(buf):
+                grown = np.empty(min(2 * len(buf), filled + left), dtype=buf.dtype)
+                grown[:filled] = buf[:filled]
+                buf = grown
+        shape = (r1 - r0, n - r0)
+        dx, dy = buf[filled:filled + size].reshape(shape), tmp[:size].reshape(shape)
+        np.subtract(xs[r0:r1, None], xs[r0:], out=dx)
+        np.subtract(ys[r0:r1, None], ys[r0:], out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        filled += size
+        left -= size
+    return scalar_sets._sorted_unique(buf[:filled])
+
+
 def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> DistanceSet:
-    """Distinct values |u - v|^2 over point pairs; 0 kept iff include_zero."""
+    """Distinct values |u - v|^2 over point pairs; 0 kept iff include_zero.
+
+    Computed on the reduced lattice (_reduced_lattice), whose squared
+    distances are those of p times (L / g)^2, from the pairs of the upper
+    triangle only; the distinct values alone are scaled back by g^2 / L^2."""
     if not p:
         raise EmptyInputError("distance set of an empty point set")
-    xs, ys, den = p.scaled_int_coords()
-    vals = unique_blocks(_sq_dist_rows(xs, ys))
+    xs, ys, reach, g = _reduced_lattice(p)
+    vals = _distinct_upper_distances(xs, ys)
     if not include_zero:
         vals = vals[1:]  # the diagonal's 0 is the least value
-    return DistanceSet(ScalarSet._from_numerators(vals, den * den), include_zero)
+    den = p.scaled_int_coords()[2]
+    k = math.gcd(g * g, den * den)
+    scale = g * g // k
+    if scale != 1:
+        vals = vals.astype(int_dtype(scale * reach), copy=False) * scale
+    return DistanceSet(ScalarSet._from_numerators(vals, den * den // k), include_zero)
 
 
 def verify_product_identity(a: ScalarSet):

@@ -9,10 +9,12 @@ Elements are exposed as Python ints and Fractions (denominator-1 values are
 ints); floats are rejected at the boundary.
 
 Every pair kernel of the package, here and in the planar modules, takes its
-blocks from row_blocks and reads runs of equal sorted values with run_starts
-(or, where only runs of two or more count, with repeat_runs).  Kernels that
-keep what their blocks yield take _CHUNK values per block; kernels that
-reduce each block on the spot take cache-sized _CACHE_BLOCK blocks.
+blocks from row_blocks (the squared-distance set, which reads only the upper
+triangle, from planar._upper_rectangles) and reads runs of equal sorted
+values with run_starts (or, where only runs of two or more count, with
+repeat_runs).  Kernels that keep what their blocks yield take _CHUNK values
+per block; kernels that reduce each block on the spot take cache-sized
+_CACHE_BLOCK blocks.
 """
 
 from __future__ import annotations
@@ -32,11 +34,18 @@ CombineOp = Literal["add", "subtract", "multiply"]
 # per-operation guards below compare actual magnitudes against this margin.
 _I64_LIMIT = 1 << 62
 # values per block in the pair kernels that keep what their blocks yield:
-# the deduplicating unique_blocks (behind _unique_outer and
-# squared_distance_set), whose sorted parts are merged by sorting again, so
-# fewer, larger blocks cost less; and the bisector weight map, which writes
-# its blocks into columns allocated once for all pairs (with _CACHE_BLOCK
-# blocks its job in the planar benchmark took 0.109 against 0.102 s).
+# the deduplicating unique_blocks (behind _unique_outer), whose sorted parts
+# are merged by sorting again, so fewer, larger blocks cost less; and the
+# bisector weight map, which writes its blocks into columns allocated once
+# for all pairs (with _CACHE_BLOCK blocks its job in the planar benchmark
+# took 0.109 against 0.102 s).  The squared-distance set writes cache-sized
+# rectangles into one buffer and deduplicates it in place once the next
+# rectangle would take it past _CHUNK values, so it sorts once for up to
+# 2860 points.  In process (2-core host, numpy 2.4, best of 3 to 5), a larger
+# size would spare 4000 random points in +-10^6, whose distances are nearly
+# all distinct, the sort at the half-way point (0.21 s at 2^23 against
+# 0.33 s), and a smaller one sorts the repeats of grid(64) in smaller parts
+# (62 ms at 2^20 against 79 ms); neither is a benchmark job.
 _CHUNK = 1 << 22
 # values per block in the row-local kernels that reduce each block to a few
 # integers on the spot and drop it: the radius-class pass and the incidence
@@ -55,11 +64,9 @@ _CHUNK = 1 << 22
 # +-10^6, and 5.4, 5.1, 5.2, 6.1 and 8.1 ms on grid(30).
 # planar._sq_dist_rows writes these blocks into two buffers made once per
 # call, so a fresh process faults about 220 pages per such call (0.17 s), not
-# the 27.5k (0.26 s) of a fresh pair of arrays per block.
-# The merging kernels keep _CHUNK: with this size everywhere, the thm2 and st
-# jobs on 1000 random points went from 0.028 to 0.046 s and from 0.037 to
-# 0.052 s, as the many small sorted parts are sorted again when merged (a
-# kind="stable" merge did not help).
+# the 27.5k (0.26 s) of a fresh pair of arrays per block.  The
+# squared-distance set takes its rectangles of these sizes too, each written
+# once into its buffer through one temporary of this size.
 _CACHE_BLOCK = 1 << 16
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -256,6 +257,79 @@ def test_weight_map_across_packed_index_widths(n, scale):
     wm = bisector_weight_map(p)
     assert wm.line_arrays()[0].dtype == (np.int64 if scale == 1 else object)
     assert dict(wm.items()) == per_pair_weights(p)
+
+
+# The points are sorted by (x, y), so the pairs i < j have dx >= 0, and
+# dy > 0 where dx = 0: the kernel's raw rows, in row-major pair order, are
+# the canonical bisectors themselves, with no sign to normalise.  The set
+# has vertical pairs and slopes of both signs; its coordinates are int64,
+# cleared by L = 6 and object, whose box is too wide for int32 differences.
+@pytest.mark.parametrize("scale", [1, Fraction(1, 6), 10**25], ids=["int64", "L6", "object"])
+def test_raw_pair_rows_are_canonical(scale):
+    base = [(0, 0), (0, 3), (0, -2), (2, 1), (2, -5), (-3, 4), (5, 5), (4, -1), (-3, -7)]
+    p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in base])
+    xs, ys, den = p.scaled_int_coords()
+    n = len(p)
+    cols = [np.empty(n * (n - 1) // 2, dtype=xs.dtype) for _ in range(3)]
+    dxs, dys = bisectors._difference_coords(xs, ys)
+    assert dxs.dtype == (object if scale == 10**25 else np.int32)
+    written = bisectors._pair_bisectors(dxs, dys, xs * xs + ys * ys, den, slice(0, n), *cols)
+    assert written == len(cols[0])
+    rows = [Line(*row) for row in zip(*(col.tolist() for col in cols))]
+    pts = p.points
+    assert rows == [perpendicular_bisector(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
+    assert all(a > 0 or (a == 0 and b > 0) for a, b, _ in rows)
+
+
+def difference_dtypes(monkeypatch):
+    """dtype of the differences each weight map takes its gcd on."""
+    seen = []
+    real = bisectors._difference_coords
+
+    def spy(xs, ys):
+        out = real(xs, ys)
+        seen.append(out[0].dtype)
+        return out
+    monkeypatch.setattr(bisectors, "_difference_coords", spy)
+    return seen
+
+
+# The gcd runs on int32 differences while both box widths are below 2^31.
+# int64 coordinates always are; these object coordinates (far from the
+# origin, 8 M^2 past 2^62) span boxes of 2^31 - 1 and 2^31, with vertical
+# pairs, both slopes and rows of |a| past 2^31, which int32 would wrap.
+@pytest.mark.parametrize("width, dtype", [((1 << 31) - 1, np.int32), (1 << 31, object)])
+def test_pair_kernel_at_the_int32_guard(monkeypatch, width, dtype):
+    base = [(0, 0), (0, width), (width, 0), (width, width), (width, 1), (1, width - 2),
+            (0, 7), (5, 3), (width - 6, width - 9), (3, width - 4)]
+    shift = 10**20
+    p = PlanarPointSet([(x - shift, y + shift) for x, y in base])
+    seen = difference_dtypes(monkeypatch)
+    wm = bisector_weight_map(p)
+    assert seen == [dtype]
+    assert wm.line_arrays()[0].dtype == object
+    assert max(abs(line.a) for line, _ in wm.items()) > 1 << 31
+    assert dict(wm.items()) == per_pair_weights(p)
+
+
+# With c' = c / gcd(dx, dy), the row is divided by h = gcd(2L, c'): for
+# L = 1 a parity test (h = 1 or 2), for L = 12 every divisor of 24.
+@pytest.mark.parametrize("den", [1, 12])
+def test_pair_kernel_divides_by_gcd_of_2L_and_the_offset(monkeypatch, den):
+    rng = random.Random(den)
+    pts = {(Fraction(1, den), 0)}
+    while len(pts) < 40:
+        pts.add((Fraction(rng.randint(-60, 60), den), Fraction(rng.randint(-60, 60), den)))
+    p = PlanarPointSet(pts)
+    xs, ys, cleared = p.scaled_int_coords()
+    assert cleared == den and xs.dtype == np.int64
+    rows = list(zip(xs.tolist(), ys.tolist()))
+    hs = {math.gcd(2 * den, (x * x + y * y - u * u - w * w) // math.gcd(u - x, w - y))
+          for i, (x, y) in enumerate(rows) for u, w in rows[i + 1:]}
+    assert hs == {h for h in range(1, 2 * den + 1) if 2 * den % h == 0}
+    seen = difference_dtypes(monkeypatch)
+    assert dict(bisector_weight_map(p).items()) == per_pair_weights(p)
+    assert seen == [np.int32]
 
 
 @pytest.mark.parametrize("n", [300, 1000])

@@ -270,8 +270,33 @@ def test_thm1_cap():
     wide = ScalarSet(random.Random(3).sample(range(-10**6, 10**6 + 1), 40))
     with pytest.raises(CapExceededError) as refused:
         thm1_report(wide)
-    assert str(refused.value) == ("fold add of 609179 x 781 values predicts 475768799 values, "
-                                  "past the budget of 16777216")
+    assert str(refused.value) == ("fold 3D^2 - 2D^2 of 305371 x 781 values predicts 238494751 "
+                                  "values, past the budget of 16777216")
+
+
+class ChainFolded(Exception):
+    pass
+
+
+# 3D^2 - D^2 contains 2D^2 and spans 4 max D^2, so the chain's last fold
+# predicts at least min(|2D^2| |D^2|, 5 max D^2 + 1) values.  For ap(1900)
+# that is 5 * 1899^2 + 1, past the budget, and the chain is refused once
+# D^2 + D^2 exists, before any of its own folds; for ap(1830) it is
+# 5 * 1829^2 + 1, inside the budget, and the chain goes on to fold.
+@pytest.mark.parametrize("n, refused", [(1900, True), (1830, False)])
+def test_thm1_refuses_its_last_fold_before_the_chain_folds(monkeypatch, n, refused):
+    def folded(*args):
+        raise ChainFolded
+    monkeypatch.setattr(bounds, "pairwise_combine", folded)
+    ap = generate_family(FamilySpec(kind="ap", n=n))
+    if refused:
+        with pytest.raises(CapExceededError) as err:
+            thm1_report(ap)
+        assert str(err.value) == ("fold 3D^2 - 2D^2 of 1034540 x 1900 values predicts 18031006 "
+                                  "values, past the budget of 16777216")
+    else:
+        with pytest.raises(ChainFolded):
+            thm1_report(ap)
 
 
 def test_guth_katz_known_brackets():

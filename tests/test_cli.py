@@ -265,7 +265,7 @@ def test_check_thm1_runs_past_256_elements_and_stops_at_the_fold_budget(tmp_path
         "--out", str(wide))
     code, out, err = run(capsys, "check", "thm1", "--input", str(wide))
     assert (code, out) == (2, "")
-    assert err == ("error: fold add of 609179 x 781 values predicts 475768799 values, "
+    assert err == ("error: fold 3D^2 - 2D^2 of 305371 x 781 values predicts 238494751 values, "
                    "past the budget of 16777216\n")
 
 

@@ -434,7 +434,8 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
 # _sq_dist_rows writes every block into the leading rows of two buffers made
 # once.  Blocks of 40 and 65 values give 13 points blocks of 3 and 5 rows
 # with a short last one: the radius-class pass must read only that block's
-# rows, and the distance set's merge must keep copies, not the buffer.
+# rows.  The distance set, with _CHUNK at the same size, writes its
+# rectangles into one buffer that it deduplicates and grows on the way.
 @pytest.mark.parametrize("scale", (1, Fraction(1, 3), 10**25))
 @pytest.mark.parametrize("block, heights", [(40, [3, 3, 3, 3, 1]), (65, [5, 5, 3])])
 def test_distance_blocks_reuse_two_buffers(monkeypatch, scale, block, heights):
@@ -443,7 +444,7 @@ def test_distance_blocks_reuse_two_buffers(monkeypatch, scale, block, heights):
     grid = random.Random(19).sample([(x, y) for x in range(5) for y in range(5)], 13)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
     xs, ys, _ = p.scaled_int_coords()
-    views = list(planar._sq_dist_rows(xs, ys))
+    views = list(planar._sq_dist_rows(xs, ys, block))
     assert [len(v) for v in views] == heights
     assert all(np.shares_memory(v, views[0]) for v in views)
     rmap = radius_multiplicity_map(p)
@@ -541,7 +542,7 @@ def test_distances_2_to_the_32_apart_are_counted_apart(monkeypatch):
 ], ids=["2^32-3", "2^32", "2^62-2^32+1", "2^62"])
 def test_radius_route_at_its_edges(monkeypatch, points, reach, route):
     p = PlanarPointSet(points)
-    assert incidence._reduced_lattice(p)[2] == reach
+    assert planar._reduced_lattice(p)[2] == reach
     rows = counted_rows(monkeypatch)
     assert incidence._radius_class_counts(p) == radius_oracles(p)
     assert rows(len(p)) == route
@@ -560,8 +561,9 @@ def test_similar_grids_count_alike(monkeypatch, scale, shift):
     p = PlanarPointSet([(x * scale + shift[0], y * scale + shift[1])
                         for x, y in generate_family(FamilySpec(kind="grid", n=6)).points])
     assert p.scaled_int_coords()[0].dtype == (object if scale == 10**25 else np.int64)
-    xs, ys, reach = incidence._reduced_lattice(p)
+    xs, ys, reach, g = planar._reduced_lattice(p)
     assert xs.dtype == ys.dtype == np.int64 and reach == 50
+    assert g == p.scaled_int_coords()[2] * scale
     rows = counted_rows(monkeypatch)
     assert incidence._radius_class_counts(p) == radius_oracles(p) == GRID6_COUNTS
     assert rows(len(p)) == [(np.uint32, 36)]
@@ -583,8 +585,8 @@ def test_geometric_square_counts_every_row(monkeypatch, ratio, dtype):
 @pytest.mark.parametrize("point", [(3, 4), (Fraction(1, 3), -7), (10**25, 1)])
 def test_one_point_reduces_to_the_origin(monkeypatch, point):
     p = PlanarPointSet([point])
-    xs, ys, reach = incidence._reduced_lattice(p)
-    assert (xs.tolist(), ys.tolist(), reach) == ([0], [0], 0)
+    xs, ys, reach, g = planar._reduced_lattice(p)
+    assert (xs.tolist(), ys.tolist(), reach, g) == ([0], [0], 0, 1)
     rows = counted_rows(monkeypatch)
     assert incidence._radius_class_counts(p) == radius_oracles(p) == (0, 0)
     assert rows(1) == [(np.uint32, 1)]

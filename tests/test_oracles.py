@@ -32,9 +32,12 @@ FAST_PATH_HELPERS = {
     "_sorted_unique",
     "_unique_outer",
     "_pair_bisectors",
+    "_difference_coords",
     "_line_starts",
     "_mirror_indices",
     "_sq_dist_rows",
+    "_upper_rectangles",
+    "_distinct_upper_distances",
     "_hanson_certificates",
 }
 

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distsym import planar, scalar_sets
 from distsym.errors import EmptyInputError
 from distsym.families import FamilySpec, generate_family, random_rational_point_set
 from distsym.planar import (
@@ -14,7 +16,7 @@ from distsym.planar import (
     squared_distance_set,
     verify_product_identity,
 )
-from distsym.scalar_sets import ScalarSet
+from distsym.scalar_sets import ScalarSet, as_scalar
 
 coords = st.one_of(
     st.integers(min_value=-200, max_value=200),
@@ -148,3 +150,66 @@ def test_membership_looks_up_the_cleared_rows():
     assert all(q in p for q in queries[:9])
     assert not any(q in p for q in queries[9:])
     assert (0, 0) not in PlanarPointSet([])
+
+
+def sorted_dtypes(monkeypatch):
+    """(dtype, length) of every array the distance set sorts."""
+    seen = []
+    real = scalar_sets._sorted_unique
+
+    def spy(values):
+        seen.append((values.dtype, len(values)))
+        return real(values)
+    monkeypatch.setattr(scalar_sets, "_sorted_unique", spy)
+    return seen
+
+
+# The distance set runs on the reduced lattice: a scaled and translated copy
+# of grid(12) sorts the int64 distances of grid(12) itself, in one sort since
+# 144^2 values fit one block, and only the distinct values are scaled back.
+@pytest.mark.parametrize("scale, shift", [(10**25, 0), (Fraction(1, 7), Fraction(2, 3))],
+                         ids=["1e25", "sevenths"])
+def test_scaled_grids_sort_the_grids_own_distances(monkeypatch, scale, shift):
+    grid = generate_family(FamilySpec(kind="grid", n=12))
+    p = PlanarPointSet([(x * scale + shift, y * scale - shift) for x, y in grid.points])
+    assert p.scaled_int_coords()[0].dtype == (object if scale == 10**25 else np.int64)
+    want = {z: squared_distance_set(grid, z).squared.elements for z in (True, False)}
+    seen = sorted_dtypes(monkeypatch)
+    for include_zero in (True, False):
+        got = squared_distance_set(p, include_zero).squared.elements
+        assert got == tuple(as_scalar(v * scale * scale) for v in want[include_zero])
+    assert [dtype for dtype, _ in seen] == [np.int64] * 2
+
+
+# Each pair i < j falls in exactly one rectangle of rows [r0, r1) against
+# columns [r0, n), and a rectangle holds at most a block of values unless it
+# is one row.
+@pytest.mark.parametrize("n, block", [(1, 40), (12, 144), (30, 40), (30, 7), (100, 1 << 16)])
+def test_upper_rectangles_cover_each_pair_once(n, block):
+    rects = planar._upper_rectangles(n, block)
+    cover = Counter((i, j) for r0, r1 in rects for i in range(r0, r1) for j in range(r0, n) if i < j)
+    assert cover == Counter((i, j) for i in range(n) for j in range(i + 1, n))
+    assert all((r1 - r0) * (n - r0) <= block or r1 - r0 == 1 for r0, r1 in rects)
+    assert [r0 for r0, _ in rects[1:]] == [r1 for _, r1 in rects[:-1]]
+    assert len(rects) == 1 or n * n > block
+
+
+# With blocks of 40 values and _CHUNK at 100, 30 points take 17 rectangles.
+# Points of a 6 x 6 grid repeat their few distances, so the buffer is
+# deduplicated on the way and never grows; random points in [0, 10^6]^2 have
+# distinct distances, which fill the buffer, so it grows.
+@pytest.mark.parametrize("span, grows", [(5, False), (10**6, True)])
+def test_distance_buffer_dedups_and_grows(monkeypatch, span, grows):
+    rng = random.Random(span)
+    pts = set()
+    while len(pts) < 30:
+        pts.add((rng.randint(0, span), rng.randint(0, span)))
+    p = PlanarPointSet(pts)
+    monkeypatch.setattr(scalar_sets, "_CHUNK", 100)
+    monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
+    seen = sorted_dtypes(monkeypatch)
+    got = squared_distance_set(p).squared.elements
+    pts = p.points
+    assert got == tuple(sorted({(a - c) ** 2 + (b - d) ** 2 for a, b in pts for c, d in pts}))
+    assert len(seen) > 2
+    assert (max(size for _, size in seen) > 100) == grows
