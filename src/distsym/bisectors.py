@@ -33,6 +33,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import scalar_sets
 from .errors import (
     DegeneratePairError,
     MismatchedInputsError,
@@ -245,7 +246,7 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     cols = [np.empty(m, dtype=xs.dtype) for _ in range(3)]
     dxs, dys = _difference_coords(xs, ys)
     done = 0
-    for rows in row_blocks(n, n):
+    for rows in row_blocks(n, n, scalar_sets._CHUNK):
         done += _pair_bisectors(dxs, dys, sq, den, rows, *(col[done:] for col in cols))
     # the key keeps its high bits and carries the row index in the low ones,
     # so one in-place sort of it yields both the key order and the rows' order

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
@@ -61,10 +60,12 @@ class PlanarPointSet:
         return self._points
 
     def scaled_int_coords(self):
-        """(xs, ys, L): coordinates times their common denominator L, as
-        int64 arrays when int_dtype admits the kernels' reach (8 M^2 for the
-        squared distances, 4 L M for the bisector coefficients, M the largest
-        scaled magnitude), else as object arrays of Python ints."""
+        """(xs, ys, L): coordinates times their common denominator L, as int64
+        arrays when int_dtype admits the weight map's reach, else as object
+        arrays of Python ints: 8 M^2 for |P|^2 and c (which also keeps an int64
+        box narrower than 2^31 for _difference_coords), 4 L M for the 2L dx and
+        2L dy coefficients, M the largest scaled magnitude.  d(P) and T take
+        their dtype from _reduced_lattice."""
         if self._scaled is None:
             nums, den = clear_denominators([v for pt in self._points for v in pt])
             m = max(max(map(abs, nums), default=0), 1)
@@ -187,47 +188,24 @@ def _upper_rectangles(n: int, block: int) -> list:
 
 def _distinct_upper_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sorted distinct squared distances of the points (xs, ys), in their
-    dtype, which must hold every one of them.  The rectangles of
-    _upper_rectangles are written one after another into one buffer, each
-    through a cache-sized temporary for its y term, so every pair is written
-    once, not twice as in the full N x N matrix.  The buffer is sized from
-    the rectangles: all of them when they fit _CHUNK values, for one sort,
-    else as many leading ones as fit.  When the next rectangle would not
-    fit, the buffer is sorted and deduplicated in place and keeps only its
-    distinct prefix.  Only when those distinct values leave no room does it
-    grow, twice over but never past what is left to write, so past its first
-    size it stays below twice the distinct values and two rectangles."""
+    dtype, which must hold every one of them.  distinct_values takes the
+    rectangles of _upper_rectangles, each written through a cache-sized
+    temporary for its y term, so every pair is written once, not twice."""
     n = len(xs)
     rects = _upper_rectangles(n, scalar_sets._CACHE_BLOCK)
     sizes = [(r1 - r0) * (n - r0) for r0, r1 in rects]
-    cap = max(sizes)
-    for done in itertools.accumulate(sizes):
-        if done > scalar_sets._CHUNK:
-            break
-        cap = max(cap, done)
-    buf = np.empty(cap, dtype=xs.dtype)
     tmp = np.empty(max(sizes), dtype=xs.dtype)
-    filled, left = 0, sum(sizes)
-    for (r0, r1), size in zip(rects, sizes):
-        if filled + size > len(buf):
-            distinct = scalar_sets._sorted_unique(buf[:filled])
-            filled = len(distinct)
-            buf[:filled] = distinct
-            del distinct  # before the buffer may grow
-            if filled + size > len(buf):
-                grown = np.empty(min(2 * len(buf), filled + left), dtype=buf.dtype)
-                grown[:filled] = buf[:filled]
-                buf = grown
+
+    def write(i, out):
+        r0, r1 = rects[i]
         shape = (r1 - r0, n - r0)
-        dx, dy = buf[filled:filled + size].reshape(shape), tmp[:size].reshape(shape)
+        dx, dy = out.reshape(shape), tmp[:out.size].reshape(shape)
         np.subtract(xs[r0:r1, None], xs[r0:], out=dx)
         np.subtract(ys[r0:r1, None], ys[r0:], out=dy)
         dx *= dx
         dy *= dy
         dx += dy
-        filled += size
-        left -= size
-    return scalar_sets._sorted_unique(buf[:filled])
+    return scalar_sets.distinct_values(sizes, xs.dtype, write)
 
 
 def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> DistanceSet:

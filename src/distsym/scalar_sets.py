@@ -12,13 +12,15 @@ Every pair kernel of the package, here and in the planar modules, takes its
 blocks from row_blocks (the squared-distance set, which reads only the upper
 triangle, from planar._upper_rectangles) and reads runs of equal sorted
 values with run_starts (or, where only runs of two or more count, with
-repeat_runs).  Kernels that keep what their blocks yield take _CHUNK values
-per block; kernels that reduce each block on the spot take cache-sized
-_CACHE_BLOCK blocks.
+repeat_runs).  Blocks hold cache-sized _CACHE_BLOCK values, except in the
+bisector weight map, which takes _CHUNK values per block.  The kernels that
+keep the distinct values of their blocks, the sort route of the folds and
+the squared-distance set, write them into the one buffer of distinct_values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Literal, Union
@@ -33,19 +35,17 @@ CombineOp = Literal["add", "subtract", "multiply"]
 # int64 arithmetic stays exact as long as every intermediate fits; the
 # per-operation guards below compare actual magnitudes against this margin.
 _I64_LIMIT = 1 << 62
-# values per block in the pair kernels that keep what their blocks yield:
-# the deduplicating unique_blocks (behind _unique_outer), whose sorted parts
-# are merged by sorting again, so fewer, larger blocks cost less; and the
-# bisector weight map, which writes its blocks into columns allocated once
-# for all pairs (with _CACHE_BLOCK blocks its job in the planar benchmark
-# took 0.109 against 0.102 s).  The squared-distance set writes cache-sized
-# rectangles into one buffer and deduplicates it in place once the next
-# rectangle would take it past _CHUNK values, so it sorts once for up to
-# 2860 points.  In process (2-core host, numpy 2.4, best of 3 to 5), a larger
-# size would spare 4000 random points in +-10^6, whose distances are nearly
-# all distinct, the sort at the half-way point (0.21 s at 2^23 against
-# 0.33 s), and a smaller one sorts the repeats of grid(64) in smaller parts
-# (62 ms at 2^20 against 79 ms); neither is a benchmark job.
+# values in the first size of the buffer of distinct_values: every block is
+# written into it and sorted once while all of them fit (a fold of up to 2^22
+# pair values, the distances of up to 2860 points), else it is deduplicated
+# in place before it grows.  In process (2-core host, numpy 2.4, best of 3 to
+# 5), a larger size would spare 4000 random points in +-10^6, whose distances
+# are nearly all distinct, the sort at the half-way point (0.21 s at 2^23
+# against 0.33 s), and a smaller one sorts the repeats of grid(64) in smaller
+# parts (62 ms at 2^20 against 79 ms); neither is a benchmark job.  Also the
+# values per block of the bisector weight map, which writes its blocks into
+# columns allocated once for all pairs (with _CACHE_BLOCK blocks its job in
+# the planar benchmark took 0.109 against 0.102 s).
 _CHUNK = 1 << 22
 # values per block in the row-local kernels that reduce each block to a few
 # integers on the spot and drop it: the radius-class pass and the incidence
@@ -64,19 +64,17 @@ _CHUNK = 1 << 22
 # +-10^6, and 5.4, 5.1, 5.2, 6.1 and 8.1 ms on grid(30).
 # planar._sq_dist_rows writes these blocks into two buffers made once per
 # call, so a fresh process faults about 220 pages per such call (0.17 s), not
-# the 27.5k (0.26 s) of a fresh pair of arrays per block.  The
-# squared-distance set takes its rectangles of these sizes too, each written
-# once into its buffer through one temporary of this size.
+# the 27.5k (0.26 s) of a fresh pair of arrays per block.  The blocks that
+# distinct_values writes into its buffer are of this size too: the folds'
+# rows and the squared-distance set's rectangles.
 _CACHE_BLOCK = 1 << 16
 
 
-def row_blocks(n_rows: int, width: int, block: int | None = None):
+def row_blocks(n_rows: int, width: int, block: int):
     """Slices covering range(n_rows), each of at most max(1, block // width)
     rows, so that a (rows, width) block of pair values stays near block
-    values.  block defaults to _CHUNK, for kernels that keep what their
-    blocks yield; kernels that reduce each block on the spot pass
-    _CACHE_BLOCK."""
-    step = max(1, (_CHUNK if block is None else block) // width)
+    values."""
+    step = max(1, block // width)
     for i in range(0, n_rows, step):
         yield slice(i, i + step)
 
@@ -261,15 +259,36 @@ def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
     return v[run_starts(v)]
 
 
-def unique_blocks(blocks) -> np.ndarray:
-    """Sorted distinct values of a stream of pair blocks, deduplicated
-    incrementally to bound memory."""
-    parts = []
-    for block in blocks:
-        parts.append(_sorted_unique(block))
-        if len(parts) >= 12:
-            parts = [_sorted_unique(np.concatenate(parts))]
-    return parts[0] if len(parts) == 1 else _sorted_unique(np.concatenate(parts))
+def distinct_values(sizes, dtype, write) -> np.ndarray:
+    """Sorted distinct values, in dtype, of the blocks that write(i, out)
+    writes straight into out, a slice of one buffer, block i of sizes[i]
+    values.  The buffer holds all the blocks when they fit _CHUNK values,
+    for one sort, else as many leading ones as fit.  When the next block
+    would not fit, the buffer is sorted and deduplicated in place and keeps
+    its distinct prefix; only when that leaves no room does it grow, twice
+    over but never past what is left to write, so past its first size it
+    stays below twice the distinct values and two blocks."""
+    cap = max(sizes)
+    for done in itertools.accumulate(sizes):
+        if done > _CHUNK:
+            break
+        cap = max(cap, done)
+    buf = np.empty(cap, dtype=dtype)
+    filled, left = 0, sum(sizes)
+    for i, size in enumerate(sizes):
+        if filled + size > len(buf):
+            distinct = _sorted_unique(buf[:filled])
+            filled = len(distinct)
+            buf[:filled] = distinct
+            del distinct  # before the buffer may grow
+            if filled + size > len(buf):
+                grown = np.empty(min(2 * len(buf), filled + left), dtype=dtype)
+                grown[:filled] = buf[:filled]
+                buf = grown
+        write(i, buf[filled:filled + size])
+        filled += size
+        left -= size
+    return _sorted_unique(buf[:filled])
 
 
 def _bitset_sum(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -335,7 +354,9 @@ def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
             and span <= _BITSET_SPAN_PER_PAIR * pairs):
         # a - b is a plus the negated, reversed (so again sorted) b
         return _bitset_sum(ua, -ub[::-1] if ufunc is np.subtract else ub)
-    return unique_blocks(ufunc.outer(ua[rows], ub) for rows in row_blocks(len(ua), len(ub)))
+    blocks = list(row_blocks(len(ua), len(ub), _CACHE_BLOCK))
+    return distinct_values([len(ua[rows]) * len(ub) for rows in blocks], ua.dtype,
+                           lambda i, out: ufunc.outer(ua[blocks[i]], ub, out=out.reshape(-1, len(ub))))
 
 
 def pairwise_combine(a: ScalarSet, b: ScalarSet, op: CombineOp) -> ScalarSet:

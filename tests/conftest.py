@@ -11,6 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from distsym import scalar_sets
 from distsym.bisectors import perpendicular_bisector
 from distsym.families import FamilySpec, generate_family, random_point_set, random_scalar_set
 
@@ -61,3 +62,16 @@ def per_pair_weights(p):
             if u != v:
                 counts[perpendicular_bisector(u, v)] += 1
     return dict(counts)
+
+
+def sorted_dtypes(monkeypatch):
+    """(dtype, length) of every array that scalar_sets._sorted_unique sorts,
+    the sorts of the folds' sort route and of the distance set among them."""
+    seen = []
+    real = scalar_sets._sorted_unique
+
+    def spy(values):
+        seen.append((values.dtype, len(values)))
+        return real(values)
+    monkeypatch.setattr(scalar_sets, "_sorted_unique", spy)
+    return seen

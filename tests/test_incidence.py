@@ -367,16 +367,15 @@ def test_scan_at_its_reach_guard(monkeypatch, reach):
 
 def spy_cache_blocks(monkeypatch):
     """Row counts of the blocks of every row_blocks call that the radius-class
-    pass (through planar._sq_dist_rows), the incidence join and the scan make
-    with a block size of their own, keyed by (caller, n_rows, width)."""
+    pass (through planar._sq_dist_rows), the incidence join and the scan
+    make, keyed by (caller, n_rows, width)."""
     seen = {}
     real = scalar_sets.row_blocks
 
-    def spy(n_rows, width, block=None):
+    def spy(n_rows, width, block):
         slices = list(real(n_rows, width, block))
-        if block is not None:
-            caller = sys._getframe(1).f_code.co_name
-            seen[caller, n_rows, width] = [len(range(n_rows)[s]) for s in slices]
+        caller = sys._getframe(1).f_code.co_name
+        seen[caller, n_rows, width] = [len(range(n_rows)[s]) for s in slices]
         return iter(slices)
 
     monkeypatch.setattr(planar, "row_blocks", spy)
@@ -413,7 +412,7 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     rng = random.Random(17)
     grid = rng.sample([(x, y) for x in range(5) for y in range(5)], 13)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
-    assert [len(range(13)[s]) for s in scalar_sets.row_blocks(13, 13)] == [3, 3, 3, 3, 1]
+    assert [len(range(13)[s]) for s in scalar_sets.row_blocks(13, 13, 40)] == [3, 3, 3, 3, 1]
     wm = check_against_oracles(p)
     assert len(wm) == 61
     rep = st_bound_report(p, wm)

@@ -23,7 +23,7 @@ from distsym.planar import radius_multiplicity_map
 FAST_PATH_HELPERS = {
     "run_starts",
     "repeat_runs",
-    "unique_blocks",
+    "distinct_values",
     "_row_key",
     "_radius_class_counts",
     "_reduced_lattice",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sorted_dtypes
 from distsym import planar, scalar_sets
 from distsym.errors import EmptyInputError
 from distsym.families import FamilySpec, generate_family, random_rational_point_set
@@ -150,18 +151,6 @@ def test_membership_looks_up_the_cleared_rows():
     assert all(q in p for q in queries[:9])
     assert not any(q in p for q in queries[9:])
     assert (0, 0) not in PlanarPointSet([])
-
-
-def sorted_dtypes(monkeypatch):
-    """(dtype, length) of every array the distance set sorts."""
-    seen = []
-    real = scalar_sets._sorted_unique
-
-    def spy(values):
-        seen.append((values.dtype, len(values)))
-        return real(values)
-    monkeypatch.setattr(scalar_sets, "_sorted_unique", spy)
-    return seen
 
 
 # The distance set runs on the reduced lattice: a scaled and translated copy

@@ -1,12 +1,14 @@
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sorted_dtypes
 import distsym.scalar_sets as scalar_sets_module
 from distsym.errors import CapExceededError, EmptyInputError
 from distsym.scalar_sets import (
@@ -148,17 +150,45 @@ def test_combine_matches_comprehension(a, b):
         assert pairwise_combine(a, b, op).elements == comprehension(a, b, f)
 
 
+# With _CACHE_BLOCK at 40, 40 rows of 13 values go in 14 blocks of 3 rows,
+# the last one of 1, and with _CHUNK at 200 the buffer takes 5 of them.  The
+# 137 products of two short ranges repeat, so the buffer is deduplicated on
+# the way and never grows; the 435 of random values fill it, so it grows.
+# At 10^25 the operands and products are Python ints.
 def test_combine_across_several_blocks(monkeypatch):
-    # 40 rows of 13 values in blocks of 3 rows: 14 blocks, the last one
-    # partial, enough for unique_blocks to merge its parts on the way
-    monkeypatch.setattr("distsym.scalar_sets._CHUNK", 40)
+    monkeypatch.setattr(scalar_sets_module, "_CHUNK", 200)
+    monkeypatch.setattr(scalar_sets_module, "_CACHE_BLOCK", 40)
+    assert [len(range(40)[s]) for s in row_blocks(40, 13, 40)] == [3] * 13 + [1]
+    seen = sorted_dtypes(monkeypatch)
     rng = random.Random(8)
-    a = ScalarSet(rng.sample(range(-500, 500), 40))
-    b = ScalarSet([Fraction(k, 3) for k in range(-6, 7)])
-    assert [len(range(40)[s]) for s in row_blocks(40, 13)] == [3] * 13 + [1]
-    for op, f in OPS.items():
-        assert pairwise_combine(a, b, op).elements == comprehension(a, b, f)
-    assert difference_set(a).elements == comprehension(a, a, operator.sub)
+    for values, grows in ((range(-20, 20), False), (rng.sample(range(-500, 500), 40), True)):
+        for scale, dtype in ((1, np.int64), (10**25, object)):
+            a = ScalarSet(v * scale for v in values)
+            b = ScalarSet([Fraction(k, 3) * scale for k in range(-6, 7)])
+            seen.clear()
+            assert pairwise_combine(a, b, "multiply").elements == comprehension(a, b, operator.mul)
+            assert {dt for dt, _ in seen} == {np.dtype(dtype)}
+            assert len(seen) > 2
+            assert (max(size for _, size in seen) > 200) == grows
+            for op in ("add", "subtract"):
+                assert pairwise_combine(a, b, op).elements == comprehension(a, b, OPS[op])
+            assert difference_set(a).elements == comprehension(a, a, operator.sub)
+
+
+# D.D of ap(1500) takes 2999^2 = 9.0M products in 143 blocks, 1,094,987 of
+# them distinct.  The buffer starts at _CHUNK values and is deduplicated in
+# place before it grows, so the fold peaks near 48 MiB traced, below the 72 MiB
+# of its 9.0M int64 pair values.
+def test_product_fold_peak_stays_within_two_chunks():
+    d = difference_set(ScalarSet(range(1500)))
+    tracemalloc.start()
+    try:
+        dd = pairwise_combine(d, d, "multiply")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dd) == 1094987
+    assert peak <= 2 * scalar_sets_module._CHUNK * 8
 
 
 @given(scalar_sets)
@@ -347,8 +377,8 @@ def test_routes_agree_at_the_cost_threshold(monkeypatch, case, bound):
     taken = []
     monkeypatch.setattr(scalar_sets_module, "_bitset_sum",
                         recording(scalar_sets_module._bitset_sum, "bitset", taken))
-    monkeypatch.setattr(scalar_sets_module, "unique_blocks",
-                        recording(scalar_sets_module.unique_blocks, "sort", taken))
+    monkeypatch.setattr(scalar_sets_module, "distinct_values",
+                        recording(scalar_sets_module.distinct_values, "sort", taken))
     cost = fold_cost(a, other)[bound]
     assert cost > 0
     pairs = len(a) * len(other)
@@ -373,8 +403,8 @@ def test_default_cost_model_routes(monkeypatch):
     taken = []
     monkeypatch.setattr(scalar_sets_module, "_bitset_sum",
                         recording(scalar_sets_module._bitset_sum, "bitset", taken))
-    monkeypatch.setattr(scalar_sets_module, "unique_blocks",
-                        recording(scalar_sets_module.unique_blocks, "sort", taken))
+    monkeypatch.setattr(scalar_sets_module, "distinct_values",
+                        recording(scalar_sets_module.distinct_values, "sort", taken))
     ap = ScalarSet(range(0, 3000, 3))
     difference_set(ap)
     pairwise_combine(ap, ScalarSet([10**6, -(10**6)]), "add")  # one short row over a wide span
