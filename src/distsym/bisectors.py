@@ -7,15 +7,16 @@ which rearranges to the linear equation
     2(qx - px) X + 2(qy - py) Y + (|p|^2 - |q|^2) = 0.
 
 Clearing denominators, dividing by the gcd and forcing the first nonzero of
-(a, b) positive makes the triple (a, b, c) a unique key for the line, so
-weights can be accumulated by sorting the triples of all pairs i < j on one
-64-bit key per row and counting each run of equal triples
-(scalar_sets.run_starts).  The triples are written block by block into three
-columns allocated once for all N(N - 1)/2 pairs.  The key's low bits carry
-the row index, so one in-place sort of the packed key gives the order, and
-the columns are gathered through it one at a time.  Equal triples share a
-key; a key run that holds two different triples is lex-sorted on its own,
-so the count stays exact however short the key.
+(a, b) positive makes the triple (a, b, c) a unique key for the line.  The
+weight map writes the triples of all pairs i < j of the reduced lattice
+(planar._reduced_lattice), an integer copy of the set similar to it, block
+by block into three columns allocated once, sorts them on one 64-bit key
+per row and counts each run of equal triples (scalar_sets.run_starts); only
+the distinct lines are mapped back to the set's own coordinates.  The key's
+low bits carry the row index, so one in-place sort of the packed key gives
+the order, and the columns are gathered through it one at a time.  Equal
+triples share a key; a key run that holds two different triples is
+lex-sorted on its own, so the count stays exact however short the key.
 
 The mirror subset of the heaviest bisector is found on the cleared integer
 rows of the point set, by one lookup per point in its row index.  A
@@ -39,8 +40,8 @@ from .errors import (
     MismatchedInputsError,
     TooFewPointsError,
 )
-from .planar import PlanarPointSet, Point, as_point
-from .scalar_sets import as_scalar, clear_denominators, row_blocks, run_starts
+from .planar import PlanarPointSet, Point, _reduced_lattice, as_point
+from .scalar_sets import as_scalar, clear_denominators, int_dtype, row_blocks, run_starts
 
 
 class Line(NamedTuple):
@@ -124,11 +125,11 @@ class WeightedBisectorMap:
 
     def line_arrays(self):
         """(lines, weights): an (n, 3) array of distinct canonical rows and
-        their int64 weights, in the order of the row keys with the row index
-        packed into their low bits: fixed for a given point set, but neither
-        numeric order nor a contract, and it moves whenever the key does.
-        The rows are int64 when the point coordinates passed the planar
-        int64 guard, else object (Python ints)."""
+        their int64 weights, in the order of their reduced rows' keys with the
+        row index packed into their low bits: fixed for a given point set, but
+        neither numeric order nor a contract, and it moves whenever the key or
+        the reduced lattice does.  The rows are int64 when they fit int_dtype,
+        else object (Python ints)."""
         return self._lines, self._weights
 
 
@@ -173,21 +174,19 @@ def _line_starts(key: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -
     return starts
 
 
-def _pair_bisectors(xs, ys, sq, den: int, rows: slice, a, b, c) -> int:
+def _pair_bisectors(xs, ys, sq, rows: slice, a, b, c) -> int:
     """Write the canonical bisector rows (a, b, c) of the point pairs i < j
     with i in rows to the start of the columns a, b, c and return how many
     were written; the block's differences and gcd temporaries die with the
     call.
 
-    xs and ys are the cleared coordinates, translated so that their
-    differences fit their dtype, which may be narrower than the columns'
-    (_difference_coords).  The points are sorted by (x, y), so every pair
-    i < j has dx >= 0, and dy > 0 where dx = 0: the row comes out with a
-    positive first nonzero entry and needs no sign normalisation.  With
-    g0 = gcd(dx, dy), which divides c = |P|^2 - |Q|^2, and (u, v) = (dx, dy)
-    / g0 coprime, gcd(2L dx, 2L dy, c) = g0 h for h = gcd(2L, c / g0), and
-    the canonical row is (2L u, 2L v, c / g0) / h.  For L = 1, h is 2 when
-    c / g0 is even and 1 when odd."""
+    xs and ys are reduced coordinates (_reduced_lattice), in a dtype that
+    holds their differences, and sq = xs^2 + ys^2 is in the columns' dtype.
+    The points are sorted by (x, y), so every pair i < j has dx >= 0, and
+    dy > 0 where dx = 0: the row comes out with a positive first nonzero
+    entry.  With g0 = gcd(dx, dy), which divides c = |P|^2 - |Q|^2, the
+    canonical row is (2 dx, 2 dy, c) / g0 when c / g0 is odd and
+    (dx, dy, c / 2) / g0 when it is even."""
     idx = np.arange(len(xs))
     upper = (idx[rows, None] < idx[None, :]).ravel()
     k = int(np.count_nonzero(upper))
@@ -202,52 +201,54 @@ def _pair_bisectors(xs, ys, sq, den: int, rows: slice, a, b, c) -> int:
     dy //= g
     c //= g
     del g
-    if den == 1:
-        # odd c / g0 doubles (u, v), even c / g0 halves c
-        odd = c & 1
-        np.left_shift(dx, odd, out=a)
-        np.left_shift(dy, odd, out=b)
-        odd ^= 1
-        c >>= odd
-    else:
-        h = np.gcd(c, 2 * den)
-        c //= h
-        np.floor_divide(2 * den, h, out=h)
-        np.multiply(dx, h, out=a)
-        np.multiply(dy, h, out=b)
+    odd = c & 1
+    np.left_shift(dx, odd, out=a)
+    np.left_shift(dy, odd, out=b)
+    odd ^= 1
+    c >>= odd
     return k
 
 
-def _difference_coords(xs: np.ndarray, ys: np.ndarray):
-    """xs and ys translated to their minimum, as int32 when both box widths
-    are below 2^31, so that every difference of two entries fits int32; else
-    in their own dtype.  int64 coordinates always pass, since 8 M^2 < 2^62
-    keeps their magnitudes M below 2^29.5; object ones pass where their box
-    is narrow."""
-    xs, ys = xs - xs.min(), ys - ys.min()
-    if max(int(xs.max()), int(ys.max())) < 1 << 31:
-        return xs.astype(np.int32), ys.astype(np.int32)
-    return xs, ys
+def _to_cleared(lines: np.ndarray, den: int, reach: int, g: int, x0: int, y0: int) -> np.ndarray:
+    """The reduced lattice's distinct rows (a', b', c'), a (3, n) array, as
+    canonical rows in p's coordinates.  A reduced point is (X - x0, Y - y0)
+    / g for (X, Y) = L (x, y), so the row is (a' L, b' L, g c' - a' x0 - b' y0)
+    over its gcd: that of its c and L gcd(a', b'), where gcd(a', b') is 2
+    or 1 (_pair_bisectors).  It divides L g, as gcd(a', b', c') = 1, so rows
+    with L = g = 1 need no division.  In place in int64 when |a'|, |b'| <=
+    2 sqrt(reach) and |c'| <= reach bound every entry inside int_dtype, else
+    in Python ints, kept as int64 if they fit."""
+    w = 2 * math.isqrt(reach)
+    bound = max(den * w, g * reach + w * (abs(x0) + abs(y0)))
+    lines = lines.astype(int_dtype(bound), copy=False)
+    a, b, c = lines
+    if g != 1:
+        c *= g
+    for col, shift in ((a, x0), (b, y0)):
+        if shift:  # one temporary at a time: c -= a x0 + b y0 took 3x as long
+            c -= col * shift
+    if den * g != 1:
+        h = np.gcd((2 * den) >> ((a | b) & 1), c)  # the small operand first: one step fewer
+        lines[:2] *= den
+        lines //= h
+    return lines.astype(int_dtype(int(np.abs(lines).max()))) if lines.dtype == object else lines
 
 
 def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
-    """Accumulate bisector weights over all ordered pairs of distinct points.
-
-    On coordinates cleared by L, the bisector equation times L^2 reads
-    2L(Qx - Px) X + 2L(Qy - Py) Y + (|P|^2 - |Q|^2) = 0, so one integer
-    kernel serves every input; the coordinate dtype carries into every row.
-    """
+    """Accumulate bisector weights over all ordered pairs of distinct points:
+    on the reduced lattice, whose distinct lines alone are mapped back."""
     n = len(p)
     if n < 2:
         raise TooFewPointsError("bisector weights need at least two points")
-    xs, ys, den = p.scaled_int_coords()
+    xs, ys, reach, g, x0, y0 = _reduced_lattice(p)
     sq = xs * xs + ys * ys
     m = n * (n - 1) // 2
     cols = [np.empty(m, dtype=xs.dtype) for _ in range(3)]
-    dxs, dys = _difference_coords(xs, ys)
+    if xs.dtype == np.int64:  # W^2 + H^2 < 2^62 keeps every difference below 2^31
+        xs, ys = xs.astype(np.int32), ys.astype(np.int32)
     done = 0
     for rows in row_blocks(n, n, scalar_sets._CHUNK):
-        done += _pair_bisectors(dxs, dys, sq, den, rows, *(col[done:] for col in cols))
+        done += _pair_bisectors(xs, ys, sq, rows, *(col[done:] for col in cols))
     # the key keeps its high bits and carries the row index in the low ones,
     # so one in-place sort of it yields both the key order and the rows' order
     key = _row_key(*cols)
@@ -264,9 +265,10 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     del key
     # column-major, so heaviest_bisector and the incidence scan read contiguous
     # columns; each column goes once taken ("clip" writes out unbuffered)
-    lines = np.empty((3, len(starts)), dtype=xs.dtype)
+    lines = np.empty((3, len(starts)), dtype=cols[0].dtype)
     for row in lines:
         np.take(cols.pop(0), starts, out=row, mode="clip")
+    lines = _to_cleared(lines, p.scaled_int_coords()[2], reach, g, x0, y0)
     # the weights overwrite starts: twice each run's length
     starts[:-1] = np.diff(starts)
     starts[-1] = m - starts[-1]

@@ -81,7 +81,7 @@ def _radius_class_counts(p: PlanarPointSet):
     which holds every value up to reach since int_dtype admitted it, and
     counted; a block without such a row adds nothing.  Object coordinates
     give exact rows of Python ints.  No float is compared anywhere."""
-    xs, ys, reach, _ = _reduced_lattice(p)
+    xs, ys, reach = _reduced_lattice(p)[:3]
     if xs.dtype == object:
         cols, exact = (xs, ys), True
     else:

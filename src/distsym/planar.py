@@ -61,15 +61,12 @@ class PlanarPointSet:
 
     def scaled_int_coords(self):
         """(xs, ys, L): coordinates times their common denominator L, as int64
-        arrays when int_dtype admits the weight map's reach, else as object
-        arrays of Python ints: 8 M^2 for |P|^2 and c (which also keeps an int64
-        box narrower than 2^31 for _difference_coords), 4 L M for the 2L dx and
-        2L dy coefficients, M the largest scaled magnitude.  d(P) and T take
-        their dtype from _reduced_lattice."""
+        arrays when int_dtype admits 2M, M the largest scaled magnitude, which
+        bounds _reduced_lattice's translation to the minimum, else as object
+        arrays of Python ints.  Every kernel picks its own dtype."""
         if self._scaled is None:
             nums, den = clear_denominators([v for pt in self._points for v in pt])
-            m = max(max(map(abs, nums), default=0), 1)
-            flat = np.array(nums, dtype=int_dtype(max(8 * m * m, 4 * den * m)))
+            flat = np.array(nums, dtype=int_dtype(2 * max(map(abs, nums), default=0)))
             self._scaled = (flat[0::2].copy(), flat[1::2].copy(), den)
         return self._scaled
 
@@ -134,21 +131,22 @@ def cartesian_square(a: ScalarSet) -> PlanarPointSet:
 
 
 def _reduced_lattice(p: PlanarPointSet):
-    """(xs, ys, reach, g): p's cleared coordinates translated to their minimum
-    and divided by their common gcd g (g = 1 for a single point), with reach
-    = W^2 + H^2 for the widths W and H of the reduced box, the largest
-    squared distance.  The columns are in int_dtype(reach).  The map is a
-    similarity, so it scales every squared distance by the same (L / g)^2
-    and keeps which of them are equal."""
+    """(xs, ys, reach, g, x0, y0): p's cleared coordinates translated to their
+    minimum (x0, y0) and divided by their common gcd g (1 for a single
+    point), in int_dtype(reach), reach = W^2 + H^2 for the widths of the
+    reduced box, the largest squared distance.  The map is a similarity: it
+    scales every squared distance by (L / g)^2 and maps bisectors to
+    bisectors."""
     xs, ys, _ = p.scaled_int_coords()
-    xs, ys = xs - xs.min(), ys - ys.min()
+    x0, y0 = int(xs.min()), int(ys.min())
+    xs, ys = xs - x0, ys - y0
     g = int(np.gcd.reduce(np.concatenate((xs, ys)))) or 1
     if g > 1:
         xs //= g
         ys //= g
     reach = int(xs.max()) ** 2 + int(ys.max()) ** 2
     dtype = int_dtype(reach)
-    return xs.astype(dtype, copy=False), ys.astype(dtype, copy=False), reach, g
+    return xs.astype(dtype, copy=False), ys.astype(dtype, copy=False), reach, g, x0, y0
 
 
 def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int):
@@ -216,7 +214,7 @@ def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> Distan
     triangle only; the distinct values alone are scaled back by g^2 / L^2."""
     if not p:
         raise EmptyInputError("distance set of an empty point set")
-    xs, ys, reach, g = _reduced_lattice(p)
+    xs, ys, reach, g, _, _ = _reduced_lattice(p)
     vals = _distinct_upper_distances(xs, ys)
     if not include_zero:
         vals = vals[1:]  # the diagonal's 0 is the least value

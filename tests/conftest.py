@@ -64,6 +64,12 @@ def per_pair_weights(p):
     return dict(counts)
 
 
+def rows_dtype(weights):
+    """The dtype a weight map stores these lines in: int64 when every entry
+    of every canonical row fits int_dtype, else object."""
+    return scalar_sets.int_dtype(max(abs(v) for line in weights for v in line))
+
+
 def sorted_dtypes(monkeypatch):
     """(dtype, length) of every array that scalar_sets._sorted_unique sorts,
     the sorts of the folds' sort route and of the distance set among them."""

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import per_pair_weights
-from distsym import bisectors, scalar_sets
+from conftest import per_pair_weights, rows_dtype
+from distsym import bisectors, planar, scalar_sets
 from distsym.bisectors import (
     Line,
     _row_key,
@@ -24,6 +24,7 @@ from distsym.bisectors import (
 from distsym.errors import DegeneratePairError, MismatchedInputsError
 from distsym.families import FamilySpec, generate_family, random_rational_point_set
 from distsym.planar import PlanarPointSet
+from distsym.scalar_sets import _I64_LIMIT
 
 coords = st.one_of(
     st.integers(min_value=-100, max_value=100),
@@ -149,10 +150,14 @@ def test_weight_map_matches_per_pair_bisectors():
     integer = PlanarPointSet(pts)
     rational = random_rational_point_set(random.Random(18), 40)
     huge = PlanarPointSet([(10**25, 0), (0, 10**25), (-(10**25), 3), (Fraction(1, 3), 7), (0, 0)])
-    for p, dtype in ((integer, np.int64), (rational, np.int64), (huge, object)):
+    # object coordinates, int64 lines: every bisector is horizontal near y = 0
+    column = PlanarPointSet([(10**25, y) for y in range(-20, 21)])
+    for p, dtype in ((integer, np.int64), (rational, np.int64), (huge, object), (column, np.int64)):
         wm = bisector_weight_map(p)
-        assert wm.line_arrays()[0].dtype == dtype
-        assert dict(wm.items()) == per_pair_weights(p)
+        weights = per_pair_weights(p)
+        assert wm.line_arrays()[0].dtype == dtype == rows_dtype(weights)
+        assert dict(wm.items()) == weights
+    assert column.scaled_int_coords()[0].dtype == object
 
 
 def random_int_points(rng, n, span):
@@ -255,81 +260,130 @@ def test_weight_map_across_packed_index_widths(n, scale):
     base = random_int_points(random.Random(n), n, 6)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in base.points])
     wm = bisector_weight_map(p)
-    assert wm.line_arrays()[0].dtype == (np.int64 if scale == 1 else object)
-    assert dict(wm.items()) == per_pair_weights(p)
+    weights = per_pair_weights(p)
+    assert wm.line_arrays()[0].dtype == (np.int64 if scale == 1 else object) == rows_dtype(weights)
+    assert dict(wm.items()) == weights
 
 
-# The points are sorted by (x, y), so the pairs i < j have dx >= 0, and
-# dy > 0 where dx = 0: the kernel's raw rows, in row-major pair order, are
-# the canonical bisectors themselves, with no sign to normalise.  The set
-# has vertical pairs and slopes of both signs; its coordinates are int64,
-# cleared by L = 6 and object, whose box is too wide for int32 differences.
-@pytest.mark.parametrize("scale", [1, Fraction(1, 6), 10**25], ids=["int64", "L6", "object"])
-def test_raw_pair_rows_are_canonical(scale):
-    base = [(0, 0), (0, 3), (0, -2), (2, 1), (2, -5), (-3, 4), (5, 5), (4, -1), (-3, -7)]
-    p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in base])
-    xs, ys, den = p.scaled_int_coords()
+def reduced_rows(p):
+    """Every pair's raw row from _pair_bisectors on p's reduced lattice, in
+    row-major pair order, as the weight map forms them, with the frame."""
+    xs, ys, reach, g, x0, y0 = planar._reduced_lattice(p)
     n = len(p)
     cols = [np.empty(n * (n - 1) // 2, dtype=xs.dtype) for _ in range(3)]
-    dxs, dys = bisectors._difference_coords(xs, ys)
-    assert dxs.dtype == (object if scale == 10**25 else np.int32)
-    written = bisectors._pair_bisectors(dxs, dys, xs * xs + ys * ys, den, slice(0, n), *cols)
+    narrow = (xs.astype(np.int32), ys.astype(np.int32)) if xs.dtype == np.int64 else (xs, ys)
+    written = bisectors._pair_bisectors(*narrow, xs * xs + ys * ys, slice(0, n), *cols)
     assert written == len(cols[0])
-    rows = [Line(*row) for row in zip(*(col.tolist() for col in cols))]
-    pts = p.points
-    assert rows == [perpendicular_bisector(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
-    assert all(a > 0 or (a == 0 and b > 0) for a, b, _ in rows)
+    return np.array(cols), list(zip(xs.tolist(), ys.tolist())), (reach, g, x0, y0)
 
 
-def difference_dtypes(monkeypatch):
-    """dtype of the differences each weight map takes its gcd on."""
+def pair_bisectors(pts):
+    return [perpendicular_bisector(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
+
+
+# The points are sorted by (x, y), and so are their reduced copies: the pairs
+# i < j have dx >= 0, and dy > 0 where dx = 0, so the kernel's raw rows, in
+# row-major pair order, are the canonical bisectors of the reduced points,
+# with no sign to normalise, and _to_cleared maps them to p's own.  The set
+# has vertical pairs and slopes of both signs; its reduced lattice is int64,
+# that of the points cleared by L = 6 too, and object where x alone is
+# scaled by 10^25, so that no similarity reduces it.
+@pytest.mark.parametrize("sx, sy", [(1, 1), (Fraction(1, 6), Fraction(1, 6)), (10**25, 1)],
+                         ids=["int64", "L6", "object"])
+def test_raw_pair_rows_are_canonical(sx, sy):
+    base = [(0, 0), (0, 3), (0, -2), (2, 1), (2, -5), (-3, 4), (5, 5), (4, -1), (-3, -7)]
+    p = PlanarPointSet([(x * sx, y * sy + 1) for x, y in base])
+    rows, reduced, frame = reduced_rows(p)
+    assert rows.dtype == (object if sx == 10**25 else np.int64)
+    assert [Line(*row) for row in rows.T.tolist()] == pair_bisectors(reduced)
+    assert all(a > 0 or (a == 0 and b > 0) for a, b, _ in rows.T.tolist())
+    lines = bisectors._to_cleared(rows, p.scaled_int_coords()[2], *frame)
+    assert [Line(*row) for row in lines.T.tolist()] == pair_bisectors(p.points)
+
+
+def kernel_dtypes(monkeypatch):
+    """(difference, column) dtypes of every _pair_bisectors call."""
     seen = []
-    real = bisectors._difference_coords
+    real = bisectors._pair_bisectors
 
-    def spy(xs, ys):
-        out = real(xs, ys)
-        seen.append(out[0].dtype)
-        return out
-    monkeypatch.setattr(bisectors, "_difference_coords", spy)
+    def spy(xs, *args):
+        seen.append((xs.dtype, args[-1].dtype))
+        return real(xs, *args)
+    monkeypatch.setattr(bisectors, "_pair_bisectors", spy)
     return seen
 
 
-# The gcd runs on int32 differences while both box widths are below 2^31.
-# int64 coordinates always are; these object coordinates (far from the
-# origin, 8 M^2 past 2^62) span boxes of 2^31 - 1 and 2^31, with vertical
-# pairs, both slopes and rows of |a| past 2^31, which int32 would wrap.
-@pytest.mark.parametrize("width, dtype", [((1 << 31) - 1, np.int32), (1 << 31, object)])
-def test_pair_kernel_at_the_int32_guard(monkeypatch, width, dtype):
-    base = [(0, 0), (0, width), (width, 0), (width, width), (width, 1), (1, width - 2),
-            (0, 7), (5, 3), (width - 6, width - 9), (3, width - 4)]
+def box(w, h):
+    """Points spanning a w x h box, with vertical pairs and both slopes."""
+    return [(0, 0), (0, h), (w, 0), (w, h), (w, 1), (1, h), (1, 0), (5, 3), (w - 6, h),
+            (3, h - 4), (w - 1, 1)]
+
+
+# The reduced columns are int64 while the reach W^2 + H^2 of the reduced box
+# is below 2^62, which keeps W and H, and so every difference, below 2^31:
+# the gcd runs on int32, with rows of |a| past 2^31, which int32 would wrap.
+# The largest reach below 2^62 is 2^62 - 44 here; 2^62 is a segment of
+# width 2^31, and 2^62 + 1 a box of 2^31 by 1.  Every set sits far from the
+# origin, so its cleared coordinates are object.
+@pytest.mark.parametrize("base, reach, dtypes", [
+    (box(2147483524, 729778), (1 << 62) - 44, (np.int32, np.int64)),
+    ([(0, 0), (1, 0), (5, 0), ((1 << 31) - 6, 0), ((1 << 31) - 1, 0), (1 << 31, 0)], 1 << 62,
+     (object, object)),
+    ([(0, 0), (0, 1), (1, 0), (5, 1), (7, 0), ((1 << 31) - 6, 1), ((1 << 31) - 1, 0), (1 << 31, 0),
+      (1 << 31, 1)], (1 << 62) + 1, (object, object)),
+], ids=["2^62-44", "2^62", "2^62+1"])
+def test_pair_kernel_at_the_int32_guard(monkeypatch, base, reach, dtypes):
     shift = 10**20
     p = PlanarPointSet([(x - shift, y + shift) for x, y in base])
-    seen = difference_dtypes(monkeypatch)
+    assert planar._reduced_lattice(p)[2] == reach
+    assert p.scaled_int_coords()[0].dtype == object
+    seen = kernel_dtypes(monkeypatch)
     wm = bisector_weight_map(p)
-    assert seen == [dtype]
+    assert seen == [dtypes]
     assert wm.line_arrays()[0].dtype == object
-    assert max(abs(line.a) for line, _ in wm.items()) > 1 << 31
+    assert dtypes[0] is object or max(abs(line.a) for line, _ in wm.items()) > 1 << 31
     assert dict(wm.items()) == per_pair_weights(p)
 
 
-# With c' = c / gcd(dx, dy), the row is divided by h = gcd(2L, c'): for
-# L = 1 a parity test (h = 1 or 2), for L = 12 every divisor of 24.
+# A reduced row maps back to (a' L, b' L, g c' - a' x0 - b' y0) over its gcd
+# h, which divides L g.  Over points k / L whose cleared coordinates are all
+# odd, g = 2, and h takes every divisor of 2L: 1 and 2 at L = 1, every
+# divisor of 24 at L = 12; the kernel still runs on int32 differences.
 @pytest.mark.parametrize("den", [1, 12])
-def test_pair_kernel_divides_by_gcd_of_2L_and_the_offset(monkeypatch, den):
+def test_map_back_divides_by_every_divisor_of_L_times_g(monkeypatch, den):
     rng = random.Random(den)
-    pts = {(Fraction(1, den), 0)}
+    pts = {(Fraction(1, den), Fraction(1, den))}
     while len(pts) < 40:
-        pts.add((Fraction(rng.randint(-60, 60), den), Fraction(rng.randint(-60, 60), den)))
+        pts.add((Fraction(2 * rng.randint(-30, 30) + 1, den), Fraction(2 * rng.randint(-30, 30) + 1, den)))
     p = PlanarPointSet(pts)
-    xs, ys, cleared = p.scaled_int_coords()
-    assert cleared == den and xs.dtype == np.int64
-    rows = list(zip(xs.tolist(), ys.tolist()))
-    hs = {math.gcd(2 * den, (x * x + y * y - u * u - w * w) // math.gcd(u - x, w - y))
-          for i, (x, y) in enumerate(rows) for u, w in rows[i + 1:]}
+    rows, _, (reach, g, x0, y0) = reduced_rows(p)
+    assert (p.scaled_int_coords()[2], g) == (den, 2)
+    hs = {math.gcd(a * den, b * den, g * c - a * x0 - b * y0) for a, b, c in rows.T.tolist()}
     assert hs == {h for h in range(1, 2 * den + 1) if 2 * den % h == 0}
-    seen = difference_dtypes(monkeypatch)
+    lines = bisectors._to_cleared(rows, den, reach, g, x0, y0)
+    assert lines.dtype == np.int64
+    assert [Line(*row) for row in lines.T.tolist()] == pair_bisectors(p.points)
+    seen = kernel_dtypes(monkeypatch)
     assert dict(bisector_weight_map(p).items()) == per_pair_weights(p)
-    assert seen == [np.int32]
+    assert seen == [(np.int32, np.int64)]
+
+
+# A scaled and translated copy of grid(12) reduces to grid(12) itself, so its
+# pairs run on int32 differences and int64 rows, not on Python ints.  Its
+# lines are object only because c passes int64: a and b are those of grid(12).
+@pytest.mark.parametrize("shift", [(0, 0), (10**30, -(10**30))], ids=["scaled", "translated"])
+def test_scaled_lattice_keeps_the_int64_kernel(monkeypatch, shift):
+    grid = generate_family(FamilySpec(kind="grid", n=12))
+    p = PlanarPointSet([(x * 10**25 + shift[0], y * 10**25 + shift[1]) for x, y in grid.points])
+    assert p.scaled_int_coords()[0].dtype == object
+    seen = kernel_dtypes(monkeypatch)
+    wmap = bisector_weight_map(p)
+    assert seen == [(np.int32, np.int64)]
+    assert dict(wmap.items()) == per_pair_weights(p)
+    lines, _ = wmap.line_arrays()
+    assert lines.dtype == object
+    assert max(abs(v) for v in lines[:, :2].ravel().tolist()) < _I64_LIMIT
+    assert max(abs(v) for v in lines[:, 2].tolist()) >= _I64_LIMIT
 
 
 @pytest.mark.parametrize("n", [300, 1000])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import per_pair_weights
+from conftest import per_pair_weights, rows_dtype
 from distsym import incidence, planar, scalar_sets
 from distsym.bisectors import WeightedBisectorMap, bisector_weight_map
 from distsym.errors import CapExceededError, MismatchedInputsError
@@ -278,11 +278,11 @@ def test_st_report_internal_consistency(p):
     assert rep.rhs_ceil == base + (root if root**3 == cube else root + 1)
 
 
-# The planar guard picks the coordinate dtype (int64 while the squared
-# distances' reach 8 M^2 and the bisector coefficients' reach 4 L M, for
-# scaled magnitude M, stay below _I64_LIMIT), and the incidence reach picks
-# the dtype of the join and the scan.  Each route is checked against the
-# independent oracles on both sides of each edge.
+# The planar guard picks the coordinate dtype (int64 while the box width 2M
+# that _reduced_lattice translates, for scaled magnitude M, stays below
+# _I64_LIMIT), the canonical rows pick the lines' dtype, and the incidence
+# reach picks the dtype of the join and the scan.  Each route is checked
+# against the independent oracles on both sides of each edge.
 
 
 def check_against_oracles(p):
@@ -298,9 +298,11 @@ def check_against_oracles(p):
     return wm
 
 
-# the last int64 inputs: 8 M^2 < 2^62 at L = 1, and 4 L M < 2^62 at M = 3
-COORD_EDGE = math.isqrt((_I64_LIMIT - 1) // 8)
-DEN_EDGE = (_I64_LIMIT - 1) // 12
+# the last int64 coordinates: 2M < 2^62 at L = 1.  Over points k / L the
+# coordinates stay int64 at any L, and the lines cross instead: the row
+# (4L, 2L, -5) of (0, 0) and (2, 1) / L reaches 2^62 at L = 2^60
+COORD_EDGE = (_I64_LIMIT - 1) // 2
+DEN_EDGE = (1 << 60) - 1
 EDGE_IDS = ("edge-1", "edge", "edge+1")
 
 
@@ -311,7 +313,7 @@ def test_coordinates_at_the_planar_guard(edge):
     xs, ys, den = p.scaled_int_coords()
     assert den == 1 and xs.dtype == ys.dtype == dtype
     wm = check_against_oracles(p)
-    assert wm.line_arrays()[0].dtype == dtype
+    assert wm.line_arrays()[0].dtype == rows_dtype(per_pair_weights(p))
 
 
 @pytest.mark.parametrize("den", (DEN_EDGE - 1, DEN_EDGE, DEN_EDGE + 1), ids=EDGE_IDS)
@@ -320,9 +322,10 @@ def test_common_denominator_at_the_planar_guard(den):
     p = PlanarPointSet([(Fraction(x, den), Fraction(y, den))
                         for x, y in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (-1, 2))])
     xs, ys, lcm = p.scaled_int_coords()
-    assert lcm == den
-    assert xs.dtype == (np.int64 if den <= DEN_EDGE else object)
-    check_against_oracles(p)
+    assert lcm == den and xs.dtype == np.int64
+    wm = check_against_oracles(p)
+    dtype = np.int64 if den <= DEN_EDGE else object
+    assert wm.line_arrays()[0].dtype == dtype == rows_dtype(per_pair_weights(p))
 
 
 def kernel_dtypes(monkeypatch):
@@ -334,8 +337,8 @@ def kernel_dtypes(monkeypatch):
 
 
 def test_object_reduction_feeds_int64_kernels(monkeypatch):
-    # L = 797 * 809 * 811 keeps the coordinates int64 (4 L M < 2^56), while
-    # |c| L passes 2^62, so the lines are reduced in Python ints; the reduced
+    # L = 797 * 809 * 811 keeps the coordinates and the lines int64 (every
+    # entry below 2^56), while |c| L passes 2^62, so the lines are reduced in Python ints; the reduced
     # offsets -cL / gcd(a, b) fall back inside the reach of int64 kernels
     dtypes = kernel_dtypes(monkeypatch)
     rng = random.Random(5)
@@ -560,9 +563,10 @@ def test_similar_grids_count_alike(monkeypatch, scale, shift):
     p = PlanarPointSet([(x * scale + shift[0], y * scale + shift[1])
                         for x, y in generate_family(FamilySpec(kind="grid", n=6)).points])
     assert p.scaled_int_coords()[0].dtype == (object if scale == 10**25 else np.int64)
-    xs, ys, reach, g = planar._reduced_lattice(p)
+    xs, ys, reach, g, x0, y0 = planar._reduced_lattice(p)
     assert xs.dtype == ys.dtype == np.int64 and reach == 50
-    assert g == p.scaled_int_coords()[2] * scale
+    den = p.scaled_int_coords()[2]
+    assert g == den * scale and (x0, y0) == (shift[0] * den, shift[1] * den)
     rows = counted_rows(monkeypatch)
     assert incidence._radius_class_counts(p) == radius_oracles(p) == GRID6_COUNTS
     assert rows(len(p)) == [(np.uint32, 36)]
@@ -584,8 +588,9 @@ def test_geometric_square_counts_every_row(monkeypatch, ratio, dtype):
 @pytest.mark.parametrize("point", [(3, 4), (Fraction(1, 3), -7), (10**25, 1)])
 def test_one_point_reduces_to_the_origin(monkeypatch, point):
     p = PlanarPointSet([point])
-    xs, ys, reach, g = planar._reduced_lattice(p)
+    xs, ys, reach, g, x0, y0 = planar._reduced_lattice(p)
     assert (xs.tolist(), ys.tolist(), reach, g) == ([0], [0], 0, 1)
+    assert (x0, y0) == tuple(p.scaled_int_coords()[i][0] for i in range(2))
     rows = counted_rows(monkeypatch)
     assert incidence._radius_class_counts(p) == radius_oracles(p) == (0, 0)
     assert rows(1) == [(np.uint32, 1)]

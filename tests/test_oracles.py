@@ -32,7 +32,7 @@ FAST_PATH_HELPERS = {
     "_sorted_unique",
     "_unique_outer",
     "_pair_bisectors",
-    "_difference_coords",
+    "_to_cleared",
     "_line_starts",
     "_mirror_indices",
     "_sq_dist_rows",
