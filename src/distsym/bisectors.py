@@ -10,13 +10,17 @@ Clearing denominators, dividing by the gcd and forcing the first nonzero of
 (a, b) positive makes the triple (a, b, c) a unique key for the line.  The
 weight map writes the triples of all pairs i < j of the reduced lattice
 (planar._reduced_lattice), an integer copy of the set similar to it, block
-by block into three columns allocated once, sorts them on one 64-bit key
-per row and counts each run of equal triples (scalar_sets.run_starts); only
-the distinct lines are mapped back to the set's own coordinates.  The key's
-low bits carry the row index, so one in-place sort of the packed key gives
-the order, and the columns are gathered through it one at a time.  Equal
-triples share a key; a key run that holds two different triples is
-lex-sorted on its own, so the count stays exact however short the key.
+by block into one (3, pairs) block allocated once, and sorts one 64-bit key
+per row whose low bits carry the row index.  Equal triples share a key, so
+a key seen once is a line of weight 2 whose row is already canonical: in a
+set with many distinct distances, almost every row, and then no row moves.
+Otherwise the lone rows move to the front of the block in pair order, and
+the rows of repeated keys behind them in key order, one column at a time;
+each run of equal triples among the latter is a line
+(scalar_sets.run_starts), and a key run that holds two different triples
+is lex-sorted on its own, so the count stays exact however short the key.
+The lines are a slice of the block, and only they are mapped back to the
+set's own coordinates.
 
 The mirror subset of the heaviest bisector is found on the cleared integer
 rows of the point set, by one lookup per point in its row index.  A
@@ -96,9 +100,9 @@ def point_on_line(line: Line, p) -> bool:
 class WeightedBisectorMap:
     """w(l) = number of ordered pairs of distinct points whose bisector is l.
 
-    Held as coefficient rows (a, b, c) in the order of their packed row keys
-    (fixed for a given point set, not numeric order) with their weights;
-    dict(items()) is the mapping.  Weights are even and sum to N^2 - N.
+    Held as read-only coefficient rows (a, b, c) with their weights, in the
+    order line_arrays() describes; dict(items()) is the mapping.  Weights
+    are even and sum to N^2 - N.
     """
 
     __slots__ = ("n_points", "source_points", "total_weight", "max_weight",
@@ -107,6 +111,7 @@ class WeightedBisectorMap:
     def __init__(self, source_points: Tuple[Point, ...], lines: np.ndarray, weights: np.ndarray):
         self.source_points = source_points
         self.n_points = len(source_points)
+        lines.flags.writeable = weights.flags.writeable = False
         self._lines = lines
         self._weights = weights
         self.total_weight = int(weights.sum())
@@ -125,11 +130,15 @@ class WeightedBisectorMap:
 
     def line_arrays(self):
         """(lines, weights): an (n, 3) array of distinct canonical rows and
-        their int64 weights, in the order of their reduced rows' keys with the
-        row index packed into their low bits: fixed for a given point set, but
-        neither numeric order nor a contract, and it moves whenever the key or
-        the reduced lattice does.  The rows are int64 when they fit int_dtype,
-        else object (Python ints)."""
+        their int64 weights, both read-only.  The lines of weight 2 whose key
+        no other row shares come first, in the order of their pairs i < j of
+        the reduced lattice, then the lines of repeated keys in the order of
+        those keys, with the row index packed into their low bits.  That is
+        fixed for a given point set, but neither numeric order nor a
+        contract, and it moves whenever the key or the reduced lattice does.
+        When every line weighs 2, weights is a broadcast 2 and holds no
+        memory.  The rows are int64 when they fit int_dtype, else object
+        (Python ints)."""
         return self._lines, self._weights
 
 
@@ -188,14 +197,22 @@ def _pair_bisectors(xs, ys, sq, rows: slice, a, b, c) -> int:
     canonical row is (2 dx, 2 dy, c) / g0 when c / g0 is odd and
     (dx, dy, c / 2) / g0 when it is even."""
     idx = np.arange(len(xs))
-    upper = (idx[rows, None] < idx[None, :]).ravel()
+    upper = idx[rows, None] < idx[None, :]
     k = int(np.count_nonzero(upper))
     a, b, c = a[:k], b[:k], c[:k]
-    # boolean indexing: np.compress(..., out=) goes through a buffered take,
-    # 5.0 against 2.3 ms a column at N = 1000
-    c[...] = (sq[rows, None] - sq[None, :]).ravel()[upper]
+    # c = |P_i|^2 - |P_j|^2 in the pairs' row-major order: each i's own value
+    # repeated once per later point, less the later points' values read by
+    # the mask off a broadcast row, so no (rows, N) block of int64 values is
+    # formed.  In process, the kernel took 46.5 against 47.4 ms on 1000
+    # random points, and its traced peak on grid(40) fell from 61.0 to 51.3
+    # MiB.  Boolean indexing: np.compress(..., out=) goes through a buffered
+    # take, 5.0 against 2.3 ms a column at N = 1000
+    c[...] = np.repeat(sq[rows], len(xs) - 1 - idx[rows])
+    c -= np.broadcast_to(sq, upper.shape)[upper]
+    upper = upper.ravel()
     dx = (xs[None, :] - xs[rows, None]).ravel()[upper]
     dy = (ys[None, :] - ys[rows, None]).ravel()[upper]
+    del upper
     g = np.gcd(dx, dy)
     dx //= g
     dy //= g
@@ -243,37 +260,67 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     xs, ys, reach, g, x0, y0 = _reduced_lattice(p)
     sq = xs * xs + ys * ys
     m = n * (n - 1) // 2
-    cols = [np.empty(m, dtype=xs.dtype) for _ in range(3)]
+    # column-major, so heaviest_bisector and the incidence scan read contiguous
+    # columns of the lines, which end up as a slice of this block
+    block = np.empty((3, m), dtype=xs.dtype)
     if xs.dtype == np.int64:  # W^2 + H^2 < 2^62 keeps every difference below 2^31
         xs, ys = xs.astype(np.int32), ys.astype(np.int32)
     done = 0
     for rows in row_blocks(n, n, scalar_sets._CHUNK):
-        done += _pair_bisectors(xs, ys, sq, rows, *(col[done:] for col in cols))
+        done += _pair_bisectors(xs, ys, sq, rows, *block[:, done:])
     # the key keeps its high bits and carries the row index in the low ones,
     # so one in-place sort of it yields both the key order and the rows' order
-    key = _row_key(*cols)
+    key = _row_key(*block)
     low = np.uint64((1 << (m - 1).bit_length()) - 1)
     key &= ~low
     key |= np.arange(m, dtype=np.uint64)
     key.sort()
-    order = (key & low).view(np.int64)
-    key &= ~low
-    for i in range(3):  # one column at a time, so one extra column is alive
-        cols[i] = cols[i][order]
-    del order
-    starts = _line_starts(key, *cols)
-    del key
-    # column-major, so heaviest_bisector and the incidence scan read contiguous
-    # columns; each column goes once taken ("clip" writes out unbuffered)
-    lines = np.empty((3, len(starts)), dtype=cols[0].dtype)
-    for row in lines:
-        np.take(cols.pop(0), starts, out=row, mode="clip")
+    # equal triples share a key, so a key seen once is a line of weight 2 whose
+    # row is canonical as written: only the rows of repeated keys need the
+    # key order.  Neighbours share a key when their high bits agree
+    same = (key[1:] ^ key[:-1]) <= low
+    if not same.any():  # every line weighs 2, and no array need hold that
+        del key
+        lines, weights = block, np.broadcast_to(np.int64(2), (m,))
+    else:
+        repeated = np.zeros(m, dtype=bool)
+        repeated[1:] = same
+        repeated[:-1] |= same
+        del same
+        # index arrays, not boolean gathers: at grid(16) a nonzero and a take
+        # of sorted indices took 39 us, a boolean gather of the same rows 84
+        key = key[repeated.nonzero()[0]]
+        del repeated
+        r = len(key)
+        k = m - r
+        # the lone rows to the front, in pair order, then the repeated keys'
+        # rows in key order: one gather a column, so one extra column is alive
+        perm = np.empty(m, dtype=np.int64)
+        np.bitwise_and(key, low, out=perm[k:].view(np.uint64))
+        key &= ~low
+        keep = np.ones(m, dtype=bool)
+        keep[perm[k:]] = False
+        perm[:k] = keep.nonzero()[0]
+        del keep
+        for col in block:
+            col[:] = col[perm]
+        del perm
+        starts = _line_starts(key, *block[:, k:])
+        del key
+        lines = block[:, :k + len(starts)]
+        for col in block:  # a take a column: 2.5x faster than one 2-d take
+            col[k:len(lines[0])] = col[k:][starts]
+        # lone lines weigh 2, the others twice their run's length
+        weights = np.empty(len(lines[0]), dtype=np.int64)
+        weights[:k] = 2
+        np.subtract(starts[1:], starts[:-1], out=weights[k:-1])
+        weights[-1] = r - starts[-1]
+        weights[k:] *= 2
+        if 2 * len(weights) < m:  # do not keep the whole block alive
+            lines = lines.copy()
+    del block
     lines = _to_cleared(lines, p.scaled_int_coords()[2], reach, g, x0, y0)
-    # the weights overwrite starts: twice each run's length
-    starts[:-1] = np.diff(starts)
-    starts[-1] = m - starts[-1]
-    starts *= 2
-    wmap = WeightedBisectorMap(p.points, lines.T, starts)
+    wmap = WeightedBisectorMap(p.points, lines.T, weights)
     if wmap.total_weight != n * n - n:
         raise RuntimeError("bisector weights failed the pair-count identity")
     return wmap
@@ -281,9 +328,15 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
 
 def heaviest_bisector(wmap: WeightedBisectorMap) -> Tuple[Line, int]:
     """Line of maximum weight; ties break to the lexicographically least
-    triple, found by keeping the rows of least a, then b, then c."""
+    triple, found by keeping the rows of least a, then b, then c.  When
+    every line ties, as where every line weighs 2, the rows of least a are
+    read off the whole column: on 1000 random points 0.38 against 1.5 ms."""
     lines, weights = wmap.line_arrays()
-    cand = np.flatnonzero(weights == wmap.max_weight)
+    if wmap.max_weight * len(weights) == wmap.total_weight:
+        a = lines[:, 0]
+        cand = np.flatnonzero(a == a.min())
+    else:
+        cand = np.flatnonzero(weights == wmap.max_weight)
     for col in lines.T:
         vals = col[cand]
         cand = cand[vals == vals.min()]

@@ -31,7 +31,7 @@ from .brackets import (
     sqrt_bracket,
 )
 from .errors import EmptyInputError, TooFewPointsError
-from .planar import PlanarPointSet, squared_distance_set, verify_product_identity
+from .planar import PlanarPointSet, verify_product_identity
 from .scalar_sets import (
     Scalar,
     ScalarSet,
@@ -267,13 +267,14 @@ def thm2_report(
     """Heaviest-axis mirror weight against K^3 for K = N / |d(P)|.
 
     Returns (report, subset).  The claim is vacuous when K <= 1; that case is
-    flagged but still reported.  K follows the zero convention given.
+    flagged but still reported.  K follows the zero convention given: |d(P)|
+    is p.distance_count(), less the 0 when it is excluded.
     """
     subset = extract_symmetric_subset(
         p, include_fixed_points=include_fixed_points, weight_map=weight_map
     )
     n = len(p)
-    d_count = len(squared_distance_set(p, include_zero).squared)
+    d_count = p.distance_count() - (not include_zero)
     k = Fraction(n, d_count)
     report = BoundReport(
         name="thm2",

@@ -45,7 +45,7 @@ from . import scalar_sets
 from .bisectors import WeightedBisectorMap, check_weight_map
 from .brackets import Bracket, nth_root_bracket, ratio_bracket
 from .errors import CapExceededError, EmptyInputError
-from .planar import PlanarPointSet, _reduced_lattice, _sq_dist_rows, squared_distance_set
+from .planar import PlanarPointSet, _reduced_lattice, _sq_dist_rows
 from .scalar_sets import int_dtype, repeat_runs, row_blocks
 
 BRUTE_CAP_DEFAULT = 60
@@ -261,6 +261,8 @@ def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceRe
     The low-multiplicity count covers the (centre, radius) pairs over radius
     in d(P) (zero included) that hit at most one point; empty classes count,
     so it is N |d(P)| minus the rich classes, those of two or more points.
+    |d(P)| is p.distance_count(), sorted once per point set however many
+    reports read it.
     """
     check_weight_map(p, wmap)
     n = len(p)
@@ -282,5 +284,5 @@ def st_bound_report(p: PlanarPointSet, wmap: WeightedBisectorMap) -> IncidenceRe
         max_weight=w_max,
         rhs_floor=int(root.lo) + base,
         rhs_ceil=int(root.hi) + base,
-        low_multiplicity_classes=n * len(squared_distance_set(p).squared) - rich,
+        low_multiplicity_classes=n * p.distance_count() - rich,
     )

@@ -38,22 +38,28 @@ def _ratio(v) -> Tuple[int, int]:
 
 
 class PlanarPointSet:
-    """Deduplicated point set in lexicographic (x, y) order."""
+    """Deduplicated point set in lexicographic (x, y) order.
 
-    __slots__ = ("_points", "_index", "_scaled")
+    It caches what its readers derive from it, each on first use: the
+    cleared coordinates (scaled_int_coords), the row index (row_index), the
+    reduced lattice (_reduced_lattice) and the distance count
+    (distance_count).  The points never change, so neither do these."""
+
+    __slots__ = ("_points", "_index", "_scaled", "_lattice", "_distance_count")
 
     def __init__(self, points: Iterable = ()):
         self._points = tuple(sorted({as_point(p) for p in points}))
-        self._index = None
-        self._scaled = None
+        self._clear_caches()
 
     @classmethod
     def _from_sorted(cls, points) -> "PlanarPointSet":
         s = cls.__new__(cls)
         s._points = tuple(points)
-        s._index = None
-        s._scaled = None
+        s._clear_caches()
         return s
+
+    def _clear_caches(self):
+        self._index = self._scaled = self._lattice = self._distance_count = None
 
     @property
     def points(self) -> tuple:
@@ -77,6 +83,13 @@ class PlanarPointSet:
             xs, ys, _ = self.scaled_int_coords()
             self._index = {row: i for i, row in enumerate(zip(xs.tolist(), ys.tolist()))}
         return self._index
+
+    def distance_count(self) -> int:
+        """|d(P)| with 0 counted, from squared_distance_set on first use, so
+        however many reports read it, d(P) is sorted once per point set."""
+        if self._distance_count is None:
+            squared_distance_set(self)
+        return self._distance_count
 
     def __len__(self):
         return len(self._points)
@@ -136,17 +149,22 @@ def _reduced_lattice(p: PlanarPointSet):
     point), in int_dtype(reach), reach = W^2 + H^2 for the widths of the
     reduced box, the largest squared distance.  The map is a similarity: it
     scales every squared distance by (L / g)^2 and maps bisectors to
-    bisectors."""
-    xs, ys, _ = p.scaled_int_coords()
-    x0, y0 = int(xs.min()), int(ys.min())
-    xs, ys = xs - x0, ys - y0
-    g = int(np.gcd.reduce(np.concatenate((xs, ys)))) or 1
-    if g > 1:
-        xs //= g
-        ys //= g
-    reach = int(xs.max()) ** 2 + int(ys.max()) ** 2
-    dtype = int_dtype(reach)
-    return xs.astype(dtype, copy=False), ys.astype(dtype, copy=False), reach, g, x0, y0
+    bisectors.  Computed once per point set and cached on it, so the weight
+    map, d(P) and the radius-class pass share it; xs and ys are read-only."""
+    if p._lattice is None:
+        xs, ys, _ = p.scaled_int_coords()
+        x0, y0 = int(xs.min()), int(ys.min())
+        xs, ys = xs - x0, ys - y0
+        g = int(np.gcd.reduce(np.concatenate((xs, ys)))) or 1
+        if g > 1:
+            xs //= g
+            ys //= g
+        reach = int(xs.max()) ** 2 + int(ys.max()) ** 2
+        dtype = int_dtype(reach)
+        xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
+        xs.flags.writeable = ys.flags.writeable = False
+        p._lattice = (xs, ys, reach, g, x0, y0)
+    return p._lattice
 
 
 def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int):
@@ -211,11 +229,13 @@ def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> Distan
 
     Computed on the reduced lattice (_reduced_lattice), whose squared
     distances are those of p times (L / g)^2, from the pairs of the upper
-    triangle only; the distinct values alone are scaled back by g^2 / L^2."""
+    triangle only; the distinct values alone are scaled back by g^2 / L^2.
+    Their number, 0 counted, is kept as p's distance_count."""
     if not p:
         raise EmptyInputError("distance set of an empty point set")
     xs, ys, reach, g, _, _ = _reduced_lattice(p)
     vals = _distinct_upper_distances(xs, ys)
+    p._distance_count = len(vals)
     if not include_zero:
         vals = vals[1:]  # the diagonal's 0 is the least value
     den = p.scaled_int_coords()[2]

@@ -222,6 +222,46 @@ def test_weight_map_survives_key_collisions(monkeypatch, name, weak_key):
     assert heaviest_bisector(wm) == heaviest == least_heaviest(p)
 
 
+def gathered_rows(monkeypatch):
+    """Rows that each weight map call gathers through the sorted key order:
+    those _line_starts groups, the rows of repeated keys."""
+    seen = []
+    real = bisectors._line_starts
+
+    def spy(key, *cols):
+        seen.append(len(key))
+        return real(key, *cols)
+    monkeypatch.setattr(bisectors, "_line_starts", spy)
+    return seen
+
+
+def pair_run_key(a, b, c, key=_row_key):
+    """The real key, but the first two rows in pair order share one: two
+    different triples in a key run of 2."""
+    k = key(a, b, c)
+    k[1] = k[0]
+    return k
+
+
+# A constant key leaves no key lone, so every row is gathered and grouped;
+# a run of 2 holding two different triples must still give two lines of
+# weight 2.  On random points every line weighs 2, so with the real key
+# every row is lone and none is gathered.
+@pytest.mark.parametrize("weak_key, gathered", [
+    (lambda a, b, c: np.zeros(len(a), dtype=np.uint64), 780),
+    (pair_run_key, 2),
+], ids=["constant", "pair_run"])
+def test_lone_keys_under_weak_keys(monkeypatch, weak_key, gathered):
+    p = random_int_points(random.Random(8), 40, 10**6)
+    weights = per_pair_weights(p)
+    assert set(weights.values()) == {2}
+    monkeypatch.setattr(bisectors, "_row_key", weak_key)
+    seen = gathered_rows(monkeypatch)
+    wm = bisector_weight_map(p)
+    assert sum(seen) == gathered
+    assert dict(wm.items()) == weights
+
+
 def test_collided_runs_are_sorted_within_their_own_runs():
     # lex-sorting the union of both collided runs would put A A B | D | B C E
     # and split line B across the clean run between them
@@ -263,6 +303,39 @@ def test_weight_map_across_packed_index_widths(n, scale):
     weights = per_pair_weights(p)
     assert wm.line_arrays()[0].dtype == (np.int64 if scale == 1 else object) == rows_dtype(weights)
     assert dict(wm.items()) == weights
+
+
+# A key seen once is a line of weight 2, left where the kernel wrote it; only
+# the rows of repeated keys are gathered through the key order.  The inputs
+# span the lone share: random points (every row lone), the cartesian square
+# of geometric(10) (4,005 of 4,950), grid(8) (656 of 2,016), grid(3), and
+# grid(12) scaled by 10^25, whose lines are object rows.
+@pytest.mark.parametrize("p, lone", [
+    (random_int_points(random.Random(8), 40, 10**6), 780),
+    (generate_family(FamilySpec(kind="cartesian_of", base=FamilySpec(kind="geometric", n=10))), 4005),
+    (generate_family(FamilySpec(kind="grid", n=8)), 656),
+    (generate_family(FamilySpec(kind="grid", n=3)), 12),
+    (PlanarPointSet([(x * 10**25, y * 10**25)
+                     for x, y in generate_family(FamilySpec(kind="grid", n=12)).points]), 3284),
+], ids=["random", "geometric10_square", "grid8", "grid3", "grid12_object"])
+def test_lone_keys_across_the_lone_share(monkeypatch, p, lone):
+    n = len(p)
+    weights = per_pair_weights(p)
+    assert sum(w == 2 for w in weights.values()) == lone
+    seen = gathered_rows(monkeypatch)
+    wm = bisector_weight_map(p)
+    assert sum(seen) == n * (n - 1) // 2 - lone
+    assert dict(wm.items()) == weights
+    assert wm.line_arrays()[0].dtype == rows_dtype(weights)
+
+
+def test_random_points_gather_almost_no_rows(monkeypatch):
+    # the rows of a set with few repeated distances stay where they were
+    # written: under 1% of the pairs go through the sorted order
+    p = random_int_points(random.Random(3), 300, 10**6)
+    seen = gathered_rows(monkeypatch)
+    bisector_weight_map(p)
+    assert sum(seen) < 0.01 * 300 * 299 // 2
 
 
 def reduced_rows(p):
@@ -398,6 +471,24 @@ def test_weight_map_peak_stays_within_twice_the_finished_map(n):
         tracemalloc.stop()
     lines, weights = wmap.line_arrays()
     assert peak <= 2 * (lines.nbytes + weights.nbytes)
+
+
+def test_lattice_weight_map_peak_stays_within_the_gathering_maps():
+    # grid(40) repeats most keys, so most rows are gathered; 61.1 MiB is the
+    # traced peak of the map that gathered every row through the key order,
+    # for a finished map of 17.6 MiB.  Its 577,436 lines fill under half of
+    # the 1,279,200 rows' block, so the map holds a copy of them, not the block
+    p = generate_family(FamilySpec(kind="grid", n=40))
+    tracemalloc.start()
+    try:
+        wmap = bisector_weight_map(p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines, weights = wmap.line_arrays()
+    assert lines.nbytes + weights.nbytes == 18477952
+    assert peak <= 61.1 * 2**20
+    assert held <= 18477952 + 2**20
 
 
 def test_row_key_is_the_same_for_int64_and_object_rows():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distsym import bounds
+from distsym import bounds, planar
 from distsym.bounds import (
     VERDICT_HOLDS,
     VERDICT_HOLDS_WITH_CONSTANT,
@@ -22,6 +22,7 @@ from distsym.bounds import (
 from distsym.bisectors import bisector_weight_map
 from distsym.errors import CapExceededError, MismatchedInputsError, TooFewPointsError
 from distsym.families import FamilySpec, generate_family, random_point_set, random_scalar_set
+from distsym.incidence import st_bound_report
 from distsym.planar import PlanarPointSet
 from distsym.scalar_sets import (
     ScalarSet,
@@ -338,6 +339,31 @@ def test_thm2_zero_convention_changes_k():
     without, _ = thm2_report(g3, include_zero=False)
     assert with_zero.witness["K"] == Fraction(3, 2)
     assert without.witness["K"] == Fraction(9, 5)
+
+
+# thm2 and st both read |d(P)|; on one point set it is sorted once, by the
+# first of them, and both reports equal those made on fresh copies of the set.
+@pytest.mark.parametrize("points", [
+    generate_family(FamilySpec(kind="grid", n=6)).points,
+    random_point_set(random.Random(4), 30, bound=20).points,
+], ids=["grid6", "random30"])
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_reports_sort_the_distances_once_per_point_set(monkeypatch, points, include_zero):
+    calls = []
+    real = planar._distinct_upper_distances
+
+    def spy(xs, ys):
+        calls.append(len(xs))
+        return real(xs, ys)
+    monkeypatch.setattr(planar, "_distinct_upper_distances", spy)
+    p = PlanarPointSet(points)
+    wmap = bisector_weight_map(p)
+    got = (thm2_report(p, include_zero=include_zero, weight_map=wmap), st_bound_report(p, wmap))
+    assert calls == [len(points)]
+    fresh = [PlanarPointSet(points) for _ in range(2)]
+    assert got == (thm2_report(fresh[0], include_zero=include_zero),
+                   st_bound_report(fresh[1], bisector_weight_map(fresh[1])))
+    assert len(calls) == 3
 
 
 def test_thm2_takes_the_given_weight_map_and_refuses_another_sets():

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sorted_dtypes
 from distsym import planar, scalar_sets
+from distsym.bisectors import bisector_weight_map
 from distsym.errors import EmptyInputError
 from distsym.families import FamilySpec, generate_family, random_rational_point_set
+from distsym.incidence import isosceles_count
 from distsym.planar import (
     PlanarPointSet,
     cartesian_square,
@@ -127,6 +129,24 @@ def test_distance_set_matches_brute_on_rational_inputs():
 def test_empty_point_set_raises():
     with pytest.raises(EmptyInputError):
         squared_distance_set(PlanarPointSet([]))
+
+
+@pytest.mark.parametrize("p", [
+    generate_family(FamilySpec(kind="grid", n=5)),
+    random_rational_point_set(random.Random(5), 20),
+    PlanarPointSet([(10**25, 3), (-(10**25), 1), (0, 0)]),
+], ids=["grid", "rational", "object"])
+def test_reduced_lattice_is_cached_and_read_only(p):
+    # the weight map, d(P) and the radius-class pass all read this one copy
+    lattice = planar._reduced_lattice(p)
+    assert planar._reduced_lattice(p) is lattice
+    for coords in lattice[:2]:
+        with pytest.raises(ValueError):
+            coords[0] = 1
+    bisector_weight_map(p)
+    squared_distance_set(p)
+    isosceles_count(p)
+    assert all(a is b for a, b in zip(planar._reduced_lattice(p), lattice))
 
 
 def test_membership_looks_up_the_cleared_rows():
