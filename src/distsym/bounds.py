@@ -8,7 +8,8 @@ against irrational comparators are rational brackets, never floats.
 
 The Hanson inclusion enumerates A x A and D x D once each: D and {2}DD are
 the distinct values of those enumerations, and their first occurrences are
-the certificates, checked on integer arrays under one int64 guard.  Every
+the certificates, checked on integer arrays under one int64 guard; the rank
+of every value of A - A places each certificate component in D.  Every
 certificate value is read off the elements of A, D and {2}DD, so it is in
 canonical form: an int when integral, else a reduced Fraction.
 """
@@ -42,6 +43,7 @@ from .scalar_sets import (
     elementwise_square,
     int_dtype,
     iterated_combination,
+    offset_keys,
     pairwise_combine,
     run_starts,
 )
@@ -124,8 +126,9 @@ def _hanson_certificates(a: ScalarSet):
     na = a.numerators.astype(int_dtype(2 * diff_bound ** 2), copy=False)
     # both enumerations are materialised whole, so each is budgeted first
     check_fold_budget("A - A", len(na), len(na), len(na) ** 2)
-    # first (x, y) in row-major order for each value of A - A
-    diffs, first_diff = _first_occurrences(np.subtract.outer(na, na).ravel())
+    # first (x, y) in row-major order for each value of A - A, and the place
+    # in D of the value at every (x, y)
+    diffs, first_diff, rank = _first_occurrences(np.subtract.outer(na, na).ravel(), ranked=True)
     check_fold_budget("2DD", len(diffs), len(diffs), len(diffs) ** 2)
     # first (u, v) in row-major order for each value of {2}DD
     prods, first_prod = _first_occurrences(2 * np.multiply.outer(diffs, diffs).ravel())
@@ -142,9 +145,10 @@ def _hanson_certificates(a: ScalarSet):
     u, v, (w, x, y, z) = nq[0] - nq[1], nq[2] - nq[3], comps
     if not np.array_equal(2 * u * v, w * w + x * x - y * y - z * z):
         raise AssertionError("witness expansion identity failed")
-    # each component is found in A - A, so it names an element of D
-    pos = np.searchsorted(diffs, comps)
-    if pos.max() == len(diffs) or np.any(diffs[pos] != comps):
+    # each component is a value of A - A, at (a, d), (b, c), (a, c) and
+    # (b, d), so its rank names its element of D; the compare certifies it
+    pos = rank[quad[[0, 1, 0, 1]] * len(na) + quad[[3, 2, 2, 3]]]
+    if pos.max() >= len(diffs) or np.any(diffs[pos] != comps):
         raise AssertionError("witness components escaped the difference set")
     # values are read off the sets' elements, which are canonical: an int
     # when integral, else a reduced Fraction
@@ -154,12 +158,25 @@ def _hanson_certificates(a: ScalarSet):
     return d, two_dd, list(zip(two_dd.elements, quads, parts))
 
 
-def _first_occurrences(values: np.ndarray):
+def _first_occurrences(values: np.ndarray, ranked: bool = False):
     """Sorted distinct values of a flat array and the index of each one's
-    first occurrence; the stable sort keeps equal values in input order."""
-    order = np.argsort(values, kind="stable")
-    first = order[run_starts(values[order])]
-    return values[first], first
+    first occurrence, and with ranked the place of every entry's value among
+    them; the stable sort keeps equal values in input order.
+
+    int64 values are sorted on their offset keys from the minimum, in the
+    least unsigned type that holds the span: below 2^16 that is numpy's radix
+    sort.  Python ints keep the object sort."""
+    keys = values if values.dtype == object else offset_keys(values.min(), values.max(), values)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = order[run_starts(sorted_keys)]
+    if not ranked:
+        return values[first], first
+    # the entry at sorted place i has as many values below it as run starts
+    # in 1..i
+    rank = np.zeros(len(keys), dtype=np.intp)
+    rank[order[1:]] = np.cumsum(sorted_keys[1:] != sorted_keys[:-1])
+    return values[first], first, rank
 
 
 def plunnecke_check(a: ScalarSet, m: int, n: int) -> BoundReport:

@@ -6,7 +6,11 @@ Every operation lifts its operands to a common denominator and runs on those
 integer arrays.  The magnitude guards pick only the dtype: int64 while every
 intermediate provably fits, numpy object arrays of Python ints past that.
 Elements are exposed as Python ints and Fractions (denominator-1 values are
-ints); floats are rejected at the boundary.
+ints); floats are rejected at the boundary.  A subset test lifts both sets to
+the superset's denominator and merges their numerators (int64 ones as their
+offset_keys from the superset's minimum) with one stable sort, which finds the
+two sorted runs and merges them in linear time; a membership test is one
+search.
 
 Every pair kernel of the package, here and in the planar modules, takes its
 blocks from row_blocks (the squared-distance set, which reads only the upper
@@ -15,7 +19,9 @@ values with run_starts (or, where only runs of two or more count, with
 repeat_runs).  Blocks hold cache-sized _CACHE_BLOCK values, except in the
 bisector weight map, which takes _CHUNK values per block.  The kernels that
 keep the distinct values of their blocks, the sort route of the folds and
-the squared-distance set, write them into the one buffer of distinct_values.
+the squared-distance set, write them into the one buffer of distinct_values;
+Python-int values there are sorted as a list, so timsort merges the sorted
+prefix the buffer keeps with the new blocks.
 """
 
 from __future__ import annotations
@@ -100,6 +106,21 @@ def repeat_runs(v: np.ndarray) -> np.ndarray:
     eq = np.flatnonzero(v[1:] == v[:-1])
     ends = np.flatnonzero(eq[1:] != eq[:-1] + 1) + 1
     return np.diff(np.concatenate(([0], ends, [len(eq)]))) + 1 if len(eq) else eq
+
+
+def offset_keys(lo, hi, *arrays: np.ndarray) -> np.ndarray:
+    """Sort keys of int64 arrays with values in [lo, hi]: their offsets from
+    lo, laid end to end in the least unsigned type that holds hi - lo, which
+    sorts fewer bytes, and below a span of 2^16 by radix.  The offsets are
+    formed in uint64 arithmetic, exact for any span of int64 values (2DD's
+    nears 2^63 at the Hanson certificates' guard), and cast as the ufunc
+    writes them, so no uint64 copy is made."""
+    keys = np.empty(sum(map(len, arrays)), dtype=np.min_scalar_type(int(hi) - int(lo)))
+    base, start = np.int64(lo).view(np.uint64), 0
+    for a in arrays:
+        np.subtract(a.view(np.uint64), base, out=keys[start:start + len(a)], casting="unsafe")
+        start += len(a)
+    return keys
 
 
 def as_scalar(value) -> Scalar:
@@ -208,10 +229,16 @@ class ScalarSet:
         k = other._den // self._den
         dt = int_dtype(max(self._bound(k), other._bound()))
         mine, theirs = self._lifted(k, dt), other._lifted(1, dt)
-        pos = np.searchsorted(theirs, mine)
-        if pos[-1] >= len(theirs):
+        lo, hi = theirs[0], theirs[-1]
+        if mine[0] < lo or mine[-1] > hi:
             return False
-        return bool(np.all(theirs[pos] == mine))
+        # both arrays are strictly increasing, so a stable sort of the two
+        # laid end to end is one merge of two runs, and every value they share
+        # is exactly one pair of equal neighbours.  int64 values are merged as
+        # their offset keys from lo
+        merged = np.concatenate((mine, theirs)) if dt is object else offset_keys(lo, hi, mine, theirs)
+        merged.sort(kind="stable")
+        return int(np.count_nonzero(merged[1:] == merged[:-1])) == len(mine)
 
     def __len__(self):
         return len(self._nums)
@@ -223,8 +250,13 @@ class ScalarSet:
         return len(self._nums) > 0
 
     def __contains__(self, value):
-        # value * L must be an integer, found among the numerators by search
-        return ScalarSet([value]).issubset(self)
+        # value * L must be an integer inside the numerators' range, found
+        # among them by one search
+        num = Fraction(as_scalar(value)) * self._den
+        nums = self._nums
+        if num.denominator != 1 or not self or not nums[0] <= num.numerator <= nums[-1]:
+            return False
+        return bool(nums[np.searchsorted(nums, num.numerator)] == num.numerator)
 
     def __eq__(self, other):
         if isinstance(other, ScalarSet):
@@ -253,9 +285,18 @@ def _require_nonempty(*sets: ScalarSet) -> None:
 
 def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
     # sorts the (freshly computed) array in place and keeps the first of each
-    # run; numpy 2's unique hashes int64 values, many times slower
+    # run; numpy 2's unique hashes int64 values, many times slower.  Python
+    # ints are sorted as a list and written back: timsort merges the sorted
+    # prefix that distinct_values keeps in its buffer with the new blocks,
+    # where numpy's object sort would sort it again
     v = scratch.ravel()
-    v.sort()
+    if v.dtype == object:
+        lst = v.tolist()
+        lst.sort()
+        v[:] = lst
+        del lst  # one pointer array alive while the runs are read
+    else:
+        v.sort()
     return v[run_starts(v)]
 
 

@@ -175,6 +175,64 @@ def test_certificates_take_one_guard_int64_up_to_the_identity_edge(monkeypatch, 
     assert picked == [dtype]
 
 
+def first_occurrence_oracle(values):
+    """(sorted distinct values, index of each one's first occurrence, place of
+    every entry's value among them), from a dict in plain Python."""
+    first = {}
+    for i, v in enumerate(values):
+        first.setdefault(v, i)
+    distinct = sorted(first)
+    place = {v: r for r, v in enumerate(distinct)}
+    return distinct, [first[v] for v in distinct], [place[v] for v in values]
+
+
+def spread(lo, span, dtype, seed):
+    # 3000 draws from [lo, lo + span] with both ends, in a shuffled order
+    rng = random.Random(seed)
+    values = [lo, lo + span, lo] + [lo + rng.randrange(span + 1) for _ in range(3000)]
+    rng.shuffle(values)
+    return np.array(values, dtype=dtype)
+
+
+def two_dd_enumeration(edge):
+    # {2}DD's enumeration on [-edge, 0, 1, 3, edge] in the dtype the
+    # certificates pick: int64 at IDENTITY_EDGE, where its span nears 2^63
+    na = np.array([-edge, 0, 1, 3, edge], dtype=int_dtype(8 * edge ** 2))
+    diffs = np.unique(np.subtract.outer(na, na))
+    return 2 * np.multiply.outer(diffs, diffs).ravel()
+
+
+# int64 values are sorted on their offsets from the minimum, narrowed to the
+# least unsigned type holding the span; Python ints keep the object sort
+FIRST_OCCURRENCE_CASES = {
+    "span-2^16-1": (spread(-3000, 2**16 - 1, np.int64, 1), np.uint16),
+    "span-2^16": (spread(-3000, 2**16, np.int64, 2), np.uint32),
+    "span-255": (spread(10**15, 255, np.int64, 3), np.uint8),
+    "identity-edge": (two_dd_enumeration(IDENTITY_EDGE), np.uint64),
+    "identity-edge+1": (two_dd_enumeration(IDENTITY_EDGE + 1), object),
+    "1e25": (spread(-(10**25), 2 * 10**25, object, 4), object),
+}
+
+
+@pytest.mark.parametrize("values, key_dtype", FIRST_OCCURRENCE_CASES.values(),
+                         ids=FIRST_OCCURRENCE_CASES.keys())
+def test_first_occurrences_match_a_dict_oracle(monkeypatch, values, key_dtype):
+    keys_sorted = []
+    real = np.argsort
+
+    def spy(keys, **kwargs):
+        keys_sorted.append(keys.dtype)
+        return real(keys, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    distinct, first, rank = bounds._first_occurrences(values, ranked=True)
+    assert keys_sorted == [np.dtype(key_dtype)]
+    assert distinct.dtype == values.dtype
+    assert (distinct.tolist(), first.tolist(), rank.tolist()) == first_occurrence_oracle(values.tolist())
+    unranked = bounds._first_occurrences(values)
+    assert [x.tolist() for x in unranked] == [distinct.tolist(), first.tolist()]
+
+
 def test_hanson_refuses_a_wide_input_before_building_certificates(monkeypatch):
     def unreachable(a):
         raise AssertionError("certificates built for an input the fold budget refuses")

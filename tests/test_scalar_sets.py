@@ -127,6 +127,49 @@ def test_issubset():
     assert not ScalarSet([1, Fraction(7, 2)]).issubset(ScalarSet([1, 3]))
 
 
+# issubset merges the two numerator arrays (int64 ones as offsets from the
+# superset's minimum) and counts equal neighbours; the oracle is Python's set
+# comparison.  Each superset is tried against an empty
+# set, one element, subsets of several sizes and subsets with one value moved
+# below the minimum, above the maximum or into a gap.
+SUBSET_CASES = {
+    "int64": [3 * k for k in range(-40, 41)],
+    "int64-wide-span": [(k << 55) + 1 for k in range(-60, 61)],
+    "1e25": [10**25 * k + 7 for k in range(-30, 31)],
+    "1e25-narrow-span": [10**25 + 3 * k for k in range(-40, 41)],
+    "mixed-denominators": [Fraction(k, 6) for k in range(-30, 31, 5)] + [Fraction(k, 4) for k in range(9)],
+}
+
+
+@pytest.mark.parametrize("values", SUBSET_CASES.values(), ids=SUBSET_CASES.keys())
+def test_issubset_matches_python_sets(values):
+    theirs = ScalarSet(values)
+    elems = list(theirs.elements)
+    low, high = elems[0] - 1, elems[-1] + 1
+    gap = as_scalar((Fraction(elems[3]) + elems[4]) / 2)
+    rng = random.Random(5)
+    candidates = [[], [elems[0]], [elems[-1]], [elems[7]], elems, elems[1:-1],
+                  [low], [high], [gap], elems + [high], [low] + elems[2:], elems[:3] + [gap]]
+    candidates += [rng.sample(elems, k) for k in (2, 5, len(elems) // 2)]
+    candidates += [rng.sample(elems, 4) + [x] for x in (low, high, gap)]
+    for chosen in candidates:
+        mine = ScalarSet(chosen)
+        assert mine.issubset(theirs) == (set(mine.elements) <= set(elems)), chosen
+        assert theirs.issubset(mine) == (set(elems) <= set(mine.elements)), chosen
+    assert ScalarSet([]).issubset(ScalarSet([])) and not theirs.issubset(ScalarSet([]))
+
+
+@pytest.mark.parametrize("values", SUBSET_CASES.values(), ids=SUBSET_CASES.keys())
+def test_membership_matches_python_sets(values):
+    s = ScalarSet(values)
+    elems = s.elements
+    outside = [elems[0] - 1, elems[-1] + 1, Fraction(elems[0] + elems[1], 2),
+               Fraction(1, 7), Fraction(elems[2]) + Fraction(1, 7 * s.denominator), -(10**30), 10**30]
+    for x in list(elems) + outside:
+        assert (x in s) == (x in set(elems)), x
+    assert 0 not in ScalarSet([]) and Fraction(1, 3) not in ScalarSet([])
+
+
 def test_huge_magnitudes_fall_back_to_exact_path():
     big = 10**25
     a = ScalarSet([0, big, -big])
@@ -173,6 +216,28 @@ def test_combine_across_several_blocks(monkeypatch):
             for op in ("add", "subtract"):
                 assert pairwise_combine(a, b, op).elements == comprehension(a, b, OPS[op])
             assert difference_set(a).elements == comprehension(a, a, operator.sub)
+
+
+# int64 operands whose products pass the guard: the fold runs on Python ints
+# and the 40 x 13 random products fill the 200-value buffer several times.
+# Object values are sorted as a list, so timsort merges the distinct prefix
+# the buffer keeps with the new blocks; the spy sees every sort take the
+# object route and bounds the values sorted by a small multiple of the pairs.
+def test_fold_crossing_into_object_dtype_refills_the_buffer(monkeypatch):
+    monkeypatch.setattr(scalar_sets_module, "_CHUNK", 200)
+    monkeypatch.setattr(scalar_sets_module, "_CACHE_BLOCK", 40)
+    seen = sorted_dtypes(monkeypatch)
+    rng = random.Random(12)
+    a = ScalarSet(v << 31 for v in rng.sample(range(-500, 500), 40))
+    b = ScalarSet([Fraction(k << 31, 3) for k in range(-6, 7)])
+    assert a.numerators.dtype == b.numerators.dtype == np.int64
+    pairs = len(a) * len(b)
+    got = pairwise_combine(a, b, "multiply")
+    assert got.numerators.dtype == object
+    assert got.elements == comprehension(a, b, operator.mul)
+    assert {dt for dt, _ in seen} == {np.dtype(object)}
+    assert len(seen) >= 3
+    assert sum(size for _, size in seen) <= 3 * pairs
 
 
 # D.D of ap(1500) takes 2999^2 = 9.0M products in 143 blocks, 1,094,987 of
