@@ -38,7 +38,6 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import scalar_sets
 from .errors import (
     DegeneratePairError,
     MismatchedInputsError,
@@ -185,9 +184,10 @@ def _line_starts(key: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -
 
 def _pair_bisectors(xs, ys, sq, rows: slice, a, b, c) -> int:
     """Write the canonical bisector rows (a, b, c) of the point pairs i < j
-    with i in rows to the start of the columns a, b, c and return how many
-    were written; the block's differences and gcd temporaries die with the
-    call.
+    with i in rows, a row_blocks slice, to the start of the columns a, b, c
+    and return how many were written.  The block is the rows against the
+    columns from rows.start on, which hold every such j; its differences and
+    gcd temporaries die with the call.
 
     xs and ys are reduced coordinates (_reduced_lattice), in a dtype that
     holds their differences, and sq = xs^2 + ys^2 is in the columns' dtype.
@@ -196,8 +196,9 @@ def _pair_bisectors(xs, ys, sq, rows: slice, a, b, c) -> int:
     entry.  With g0 = gcd(dx, dy), which divides c = |P|^2 - |Q|^2, the
     canonical row is (2 dx, 2 dy, c) / g0 when c / g0 is odd and
     (dx, dy, c / 2) / g0 when it is even."""
+    c0 = rows.start  # no pair i < j of these rows has j < c0
     idx = np.arange(len(xs))
-    upper = idx[rows, None] < idx[None, :]
+    upper = idx[rows, None] < idx[None, c0:]
     k = int(np.count_nonzero(upper))
     a, b, c = a[:k], b[:k], c[:k]
     # c = |P_i|^2 - |P_j|^2 in the pairs' row-major order: each i's own value
@@ -208,10 +209,10 @@ def _pair_bisectors(xs, ys, sq, rows: slice, a, b, c) -> int:
     # MiB.  Boolean indexing: np.compress(..., out=) goes through a buffered
     # take, 5.0 against 2.3 ms a column at N = 1000
     c[...] = np.repeat(sq[rows], len(xs) - 1 - idx[rows])
-    c -= np.broadcast_to(sq, upper.shape)[upper]
+    c -= np.broadcast_to(sq[c0:], upper.shape)[upper]
     upper = upper.ravel()
-    dx = (xs[None, :] - xs[rows, None]).ravel()[upper]
-    dy = (ys[None, :] - ys[rows, None]).ravel()[upper]
+    dx = (xs[None, c0:] - xs[rows, None]).ravel()[upper]
+    dy = (ys[None, c0:] - ys[rows, None]).ravel()[upper]
     del upper
     g = np.gcd(dx, dy)
     dx //= g
@@ -266,7 +267,7 @@ def bisector_weight_map(p: PlanarPointSet) -> WeightedBisectorMap:
     if xs.dtype == np.int64:  # W^2 + H^2 < 2^62 keeps every difference below 2^31
         xs, ys = xs.astype(np.int32), ys.astype(np.int32)
     done = 0
-    for rows in row_blocks(n, n, scalar_sets._CHUNK):
+    for rows in row_blocks(n, n):
         done += _pair_bisectors(xs, ys, sq, rows, *block[:, done:])
     # the key keeps its high bits and carries the row index in the low ones,
     # so one in-place sort of it yields both the key order and the rows' order

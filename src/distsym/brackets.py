@@ -9,6 +9,7 @@ tail bound.  No floating point enters any of these computations.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -105,16 +106,11 @@ def _atanh_series_bracket(z: Fraction, tol: Fraction) -> Bracket:
             return Bracket(2 * total, 2 * total + tail)
 
 
-_LN2: Bracket | None = None
-
-
+@functools.cache
 def _ln2() -> Bracket:
     # ln 2 = 2 atanh(1/3); cached very tight so that e * ln2 stays sharp
     # for any exponent e this package ever sees.
-    global _LN2
-    if _LN2 is None:
-        _LN2 = _atanh_series_bracket(Fraction(1, 3), Fraction(1, 10 ** 40))
-    return _LN2
+    return _atanh_series_bracket(Fraction(1, 3), Fraction(1, 10 ** 40))
 
 
 def ln_bracket(x, digits: int = 12) -> Bracket:

@@ -27,12 +27,12 @@ join too.  Lattice-like sets, the paper's sets with few distinct
 distances, have few directions, so the join does most of their work.
 
 The three row-local kernels here, the radius-class pass, the join and the
-scan, reduce each block of pair values to a few integers and drop it, so
-they take cache-sized blocks of scalar_sets._CACHE_BLOCK values rather than
-the _CHUNK blocks of the kernels that merge theirs.  At N = 4000 a _CHUNK
-block of int64 distances is 33.5 MB, and the triple count faulted 37.9k
-pages per call in the planar benchmark; with cache-sized blocks it faulted
-none there and took half the time (see _CACHE_BLOCK).
+scan, take their blocks from scalar_sets.row_blocks, as every pair kernel
+does, and reduce each block of pair values to a few integers on the spot:
+at N = 4000 a block of 2^22 int64 distances is 33.5 MB, and the triple
+count faulted 37.9k pages per call in the planar benchmark with blocks that
+size; with cache-sized ones it faulted none there and took half the time
+(see _CACHE_BLOCK).
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scalar_sets
 from .bisectors import WeightedBisectorMap, check_weight_map
 from .brackets import Bracket, nth_root_bracket, ratio_bracket
 from .errors import CapExceededError, EmptyInputError
-from .planar import PlanarPointSet, _reduced_lattice, _sq_dist_rows
+from .planar import PlanarPointSet, _reduced_lattice, _sq_dist_rows, _sq_dists
 from .scalar_sets import int_dtype, repeat_runs, row_blocks
 
 BRUTE_CAP_DEFAULT = 60
@@ -87,14 +86,14 @@ def _radius_class_counts(p: PlanarPointSet):
     else:
         cols, exact = (xs.astype(np.uint32), ys.astype(np.uint32)), reach < 1 << 32
     t = rich = start = 0
-    for d2 in _sq_dist_rows(*cols, scalar_sets._CACHE_BLOCK):
+    for d2 in _sq_dist_rows(*cols):
         d2.sort(axis=1)
         if not exact:
             again = start + np.flatnonzero((d2[:, 1:] == d2[:, :-1]).any(axis=1))
             start += len(d2)
             if not len(again):
                 continue
-            d2 = (xs[again, None] - xs) ** 2 + (ys[again, None] - ys) ** 2
+            d2 = _sq_dists(xs, ys, again, 0, *np.empty((2, len(again), len(xs)), dtype=xs.dtype))
             d2.sort(axis=1)
         lens = repeat_runs(d2.ravel())
         t += int((lens * (lens - 1)).sum())
@@ -190,7 +189,7 @@ def _scan_lines(xs, ys, u, v, t, weights) -> int:
     """Sum of w(l) over the points on each line uX + vY = t, testing every
     line against every point in cache-sized blocks of lines."""
     total = 0
-    for rows in row_blocks(len(t), len(xs), scalar_sets._CACHE_BLOCK):
+    for rows in row_blocks(len(t), len(xs)):
         vals = u[rows, None] * xs + v[rows, None] * ys
         hits = (vals == t[rows, None]).sum(axis=1)
         total += int(weights[rows] @ hits)
@@ -213,7 +212,7 @@ def _join_by_direction(xs, ys, reach: int, u, v, t, sizes, weights) -> int:
     keys = np.repeat(base, sizes)
     keys += t
     total = 0
-    for rows in row_blocks(len(u), len(xs), scalar_sets._CACHE_BLOCK):
+    for rows in row_blocks(len(u), len(xs)):
         q = u[rows, None] * xs
         q += v[rows, None] * ys
         q += base[rows, None]

@@ -167,60 +167,51 @@ def _reduced_lattice(p: PlanarPointSet):
     return p._lattice
 
 
-def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray, block: int):
-    """Squared distances from a block of centres to every point, as (rows, N)
-    arrays of about block values, in the dtype of xs and ys.  uint32 input
+def _sq_dists(xs: np.ndarray, ys: np.ndarray, rows, c0: int, out: np.ndarray, tmp: np.ndarray):
+    """Write into out, a (len(rows), N - c0) array, the squared distances from
+    the points rows (a slice or an index array) to the points c0 to N - 1,
+    with tmp, an array of the same shape, as scratch; returns out.  Computed
+    in the dtype of out, so uint32 yields the residues mod 2^32."""
+    np.subtract(xs[rows, None], xs[c0:], out=out)
+    np.subtract(ys[rows, None], ys[c0:], out=tmp)
+    out *= out
+    tmp *= tmp
+    out += tmp
+    return out
+
+
+def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray):
+    """Squared distances from each row_blocks block of centres to every
+    point, as (rows, N) arrays, in the dtype of xs and ys.  uint32 input
     yields the distances' residues mod 2^32, since uint32 arithmetic wraps.
     Every block is written into the leading rows of one of two buffers
-    allocated once, so each yielded block is overwritten by the next: a
-    consumer reduces a block before it asks for the next one."""
-    dx = dy = None
-    for rows in row_blocks(len(xs), len(xs), block):
-        cx, cy = xs[rows, None], ys[rows, None]
-        if dx is None:
-            dx, dy = (np.empty((len(cx), len(xs)), dtype=xs.dtype) for _ in range(2))
-        bx, by = dx[:len(cx)], dy[:len(cx)]
-        np.subtract(cx, xs, out=bx)
-        np.subtract(cy, ys, out=by)
-        bx *= bx
-        by *= by
-        bx += by
-        yield bx
-
-
-def _upper_rectangles(n: int, block: int) -> list:
-    """(r0, r1) row ranges covering range(n), each paired with the columns
-    [r0, n) in a rectangle of at most block values, or of one row.  Each
-    pair i < j falls in exactly one rectangle; a rectangle's leading square
-    adds only its rows' own zeros and pairs i > j, which repeat values.  One
-    rectangle when n^2 fits one block."""
-    rects, r0 = [], 0
-    while r0 < n:
-        r1 = min(n, r0 + max(1, block // (n - r0)))
-        rects.append((r0, r1))
-        r0 = r1
-    return rects
+    allocated once, the first block's size, so each yielded block is
+    overwritten by the next: a consumer reduces a block before it asks for
+    the next one."""
+    bufs = None
+    for rows in row_blocks(len(xs), len(xs)):
+        h = rows.stop - rows.start
+        if bufs is None:
+            bufs = np.empty((2, h, len(xs)), dtype=xs.dtype)
+        yield _sq_dists(xs, ys, rows, 0, *bufs[:, :h])
 
 
 def _distinct_upper_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sorted distinct squared distances of the points (xs, ys), in their
-    dtype, which must hold every one of them.  distinct_values takes the
-    rectangles of _upper_rectangles, each written through a cache-sized
-    temporary for its y term, so every pair is written once, not twice."""
+    dtype, which must hold every one of them.  Each row_blocks block of rows
+    is cut to the columns from its first row on, so every pair i < j is
+    written once; the block's leading square adds only its rows' own zeros
+    and pairs i > j, which repeat values.  distinct_values takes these
+    rectangles, each written with a cache-sized scratch array."""
     n = len(xs)
-    rects = _upper_rectangles(n, scalar_sets._CACHE_BLOCK)
-    sizes = [(r1 - r0) * (n - r0) for r0, r1 in rects]
+    blocks = list(row_blocks(n, n))
+    sizes = [(rows.stop - rows.start) * (n - rows.start) for rows in blocks]
     tmp = np.empty(max(sizes), dtype=xs.dtype)
 
     def write(i, out):
-        r0, r1 = rects[i]
-        shape = (r1 - r0, n - r0)
-        dx, dy = out.reshape(shape), tmp[:out.size].reshape(shape)
-        np.subtract(xs[r0:r1, None], xs[r0:], out=dx)
-        np.subtract(ys[r0:r1, None], ys[r0:], out=dy)
-        dx *= dx
-        dy *= dy
-        dx += dy
+        rows = blocks[i]
+        shape = (rows.stop - rows.start, n - rows.start)
+        _sq_dists(xs, ys, rows, rows.start, out.reshape(shape), tmp[:out.size].reshape(shape))
     return scalar_sets.distinct_values(sizes, xs.dtype, write)
 
 

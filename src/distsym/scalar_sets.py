@@ -13,15 +13,15 @@ two sorted runs and merges them in linear time; a membership test is one
 search.
 
 Every pair kernel of the package, here and in the planar modules, takes its
-blocks from row_blocks (the squared-distance set, which reads only the upper
-triangle, from planar._upper_rectangles) and reads runs of equal sorted
-values with run_starts (or, where only runs of two or more count, with
-repeat_runs).  Blocks hold cache-sized _CACHE_BLOCK values, except in the
-bisector weight map, which takes _CHUNK values per block.  The kernels that
-keep the distinct values of their blocks, the sort route of the folds and
-the squared-distance set, write them into the one buffer of distinct_values;
-Python-int values there are sorted as a list, so timsort merges the sorted
-prefix the buffer keeps with the new blocks.
+blocks from row_blocks, of about _CACHE_BLOCK values each, and reads runs of
+equal sorted values with run_starts (or, where only runs of two or more
+count, with repeat_runs).  The kernels that read only the pairs i < j, the
+squared-distance set and the bisector weight map, cut each block of rows to
+the columns from its first row on.  The kernels that keep the distinct
+values of their blocks, the sort route of the folds and the squared-distance
+set, write them into the one buffer of distinct_values; Python-int values
+there are sorted as a list, so timsort merges the sorted prefix the buffer
+keeps with the new blocks.
 """
 
 from __future__ import annotations
@@ -48,41 +48,39 @@ _I64_LIMIT = 1 << 62
 # 5), a larger size would spare 4000 random points in +-10^6, whose distances
 # are nearly all distinct, the sort at the half-way point (0.21 s at 2^23
 # against 0.33 s), and a smaller one sorts the repeats of grid(64) in smaller
-# parts (62 ms at 2^20 against 79 ms); neither is a benchmark job.  Also the
-# values per block of the bisector weight map, which writes its blocks into
-# columns allocated once for all pairs (with _CACHE_BLOCK blocks its job in
-# the planar benchmark took 0.109 against 0.102 s).
+# parts (62 ms at 2^20 against 79 ms); neither is a benchmark job.
 _CHUNK = 1 << 22
-# values per block in the row-local kernels that reduce each block to a few
-# integers on the spot and drop it: the radius-class pass and the incidence
-# join and scan.  At int64 a block is 512 KiB (256 KiB for the radius-class
-# pass's 32-bit rows), so it and its one or two temporaries of the same shape
-# stay inside a 2 MiB L2.  A _CHUNK block of int64 distances at N = 4000 is
-# 33.5 MB, and in the planar benchmark's job list (2-core host, numpy 2.4)
-# isosceles_count at N = 4000 on int64 rows took 0.30-0.39 s and 37.9k minor
-# page faults per call with _CHUNK blocks, and none with these (sorting
-# 0.141 -> 0.108 s, the distance arithmetic 0.164 -> 0.033 s); of 2^14 to
-# 2^22 values, 2^14 to 2^16 were fastest, 2^16 by a little.  The job now
-# takes 0.057-0.061 s on 32-bit rows, against 0.119-0.131 s on int64 rows
-# (fastest run of each of ten benchmark runs a side), and 2^16 still
-# measures best: in process, best of 9, the pass took 61.7, 57.6,
+# values per block of every pair kernel (row_blocks).  At int64 a block is
+# 512 KiB (256 KiB for the radius-class pass's 32-bit rows), so it and its one
+# or two temporaries of the same shape stay inside a 2 MiB L2.  A _CHUNK block
+# of int64 distances at N = 4000 is 33.5 MB, and in the planar benchmark's job
+# list (2-core host, numpy 2.4) isosceles_count at N = 4000 on int64 rows took
+# 0.30-0.39 s and 37.9k minor page faults per call with _CHUNK blocks, and
+# none with these (sorting 0.141 -> 0.108 s, the distance arithmetic 0.164 ->
+# 0.033 s); of 2^14 to 2^22 values, 2^14 to 2^16 were fastest, 2^16 by a
+# little.  In process, best of 9, the radius-class pass took 61.7, 57.6,
 # 55.7, 58.9 and 58.5 ms at 2^14 to 2^18 values on 4000 random points in
-# +-10^6, and 5.4, 5.1, 5.2, 6.1 and 8.1 ms on grid(30).
-# planar._sq_dist_rows writes these blocks into two buffers made once per
-# call, so a fresh process faults about 220 pages per such call (0.17 s), not
-# the 27.5k (0.26 s) of a fresh pair of arrays per block.  The blocks that
-# distinct_values writes into its buffer are of this size too: the folds'
-# rows and the squared-distance set's rectangles.
+# +-10^6, and 5.4, 5.1, 5.2, 6.1 and 8.1 ms on grid(30).  The bisector weight
+# map, which writes its blocks into columns allocated once for all pairs, is
+# as fast on these blocks as on _CHUNK ones (median of 7 processes' best of
+# 30: 53.8 against 53.7 ms on 1000 random points in +-10^6, 115.9 against
+# 114.0 ms on grid(40)), and the squared-distance set cut from these blocks
+# is as fast as on rectangles of a full block each (10.2 against 10.8 ms on
+# those 1000 points).
+# planar._sq_dist_rows writes its blocks into two buffers made once per call,
+# so a fresh process faults about 220 pages per such call (0.17 s), not the
+# 27.5k (0.26 s) of a fresh pair of arrays per block.
 _CACHE_BLOCK = 1 << 16
 
 
-def row_blocks(n_rows: int, width: int, block: int):
-    """Slices covering range(n_rows), each of at most max(1, block // width)
-    rows, so that a (rows, width) block of pair values stays near block
-    values."""
-    step = max(1, block // width)
+def row_blocks(n_rows: int, width: int):
+    """Slices covering range(n_rows), clipped to it, each of at most
+    max(1, _CACHE_BLOCK // width) rows, so that a (rows, width) block of pair
+    values stays near _CACHE_BLOCK values.  _CACHE_BLOCK is read at each
+    call."""
+    step = max(1, _CACHE_BLOCK // width)
     for i in range(0, n_rows, step):
-        yield slice(i, i + step)
+        yield slice(i, min(i + step, n_rows))
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -395,8 +393,8 @@ def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
             and span <= _BITSET_SPAN_PER_PAIR * pairs):
         # a - b is a plus the negated, reversed (so again sorted) b
         return _bitset_sum(ua, -ub[::-1] if ufunc is np.subtract else ub)
-    blocks = list(row_blocks(len(ua), len(ub), _CACHE_BLOCK))
-    return distinct_values([len(ua[rows]) * len(ub) for rows in blocks], ua.dtype,
+    blocks = list(row_blocks(len(ua), len(ub)))
+    return distinct_values([(rows.stop - rows.start) * len(ub) for rows in blocks], ua.dtype,
                            lambda i, out: ufunc.outer(ua[blocks[i]], ub, out=out.reshape(-1, len(ub))))
 
 

@@ -204,7 +204,8 @@ def split_key(a, b, c, key=_row_key):
 # nearly every run collides; lines must still come out whole, also when
 # clean runs sit between the collided ones.  The weight map clears the low
 # bits of the key to pack the row index into them, so the 1-bit key keeps
-# bit 63.  _CHUNK = 40 makes the rows come from several blocks.
+# bit 63.  _CACHE_BLOCK = 40 makes the 13 points' rows come from blocks of
+# 3, 3, 3, 3 and 1 rows, and a spy on row_blocks sees the map take them.
 @pytest.mark.parametrize("name", sorted(KEYED_SETS))
 @pytest.mark.parametrize("weak_key", [
     lambda a, b, c: np.zeros(len(a), dtype=np.uint64),
@@ -214,9 +215,17 @@ def split_key(a, b, c, key=_row_key):
 def test_weight_map_survives_key_collisions(monkeypatch, name, weak_key):
     p = KEYED_SETS[name]
     heaviest = heaviest_bisector(bisector_weight_map(p))
-    monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
+    monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
     monkeypatch.setattr(bisectors, "_row_key", weak_key)
+    blocks = []
+    real = bisectors.row_blocks
+
+    def spy(n_rows, width):
+        blocks.extend(real(n_rows, width))
+        return iter(blocks)
+    monkeypatch.setattr(bisectors, "row_blocks", spy)
     wm = bisector_weight_map(p)
+    assert [rows.stop - rows.start for rows in blocks] == [3, 3, 3, 3, 1]
     assert wm.max_weight > 2
     assert dict(wm.items()) == per_pair_weights(p)
     assert heaviest_bisector(wm) == heaviest == least_heaviest(p)

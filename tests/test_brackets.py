@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from distsym.brackets import (
     Bracket,
+    _ln2,
     exact_bracket,
     int_nth_root,
     ln_bracket,
@@ -90,6 +91,9 @@ def test_ln_bracket_known_values():
     assert float(b.lo) <= math.log(2) <= float(b.hi)
     assert b.width <= Fraction(1, 10**12)
     assert ln_bracket(Fraction(1)).lo <= 0 <= ln_bracket(Fraction(1)).hi
+    # ln 2 is bracketed once, to 10^-40, and that bracket is reused
+    assert _ln2() is _ln2()
+    assert _ln2().width < Fraction(1, 10**40)
 
 
 def test_ln_bracket_negates_below_one():

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import random
 import sys
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_pair_weights, rows_dtype
+import distsym
 from distsym import incidence, planar, scalar_sets
 from distsym.bisectors import WeightedBisectorMap, bisector_weight_map
 from distsym.errors import CapExceededError, MismatchedInputsError
@@ -369,20 +372,22 @@ def test_scan_at_its_reach_guard(monkeypatch, reach):
 
 
 def spy_cache_blocks(monkeypatch):
-    """Row counts of the blocks of every row_blocks call that the radius-class
-    pass (through planar._sq_dist_rows), the incidence join and the scan
-    make, keyed by (caller, n_rows, width)."""
+    """Row counts of the blocks of every row_blocks call that any pair kernel
+    makes: every module of distsym that binds row_blocks gets the spy.  Keyed
+    by (caller, n_rows, width)."""
     seen = {}
     real = scalar_sets.row_blocks
 
-    def spy(n_rows, width, block):
-        slices = list(real(n_rows, width, block))
+    def spy(n_rows, width):
+        slices = list(real(n_rows, width))
         caller = sys._getframe(1).f_code.co_name
-        seen[caller, n_rows, width] = [len(range(n_rows)[s]) for s in slices]
+        seen[caller, n_rows, width] = [s.stop - s.start for s in slices]
         return iter(slices)
 
-    monkeypatch.setattr(planar, "row_blocks", spy)
-    monkeypatch.setattr(incidence, "row_blocks", spy)
+    for info in pkgutil.iter_modules(distsym.__path__):
+        module = importlib.import_module(f"distsym.{info.name}")
+        if hasattr(module, "row_blocks"):
+            monkeypatch.setattr(module, "row_blocks", spy)
     return seen
 
 
@@ -399,10 +404,12 @@ def direction_classes(p, wm):
 
 
 # With _CHUNK and _CACHE_BLOCK at 40, 13 centres, directions or lines of 13
-# points go in blocks of 3 rows.  Of this set's 61 lines, 28 can hold a point,
-# in direction classes of sizes 1, 1, 2, 2, 2, 3, 3, 4, 5, 5: joining the
-# classes of 3 or more lines leaves 5 directions to the join and 8 lines to
-# the scan, so each kernel crosses block edges and ends on a partial block.
+# points go in blocks of 3 rows, and so do the rows of the distance set and
+# the weight map, which cut their blocks to the pairs i < j.  Of this set's
+# 61 lines, 28 can hold a point, in direction classes of sizes 1, 1, 2, 2,
+# 2, 3, 3, 4, 5, 5: joining the classes of 3 or more lines leaves 5
+# directions to the join and 8 lines to the scan, so each kernel crosses
+# block edges and ends on a partial block.
 # At 10^25 the kernels run on Python ints, and the lattice Z^2 is finer than
 # the set's, so all 61 lines can hold a point: the join takes 10 directions
 # and the scan 16 lines.
@@ -411,16 +418,17 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
     monkeypatch.setattr(scalar_sets, "_CHUNK", 40)
     monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
     monkeypatch.setattr(incidence, "_JOIN_MIN_LINES", 3)
+    assert [s.stop - s.start for s in scalar_sets.row_blocks(13, 13)] == [3, 3, 3, 3, 1]
     seen = spy_cache_blocks(monkeypatch)
     rng = random.Random(17)
     grid = rng.sample([(x, y) for x in range(5) for y in range(5)], 13)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
-    assert [len(range(13)[s]) for s in scalar_sets.row_blocks(13, 13, 40)] == [3, 3, 3, 3, 1]
     wm = check_against_oracles(p)
     assert len(wm) == 61
     rep = st_bound_report(p, wm)
     assert rep.low_multiplicity_classes == low_multiplicity_oracle(p)
-    want = {("_sq_dist_rows", 13, 13): [3, 3, 3, 3, 1]}
+    want = {(caller, 13, 13): [3, 3, 3, 3, 1]
+            for caller in ("_distinct_upper_distances", "_sq_dist_rows", "bisector_weight_map")}
     sizes = sorted(direction_classes(p, wm))
     if scale == 10**25:
         assert sizes == [1] * 4 + [2] * 6 + [3] * 4 + [4, 5, 5, 6, 6, 7]
@@ -434,9 +442,9 @@ def test_pair_kernels_across_several_blocks(monkeypatch, scale):
 
 
 # _sq_dist_rows writes every block into the leading rows of two buffers made
-# once.  Blocks of 40 and 65 values give 13 points blocks of 3 and 5 rows
-# with a short last one: the radius-class pass must read only that block's
-# rows.  The distance set, with _CHUNK at the same size, writes its
+# once, as one array.  Blocks of 40 and 65 values give 13 points blocks of 3
+# and 5 rows with a short last one: the radius-class pass must read only that
+# block's rows.  The distance set, with _CHUNK at the same size, writes its
 # rectangles into one buffer that it deduplicates and grows on the way.
 @pytest.mark.parametrize("scale", (1, Fraction(1, 3), 10**25))
 @pytest.mark.parametrize("block, heights", [(40, [3, 3, 3, 3, 1]), (65, [5, 5, 3])])
@@ -446,7 +454,7 @@ def test_distance_blocks_reuse_two_buffers(monkeypatch, scale, block, heights):
     grid = random.Random(19).sample([(x, y) for x in range(5) for y in range(5)], 13)
     p = PlanarPointSet([(x * scale, y * scale + 1) for x, y in grid])
     xs, ys, _ = p.scaled_int_coords()
-    views = list(planar._sq_dist_rows(xs, ys, block))
+    views = list(planar._sq_dist_rows(xs, ys))
     assert [len(v) for v in views] == heights
     assert all(np.shares_memory(v, views[0]) for v in views)
     rmap = radius_multiplicity_map(p)

@@ -1,8 +1,10 @@
 """The independent routes used as oracles share no counting logic with the
 kernels they check: none of them references the run, block or key helpers
-of the fast paths, directly or in a nested comprehension."""
+of the fast paths, directly or in a nested comprehension.  The fast paths
+in turn cut their pairs with one block plan, row_blocks."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -37,7 +39,7 @@ FAST_PATH_HELPERS = {
     "_line_starts",
     "_mirror_indices",
     "_sq_dist_rows",
-    "_upper_rectangles",
+    "_sq_dists",
     "_distinct_upper_distances",
     "_hanson_certificates",
 }
@@ -71,3 +73,20 @@ def test_every_fast_path_helper_is_defined():
                for m in pkgutil.iter_modules(distsym.__path__))
     defined = set().union(*map(vars, modules))
     assert FAST_PATH_HELPERS - defined == set()
+
+
+def test_one_block_plan():
+    # the pair kernels take their blocks from row_blocks alone, and _CHUNK
+    # sizes only the buffer of distinct_values: a second block plan would
+    # read one of these constants somewhere else.  Every top-level function
+    # and class of every module is searched, with what it nests
+    readers = {"_CHUNK": set(), "_CACHE_BLOCK": set()}
+    for info in pkgutil.iter_modules(distsym.__path__):
+        module = importlib.import_module(f"distsym.{info.name}")
+        code = compile(inspect.getsource(module), module.__file__, "exec")
+        for defn in code.co_consts:
+            if isinstance(defn, types.CodeType):
+                for name in readers.keys() & referenced_names(defn):
+                    readers[name].add(f"{info.name}.{defn.co_name}")
+    assert readers == {"_CHUNK": {"scalar_sets.distinct_values"},
+                       "_CACHE_BLOCK": {"scalar_sets.row_blocks"}}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sorted_dtypes
+from conftest import per_pair_weights, sorted_dtypes
 from distsym import planar, scalar_sets
 from distsym.bisectors import bisector_weight_map
 from distsym.errors import EmptyInputError
@@ -190,20 +190,34 @@ def test_scaled_grids_sort_the_grids_own_distances(monkeypatch, scale, shift):
     assert [dtype for dtype, _ in seen] == [np.int64] * 2
 
 
-# Each pair i < j falls in exactly one rectangle of rows [r0, r1) against
-# columns [r0, n), and a rectangle holds at most a block of values unless it
-# is one row.
+# d(P) and the weight map cut each row_blocks block of rows [r0, r1) to the
+# columns [r0, n): each pair i < j falls in exactly one such rectangle, the
+# blocks are clipped to range(n), and a block of more than one row holds at
+# most _CACHE_BLOCK pair values of full rows.  Both kernels agree with their
+# per-pair oracles at each block size, on points with repeated distances
+# and lines.
 @pytest.mark.parametrize("n, block", [(1, 40), (12, 144), (30, 40), (30, 7), (100, 1 << 16)])
-def test_upper_rectangles_cover_each_pair_once(n, block):
-    rects = planar._upper_rectangles(n, block)
-    cover = Counter((i, j) for r0, r1 in rects for i in range(r0, r1) for j in range(r0, n) if i < j)
+def test_upper_blocks_cover_each_pair_once(monkeypatch, n, block):
+    monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", block)
+    blocks = list(scalar_sets.row_blocks(n, n))
+    cover = Counter((i, j) for rows in blocks for i in range(rows.start, rows.stop)
+                    for j in range(rows.start, n) if i < j)
     assert cover == Counter((i, j) for i in range(n) for j in range(i + 1, n))
-    assert all((r1 - r0) * (n - r0) <= block or r1 - r0 == 1 for r0, r1 in rects)
-    assert [r0 for r0, _ in rects[1:]] == [r1 for _, r1 in rects[:-1]]
-    assert len(rects) == 1 or n * n > block
+    assert [rows.start for rows in blocks] == [0] + [rows.stop for rows in blocks[:-1]]
+    assert blocks[-1].stop == n
+    assert all((rows.stop - rows.start) * n <= block or rows.stop - rows.start == 1 for rows in blocks)
+    assert len(blocks) == 1 or n * n > block
+    rng = random.Random(n)
+    p = PlanarPointSet(rng.sample([(x, y) for x in range(12) for y in range(12)], n))
+    pts = p.points
+    want = sorted({(a - c) ** 2 + (b - d) ** 2 for a, b in pts for c, d in pts})
+    assert list(squared_distance_set(p).squared.elements) == want
+    if n >= 2:
+        assert dict(bisector_weight_map(p).items()) == per_pair_weights(p)
 
 
-# With blocks of 40 values and _CHUNK at 100, 30 points take 17 rectangles.
+# With blocks of 40 values and _CHUNK at 100, 30 points take 30 one-row
+# rectangles of 30 down to 1 values.
 # Points of a 6 x 6 grid repeat their few distances, so the buffer is
 # deduplicated on the way and never grows; random points in [0, 10^6]^2 have
 # distinct distances, which fill the buffer, so it grows.

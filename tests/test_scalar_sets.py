@@ -201,7 +201,7 @@ def test_combine_matches_comprehension(a, b):
 def test_combine_across_several_blocks(monkeypatch):
     monkeypatch.setattr(scalar_sets_module, "_CHUNK", 200)
     monkeypatch.setattr(scalar_sets_module, "_CACHE_BLOCK", 40)
-    assert [len(range(40)[s]) for s in row_blocks(40, 13, 40)] == [3] * 13 + [1]
+    assert [s.stop - s.start for s in row_blocks(40, 13)] == [3] * 13 + [1]
     seen = sorted_dtypes(monkeypatch)
     rng = random.Random(8)
     for values, grows in ((range(-20, 20), False), (rng.sample(range(-500, 500), 40), True)):
