@@ -13,10 +13,11 @@ singleton classes add nothing to T or to the rich count and are never
 materialised.  st_bound_report takes T and the rich count from that one pass.
 It runs on the reduced lattice, the cleared points translated to their
 minimum and divided by their gcd, whose squared distances are at most
-W^2 + H^2 for the reduced box's widths.  On int64 it sorts 32-bit rows of
-residues mod 2^32, which are the distances below 2^32; above, only the rows
-that repeat a residue can hold a rich class, and only they are recomputed
-in int64 (see _radius_class_counts for why each route is exact).
+W^2 + H^2 for the reduced box's widths.  On every lattice it sorts 32-bit
+rows of residues mod 2^32, which are the distances below 2^32; above, only
+the rows that repeat a residue can hold a rich class, and only they are
+recomputed, in the lattice's int64 or Python ints (see _radius_class_counts
+for why this is exact).
 
 The incidence route reduces every line once to its direction form
 uX + vY = t and drops the lines that hold no cleared point.  It joins the
@@ -68,25 +69,26 @@ def _radius_class_counts(p: PlanarPointSet):
 
     Exactness.  The rows are those of the reduced lattice
     (_reduced_lattice): its squared distances are at most reach, and two of
-    them are equal iff the same two distances of p are.  On int64 coordinates
-    the rows are computed in uint32 arithmetic, which is arithmetic mod 2^32,
-    so each entry is its squared distance's residue mod 2^32; 32-bit rows are
-    computed and sorted about twice as fast as 64-bit ones.  Equal distances
-    have equal residues, so residue equality is necessary for equality, and a
-    row whose sorted residues are all distinct holds no rich class.  Where
-    reach < 2^32 each distance is its own residue, so equality of residues
-    is also sufficient and the residue rows are counted as they are.
-    Otherwise only the rows that repeat a residue are recomputed in int64,
-    which holds every value up to reach since int_dtype admitted it, and
-    counted; a block without such a row adds nothing.  Object coordinates
-    give exact rows of Python ints.  No float is compared anywhere."""
+    them are equal iff the same two distances of p are.  Every lattice's
+    rows are computed from its coordinates mod 2^32 in uint32 arithmetic,
+    which is arithmetic mod 2^32, so each entry is its squared distance's
+    residue mod 2^32; 32-bit rows are computed and sorted about twice as
+    fast as 64-bit ones, and far faster than rows of Python ints.  Equal
+    distances have equal residues, so residue equality is necessary for
+    equality, and a row whose sorted residues are all distinct holds no rich
+    class.  Where reach < 2^32 each distance is its own residue, so equality
+    of residues is also sufficient and the residue rows are counted as they
+    are.  Otherwise only the rows that repeat a residue are recomputed in
+    the lattice's dtype, int64 or Python ints, which holds every value up to
+    reach since int_dtype admitted it, and counted; a block without such a
+    row adds nothing.  A Python-int lattice in which every row repeats a
+    residue pays the 32-bit pass on top of its exact rows.  No float is
+    compared anywhere."""
     xs, ys, reach = _reduced_lattice(p)[:3]
-    if xs.dtype == object:
-        cols, exact = (xs, ys), True
-    else:
-        cols, exact = (xs.astype(np.uint32), ys.astype(np.uint32)), reach < 1 << 32
+    residues = [(c % (1 << 32)).astype(np.uint32) for c in (xs, ys)]
+    exact = reach < 1 << 32
     t = rich = start = 0
-    for d2 in _sq_dist_rows(*cols):
+    for d2 in _sq_dist_rows(*residues):
         d2.sort(axis=1)
         if not exact:
             again = start + np.flatnonzero((d2[:, 1:] == d2[:, :-1]).any(axis=1))
@@ -177,7 +179,7 @@ def weighted_incidences(p: PlanarPointSet, wmap: WeightedBisectorMap) -> int:
     sizes = np.diff(firsts, append=len(u))
     big = sizes >= _JOIN_MIN_LINES
     # the join's keys reach directions x (2 reach + 1)
-    if dtype is np.int64 and int_dtype(np.count_nonzero(big) * (2 * reach + 1)) is object:
+    if dtype is np.int64 and int_dtype(int(np.count_nonzero(big)) * (2 * reach + 1)) is object:
         big[:] = False
     in_join = np.repeat(big, sizes)
     heads, scan = firsts[big], ~in_join

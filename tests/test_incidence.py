@@ -236,17 +236,30 @@ def test_join_and_scan_each_count_the_triples(monkeypatch, name, min_lines):
 
 # Two directions with offsets up to |c| make the join's key reach
 # 2 (2 |c| + 1): 2^62 - 2 at the last |c| it takes and 2^62 + 2 past it, where
-# every line is scanned.  The kernels' reach, |c|, stays in int64.
-@pytest.mark.parametrize("c, joined", [(1 - (1 << 60), True), (-(1 << 60), False)], ids=["edge", "edge+1"])
-def test_join_at_its_key_guard(monkeypatch, c, joined):
+# every line is scanned.  The kernels' reach, |c|, stays in int64.  At
+# |c| = 2^61 the key passes 2^63, where an int64 product would wrap.
+@pytest.mark.parametrize("c, joined, over", [(1 - (1 << 60), True, -2), (-(1 << 60), False, 2),
+                                             (-(1 << 61), False, (1 << 62) + 2)], ids=["edge", "edge+1", "wrap"])
+def test_join_at_its_key_guard(monkeypatch, c, joined, over):
     monkeypatch.setattr(incidence, "_JOIN_MIN_LINES", 1)
     scans = spy_on(monkeypatch, "_scan_lines")
     p = PlanarPointSet([(0, 0), (1, 0), (1, 1), (-1, 1), (1, -1)])
     lines = np.array([(1, 0, -1), (1, 1, 0), (1, 1, c)], dtype=np.int64)
     wm = WeightedBisectorMap(p.points, lines, np.array([2, 4, 6]))
-    assert 2 * (2 * -c + 1) - _I64_LIMIT == (-2 if joined else 2)
+    assert 2 * (2 * -c + 1) - _I64_LIMIT == over
     assert weighted_incidences(p, wm) == 2 * 3 + 4 * 3
     assert [(args[2].dtype, len(args[4])) for args, _ in scans] == [(np.int64, 0 if joined else 3)]
+
+
+# The guard's product of the joined directions' count, a numpy integer, and
+# the key span is taken in Python ints.  In int64 it wrapped past 2^63 and
+# let the join run on overflowing keys; on these 50 rational points the
+# join counted I_w = 4 against T = 16.
+def test_join_key_guard_on_rational_points(monkeypatch):
+    scans = spy_on(monkeypatch, "_scan_lines")
+    p = random_rational_point_set(random.Random(1), 50, max_numerator=6, max_denominator=30)
+    assert weighted_incidences(p, bisector_weight_map(p)) == isosceles_count_brute(p) == 16
+    assert [(args[2].dtype, len(args[4])) for args, _ in scans] == [(np.int64, 1174)]
 
 
 # Both offsets are 0, but (0, 1) projects to 1 on the direction (0, 1): a key
@@ -556,6 +569,61 @@ def test_radius_route_at_its_edges(monkeypatch, points, reach, route):
     rows = counted_rows(monkeypatch)
     assert incidence._radius_class_counts(p) == radius_oracles(p)
     assert rows(len(p)) == route
+
+
+def rich_centres(p):
+    """The number of centres with a rich class, by radius_multiplicity_map."""
+    return sum(max(counts.values()) >= 2 for counts in radius_multiplicity_map(p).by_center.values())
+
+
+def random_1e25(n):
+    rng = random.Random(1)
+    return PlanarPointSet([(rng.randint(0, 10**25), rng.randint(0, 10**25)) for _ in range(n)])
+
+
+def rational_30(seed):
+    return random_rational_point_set(random.Random(seed), 40, max_numerator=6, max_denominator=30)
+
+
+# Lattices past the int64 guard take the 32-bit residue pass too, and only
+# the rows that repeat a residue are recomputed, in Python ints: those of
+# the centres with a rich class.  40 random points in [0, 10^25]^2 repeat no
+# residue, so nothing is recomputed.  The rational sets (reach 2^73 to 2^90)
+# recompute a few rows; with blocks of 8 rows (_CACHE_BLOCK = 320), seed 5's
+# six rich centres fall in three of the five blocks, and the other two are
+# skipped.  grid(6) times 10^25, sheared apart by y -> 3y and joined by the
+# point (1, 2), reduces to no smaller lattice, and every row repeats a
+# residue: the grid's 36 rows hold classes, and the lone point's row holds
+# none but repeats residues, since 10^25 is a multiple of 2^25.  So it pays
+# the 32-bit pass on top of its exact rows, and the recompute finds no class
+# in the row that only collides mod 2^32.
+@pytest.mark.parametrize("p, block, counts, route", [
+    (random_1e25(40), None, (0, 0), []),
+    (rational_30(0), None, (0, 0), []),
+    (rational_30(1), None, (6, 3), [(object, 1)]),
+    (rational_30(2), None, (4, 2), [(object, 2)]),
+    (rational_30(5), None, (12, 6), [(object, 6)]),
+    (rational_30(5), 320, (12, 6), [(object, 2), (object, 3), (object, 1)]),
+    (rational_30(7), None, (6, 3), [(object, 3)]),
+    (PlanarPointSet([(x * 10**25 + 7, 3 * y * 10**25 + 1)
+                     for x, y in generate_family(FamilySpec(kind="grid", n=6)).points] + [(1, 2)]),
+     None, (1168, 340), [(object, 37)]),
+], ids=["random1e25", "rational0", "rational1", "rational2", "rational5", "rational5-blocks8",
+        "rational7", "sheared-grid6e25"])
+def test_python_int_lattices_recompute_only_repeating_rows(monkeypatch, p, block, counts, route):
+    assert planar._reduced_lattice(p)[0].dtype == object
+    if block is not None:
+        monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", block)
+    passes = []
+
+    def spy(xs, ys):
+        passes.append(xs.dtype)
+        return planar._sq_dist_rows(xs, ys)
+    monkeypatch.setattr(incidence, "_sq_dist_rows", spy)
+    rows = counted_rows(monkeypatch)
+    assert incidence._radius_class_counts(p) == radius_oracles(p) == counts
+    assert passes == [np.uint32] and rows(len(p)) == route
+    assert sum(k for _, k in route) >= rich_centres(p)  # every rich row is recomputed
 
 
 # T and the rich count depend on the set only up to similarity, and the
