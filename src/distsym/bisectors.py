@@ -25,8 +25,11 @@ set's own coordinates.
 The mirror subset of the heaviest bisector is found on the cleared integer
 rows of the point set, by one lookup per point in its row index.  A
 reflection is an involution, so that subset is its own mirror.  reflect_point
-does the same reflection in Fraction arithmetic and serves as the
-independent oracle in the corpus and the tests.
+does the same reflection point by point: it scales each point by its own
+denominators, forms the image in Python ints and divides once per
+coordinate, so it returns an exact rational image and looks up no row.  It
+shares no helper with the mirror search and serves as the independent
+oracle in the corpus and the tests.
 """
 
 from __future__ import annotations
@@ -85,10 +88,23 @@ def perpendicular_bisector(p, q) -> Line:
 
 def reflect_point(line: Line, p) -> Point:
     """Mirror image of p across the line; exact and involutive."""
+    # on x = X/L, y = Y/L with L the lcm of p's own denominators, the image
+    # is (X n - a s2, Y n - b s2) / (n L) with n = a^2 + b^2 and
+    # s2 = 2(aX + bY + cL): Python ints up to one division per coordinate
     x, y = as_point(p)
     a, b, c = line
-    t = Fraction(a * x + b * y + c, a * a + b * b)
-    return (as_scalar(x - 2 * a * t), as_scalar(y - 2 * b * t))
+    L = math.lcm(x.denominator, y.denominator)
+    X = x.numerator * (L // x.denominator)
+    Y = y.numerator * (L // y.denominator)
+    n = a * a + b * b
+    s2 = 2 * (a * X + b * Y + c * L)
+    return (_ratio_scalar(X * n - a * s2, n * L), _ratio_scalar(Y * n - b * s2, n * L))
+
+
+def _ratio_scalar(num: int, den: int):
+    # the canonical scalar num / den for den > 0: an int when exact
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def point_on_line(line: Line, p) -> bool:

@@ -10,6 +10,7 @@ running out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -374,6 +375,11 @@ def _positive_int(value: str) -> int:
     return int(value)
 
 
+# Built once per process: building the seven subcommands costs about a
+# millisecond, which every main() call in a sweep script would pay again.
+# Parsing leaves the parser as it was, and it reads no environment and holds
+# only immutable defaults, so one instance parses each argv as a fresh one.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distsym",

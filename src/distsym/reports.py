@@ -56,7 +56,7 @@ def jsonable(value):
         return {"lo": format_scalar(value.lo), "hi": format_scalar(value.hi)}
     if isinstance(value, Line):
         return f"{value.a} {value.b} {value.c}"
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:  # an exact test skips ABCMeta's isinstance
         return format_scalar(value)
     if isinstance(value, bool) or value is None:
         return value

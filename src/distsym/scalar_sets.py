@@ -137,10 +137,11 @@ def as_scalar(value) -> Scalar:
 def clear_denominators(values):
     """(ints, L): canonical scalars times their least common denominator L."""
     values = list(values)
-    den = math.lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    # exact type tests: isinstance(v, Fraction) runs ABCMeta's check on ints
+    den = math.lcm(*(v.denominator for v in values if type(v) is not int))
     if den == 1:
         return values, 1
-    return [v * den if isinstance(v, int) else v.numerator * (den // v.denominator)
+    return [v * den if type(v) is int else v.numerator * (den // v.denominator)
             for v in values], den
 
 

@@ -94,6 +94,81 @@ def test_fixed_points_lie_on_the_axis():
     assert not point_on_line(line, (0, 0))
 
 
+def fraction_reflection(line, p):
+    """Reference reflection in Fraction arithmetic: p - 2 t (a, b) with
+    t = (a x + b y + c) / (a^2 + b^2), each coordinate made canonical."""
+    x, y = p
+    a, b, c = line
+    t = Fraction(a * x + b * y + c, a * a + b * b)
+    return (scalar_sets.as_scalar(x - 2 * a * t), scalar_sets.as_scalar(y - 2 * b * t))
+
+
+def assert_reflects_like_the_reference(line, u):
+    r = reflect_point(line, u)
+    want = fraction_reflection(line, u)
+    assert r == want
+    # an integral image comes back as an int, any other as a Fraction
+    assert [type(v) for v in r] == [int if v.denominator == 1 else Fraction for v in want]
+    assert reflect_point(line, r) == u
+    return r
+
+
+def random_fraction(rng, bound, max_den):
+    return scalar_sets.as_scalar(Fraction(rng.randint(-bound, bound), rng.randint(1, max_den)))
+
+
+def test_reflection_of_integer_points_matches_the_fraction_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        p, q, u = ((rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(3))
+        if p == q:
+            continue
+        line = perpendicular_bisector(p, q)
+        assert assert_reflects_like_the_reference(line, p) == q
+        assert_reflects_like_the_reference(line, u)
+
+
+def test_reflection_of_rational_points_matches_the_fraction_reference():
+    rng = random.Random(32)
+    for _ in range(300):
+        p, q, u = ((random_fraction(rng, 200, 30), random_fraction(rng, 200, 30))
+                   for _ in range(3))
+        if p == q:
+            continue
+        line = perpendicular_bisector(p, q)
+        assert assert_reflects_like_the_reference(line, p) == q
+        assert_reflects_like_the_reference(line, u)
+
+
+@pytest.mark.parametrize("scale", [10**25, 2**63 + 1, -(10**25) - 7])
+def test_reflection_of_huge_points_matches_the_fraction_reference(scale):
+    rng = random.Random(scale)
+    for _ in range(100):
+        p, q, u = ((scale + rng.randint(-9, 9), scale * rng.choice([1, -1]) + rng.randint(-9, 9))
+                   for _ in range(3))
+        u = (u[0], u[1] + random_fraction(rng, 5, 30))
+        if p == q:
+            continue
+        line = perpendicular_bisector(p, q)
+        assert assert_reflects_like_the_reference(line, p) == q
+        assert_reflects_like_the_reference(line, u)
+
+
+def test_points_on_the_axis_come_back_unchanged():
+    rng = random.Random(33)
+    for _ in range(200):
+        p, q = ((random_fraction(rng, 50, 12), random_fraction(rng, 50, 12)) for _ in range(2))
+        if p == q:
+            continue
+        line = perpendicular_bisector(p, q)
+        # the midpoint of p, q plus a rational step along the axis (-b, a)
+        k = random_fraction(rng, 20, 30)
+        on = tuple(scalar_sets.as_scalar(Fraction(s + t, 2) + k * d)
+                   for s, t, d in zip(p, q, (-line.b, line.a)))
+        assert point_on_line(line, on)
+        assert assert_reflects_like_the_reference(line, on) == on
+
+
 def test_triangle_weight_map():
     wm = bisector_weight_map(TRIANGLE)
     assert wm.n_points == 3
@@ -551,7 +626,8 @@ def test_foreign_weight_map_rejected():
 
 def oracle_subset(p, axis, include_fixed_points):
     """{s : R(s) in P, R(s) != s}, plus the fixed points on request, with R
-    the Fraction reflection of reflect_point."""
+    the point-by-point reflection of reflect_point, which shares no helper
+    with the row lookup of _mirror_indices."""
     members = set(p.points)
     return tuple(s for s in p.points
                  if (r := reflect_point(axis, s)) in members and (r != s or include_fixed_points))

@@ -382,6 +382,43 @@ def test_usage_error_exits_2(capsys):
         "'hanson', 'plunnecke', 'abc', 'thm1', 'guth-katz', 'product-identity', 'thm2', 'st')")
 
 
+def test_one_shared_parser_parses_each_argv_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    (tmp_path / "s.txt").write_text("1/2\n3\n-7/3\n5\n11/4\n0\n")
+    (tmp_path / "p.txt").write_text("".join(f"{x} {y}\n" for x in range(3) for y in range(3)))
+    # relative --out files land under $DISTSYM_OUT_DIR, which main reads at run time
+    thm1 = f"check thm1 --input {tmp_path / 's.txt'}"
+    # thm1 comes last again, so state the other calls left behind would show
+    sequence = [
+        thm1,
+        "sweep --check thm2 --family grid --sizes 2:4 --out thm2.csv",
+        "check nonsense --input x",
+        "verify",
+        f"check st --input {tmp_path / 'p.txt'} --format json --out st.json",
+        thm1,
+    ]
+
+    def outcome(argv, out_dir):
+        monkeypatch.setenv("DISTSYM_OUT_DIR", str(out_dir))
+        try:
+            code = main(argv.split())
+        except SystemExit as e:
+            code = ("exit", e.code)
+        files = {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.exists() else {}
+        return code, capsys.readouterr(), files
+
+    alone = []
+    for k, argv in enumerate(sequence):
+        build_parser.cache_clear()
+        alone.append(outcome(argv, tmp_path / f"alone{k}"))
+    build_parser.cache_clear()
+    shared = [outcome(argv, tmp_path / f"shared{k}") for k, argv in enumerate(sequence)]
+    assert build_parser.cache_info().misses == 1
+    assert shared == alone
+    assert [code for code, _, _ in alone] == [0, 0, ("exit", 2), 0, 0, 0]
+    assert set(alone[1][2]) == {"thm2.csv"} and set(alone[4][2]) == {"st.json"}
+
+
 # sha256 of stdout: a change to any byte of a check's report shows here
 CHECK_DIGESTS = {
     ("hanson", "csv"): "bf693045f47859eafcf1b20115b93c99efc1171d910b9d0bb495d2300158adf9",

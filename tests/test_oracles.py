@@ -67,6 +67,24 @@ def test_oracles_share_no_counting_logic(oracle):
     assert not referenced_names(oracle.__code__) & FAST_PATH_HELPERS
 
 
+def test_reflection_oracle_shares_nothing_with_the_mirror_route():
+    # reflect_point checks the mirror search, which clears the whole set's
+    # denominators and looks each image up in its row index; the oracle
+    # scales by one point's own denominators and looks up no row, nor does
+    # any distsym function it calls
+    mirror_route = {"clear_denominators", "scaled_int_coords", "row_index", "_mirror_indices"}
+    names, seen, todo = set(), set(), [reflect_point]
+    while todo:
+        fn = todo.pop()
+        seen.add(fn.__name__)
+        new = referenced_names(fn.__code__) - names
+        names |= new
+        todo += [f for f in map(fn.__globals__.get, new)
+                 if isinstance(f, types.FunctionType) and f.__module__.startswith("distsym.")]
+    assert {"as_point", "as_scalar"} <= seen
+    assert not names & mirror_route
+
+
 def test_every_fast_path_helper_is_defined():
     # a renamed helper would otherwise drop out of the check above unseen
     modules = (importlib.import_module(f"distsym.{m.name}")
