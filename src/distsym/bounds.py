@@ -7,7 +7,8 @@ so their reports record the observed ratio lhs / rhs instead.  Ratios
 against irrational comparators are rational brackets, never floats.
 
 The Hanson inclusion enumerates A x A and D x D once each: D and {2}DD are
-the distinct values of those enumerations, and their first occurrences are
+the distinct values of those enumerations, and their first occurrences,
+read off a first-index table over a small span or else a stable sort, are
 the certificates, checked on integer arrays under one int64 guard; the rank
 of every value of A - A places each certificate component in D.  Every
 certificate value is read off the elements of A, D and {2}DD, so it is in
@@ -16,6 +17,7 @@ canonical form: an int when integral, else a reduced Fraction.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -38,6 +40,7 @@ from .scalar_sets import (
     ScalarSet,
     ab_plus_c_set,
     check_fold_budget,
+    dedup_route,
     difference_set,
     dilate,
     elementwise_square,
@@ -151,22 +154,44 @@ def _hanson_certificates(a: ScalarSet):
     if pos.max() >= len(diffs) or np.any(diffs[pos] != comps):
         raise AssertionError("witness components escaped the difference set")
     # values are read off the sets' elements, which are canonical: an int
-    # when integral, else a reduced Fraction
-    aelems, delems = (np.array(s.elements, dtype=object) for s in (a, d))
-    quads = zip(*aelems[quad].tolist())
-    parts = zip(*delems[pos].tolist())
-    return d, two_dd, list(zip(two_dd.elements, quads, parts))
+    # when integral, else a reduced Fraction.  The tuples form no cycles, so
+    # the cyclic collector is paused while they are made
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        aelems, delems = (np.array(s.elements, dtype=object) for s in (a, d))
+        quads = zip(*aelems[quad].tolist())
+        parts = zip(*delems[pos].tolist())
+        return d, two_dd, list(zip(two_dd.elements, quads, parts))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _first_occurrences(values: np.ndarray, ranked: bool = False):
     """Sorted distinct values of a flat array and the index of each one's
     first occurrence, and with ranked the place of every entry's value among
-    them; the stable sort keeps equal values in input order.
-
-    int64 values are sorted on their offset keys from the minimum, in the
-    least unsigned type that holds the span: below 2^16 that is numpy's radix
-    sort.  Python ints keep the object sort."""
-    keys = values if values.dtype == object else offset_keys(values.min(), values.max(), values)
+    them.  On dedup_route's mask route int64 values fill a table of the
+    first index at each offset from the minimum, which then takes the places
+    of the offsets present; other int64 values are stably sorted on
+    offset_keys (by radix below a span of 2^16), Python ints as objects."""
+    if values.dtype == object:
+        keys = values
+    else:
+        lo, hi = int(values.min()), int(values.max())
+        if dedup_route(len(values), hi - lo) == "mask":
+            # indices in the least type holding n, the mark of an absent offset
+            n, index = len(values), np.min_scalar_type(len(values))
+            offsets = values - lo
+            table = np.full(hi - lo + 1, n, dtype=index)
+            np.minimum.at(table, offsets, np.arange(n, dtype=index))
+            present = np.flatnonzero(table < n)
+            first = table[present].astype(np.intp)
+            if not ranked:
+                return values[first], first
+            table[present] = np.arange(len(present), dtype=index)
+            return values[first], first, table[offsets].astype(np.intp)
+        keys = offset_keys(lo, hi, values)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     first = order[run_starts(sorted_keys)]

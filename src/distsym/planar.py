@@ -196,13 +196,14 @@ def _sq_dist_rows(xs: np.ndarray, ys: np.ndarray):
         yield _sq_dists(xs, ys, rows, 0, *bufs[:, :h])
 
 
-def _distinct_upper_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _distinct_upper_distances(xs: np.ndarray, ys: np.ndarray, reach: int) -> np.ndarray:
     """Sorted distinct squared distances of the points (xs, ys), in their
-    dtype, which must hold every one of them.  Each row_blocks block of rows
-    is cut to the columns from its first row on, so every pair i < j is
-    written once; the block's leading square adds only its rows' own zeros
-    and pairs i > j, which repeat values.  distinct_values takes these
-    rectangles, each written with a cache-sized scratch array."""
+    dtype, which must hold every one of them, and all at most reach.  Each
+    row_blocks block of rows is cut to the columns from its first row on, so
+    every pair i < j is written once; the block's leading square adds only
+    its rows' own zeros and pairs i > j, which repeat values.
+    distinct_values takes these rectangles, each written with a cache-sized
+    scratch array."""
     n = len(xs)
     blocks = list(row_blocks(n, n))
     sizes = [(rows.stop - rows.start) * (n - rows.start) for rows in blocks]
@@ -212,7 +213,7 @@ def _distinct_upper_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         rows = blocks[i]
         shape = (rows.stop - rows.start, n - rows.start)
         _sq_dists(xs, ys, rows, rows.start, out.reshape(shape), tmp[:out.size].reshape(shape))
-    return scalar_sets.distinct_values(sizes, xs.dtype, write)
+    return scalar_sets.distinct_values(sizes, xs.dtype, write, 0, reach)
 
 
 def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> DistanceSet:
@@ -225,7 +226,7 @@ def squared_distance_set(p: PlanarPointSet, include_zero: bool = True) -> Distan
     if not p:
         raise EmptyInputError("distance set of an empty point set")
     xs, ys, reach, g, _, _ = _reduced_lattice(p)
-    vals = _distinct_upper_distances(xs, ys)
+    vals = _distinct_upper_distances(xs, ys, reach)
     p._distance_count = len(vals)
     if not include_zero:
         vals = vals[1:]  # the diagonal's 0 is the least value

@@ -17,11 +17,14 @@ blocks from row_blocks, of about _CACHE_BLOCK values each, and reads runs of
 equal sorted values with run_starts (or, where only runs of two or more
 count, with repeat_runs).  The kernels that read only the pairs i < j, the
 squared-distance set and the bisector weight map, cut each block of rows to
-the columns from its first row on.  The kernels that keep the distinct
-values of their blocks, the sort route of the folds and the squared-distance
-set, write them into the one buffer of distinct_values; Python-int values
-there are sorted as a list, so timsort merges the sorted prefix the buffer
-keeps with the new blocks.
+the columns from its first row on.  dedup_route alone picks how the folds,
+the squared-distance set and the Hanson first occurrences deduplicate their
+values: sums and differences by a Python-int bitset, int64 values over a
+small span by scattering them into a mask, else by a sort.  The folds and
+the squared-distance set write their blocks into distinct_values, which
+takes the mask or its one sorting buffer; Python-int values there are sorted
+as a list, so timsort merges the sorted prefix the buffer keeps with the new
+blocks.
 """
 
 from __future__ import annotations
@@ -282,6 +285,30 @@ def _require_nonempty(*sets: ScalarSet) -> None:
             raise EmptyInputError("operation requires nonempty input sets")
 
 
+# dedup_route's crossovers, measured in process on random int64 operands
+# (2-core host, numpy 2.4).  At 4 span per pair value the mask beat the sort
+# 1.2-2.4x on folds of 10^4 to 4 * 10^6 pairs and 1.1-1.3x on d(P) of 300 to
+# 3000 points; at 8 they were even (0.8-1.3x).  At 1 bitset word
+# (short * span / 64 of them) per pair value the mask was faster for shorter
+# operands of up to 100 values and the bitset from 300 on, within 3.2x; at 4
+# the mask was faster on every shape.  Python-int sums took the bitset 3-125x
+# faster than their sort, up to 4 span and 62 words per pair value.
+_DENSE_SPAN_PER_PAIR = 4
+_BITSET_WORDS_PER_PAIR = 1
+
+
+def dedup_route(pairs: int, span: int, short: int = 0, objects: bool = False) -> str:
+    """'bitset', 'mask' or 'sort' to deduplicate pairs values spanning span;
+    the bitset only for sums and differences, whose shorter operand has
+    short > 0 values.  Python ints (objects) have no mask, and their sort is
+    far slower than the bitset, which they take whenever the span allows."""
+    if span > _DENSE_SPAN_PER_PAIR * pairs:
+        return "sort"
+    if short and (objects or short * (span >> 6) <= _BITSET_WORDS_PER_PAIR * pairs):
+        return "bitset"
+    return "sort" if objects else "mask"
+
+
 def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
     # sorts the (freshly computed) array in place and keeps the first of each
     # run; numpy 2's unique hashes int64 values, many times slower.  Python
@@ -299,15 +326,35 @@ def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
     return v[run_starts(v)]
 
 
-def distinct_values(sizes, dtype, write) -> np.ndarray:
+def _mask_values(sizes, dtype, write, lo: int, hi: int) -> np.ndarray:
+    # distinct_values' mask route: each block is written into one buffer of
+    # the largest block, offset by lo and scattered into a bool mask of the
+    # span, and one flatnonzero reads the values off in order
+    buf = np.empty(max(sizes), dtype=dtype)
+    mask = np.zeros(hi - lo + 1, dtype=bool)
+    for i, size in enumerate(sizes):
+        out = buf[:size]
+        write(i, out)
+        out -= lo
+        mask[out] = True
+    found = np.flatnonzero(mask).astype(dtype, copy=False)
+    found += lo
+    return found
+
+
+def distinct_values(sizes, dtype, write, lo: int, hi: int) -> np.ndarray:
     """Sorted distinct values, in dtype, of the blocks that write(i, out)
-    writes straight into out, a slice of one buffer, block i of sizes[i]
-    values.  The buffer holds all the blocks when they fit _CHUNK values,
-    for one sort, else as many leading ones as fit.  When the next block
-    would not fit, the buffer is sorted and deduplicated in place and keeps
-    its distinct prefix; only when that leaves no room does it grow, twice
-    over but never past what is left to write, so past its first size it
-    stays below twice the distinct values and two blocks."""
+    writes straight into out, block i of sizes[i] values, all in [lo, hi].
+    The values take the mask route (_mask_values) where dedup_route picks
+    it.  Otherwise every block is a slice of one buffer, which holds all the
+    blocks when they fit _CHUNK values, for one sort, else as many leading
+    ones as fit.  When the next block would not fit, the buffer is sorted and
+    deduplicated in place and keeps its distinct prefix; only when that
+    leaves no room does it grow, twice over but never past what is left to
+    write, so past its first size it stays below twice the distinct values
+    and two blocks."""
+    if dedup_route(sum(sizes), hi - lo, objects=dtype == object) == "mask":
+        return _mask_values(sizes, dtype, write, lo, hi)
     cap = max(sizes)
     for done in itertools.accumulate(sizes):
         if done > _CHUNK:
@@ -339,33 +386,24 @@ def _bitset_sum(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     small, big = (ua, ub) if len(ua) <= len(ub) else (ub, ua)
     lo = int(big[0])
     mask = np.zeros(int(big[-1]) - lo + 1, dtype=bool)
-    mask[(big - lo).astype(np.int64)] = True
-    bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    mask[(big - lo).astype(np.int64, copy=False)] = True
+    bits = int.from_bytes(np.packbits(mask, bitorder="little"), "little")
     acc = 0
     for s in (small - small[0]).tolist():
         acc |= bits << s
     packed = np.frombuffer(acc.to_bytes((acc.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    offsets = np.flatnonzero(np.unpackbits(packed, bitorder="little"))
-    return offsets.astype(ua.dtype) + (lo + int(small[0]))
-
-
-# Cost model of _unique_outer's two routes.  The sort orders len(a) * len(b)
-# pair values.  The bitset does about len(small) * span / 64 word operations
-# and a few passes over one byte per position of the span (the mask in, the
-# unpacked result out).  It is taken while, per pair value, its words are at
-# most _BITSET_WORDS_PER_PAIR and its span at most _BITSET_SPAN_PER_PAIR.
-# Both are measured crossovers: past either, sorting random operands was
-# faster, and past the span bound the bitset also held more bytes than the
-# sort (a one-element operand at 256 span per pair: 118 MiB against 5 MiB).
-_BITSET_WORDS_PER_PAIR = 4
-_BITSET_SPAN_PER_PAIR = 4
+    offsets = np.flatnonzero(np.unpackbits(packed, bitorder="little")).astype(ua.dtype, copy=False)
+    offsets += lo + int(small[0])
+    return offsets
 
 
 # The most values a fold may be predicted to yield; past it the fold is
 # refused before it allocates.  Peak bytes per predicted value (ru_maxrss,
-# distinct values): 36 on the int64 sort route, 170 on Python ints, 240 in the
-# Hanson certificates.  2^24 values is 2 GiB at 128 each, 16.8 times the largest
-# fold of the tests, verify, the sweeps and the benchmarks (1000 x 1000 products).
+# distinct values): 36 on the int64 sort route, 12-16 on the mask (3.0-4.8
+# per predicted value on D.D and D^2 + D^2 of ap(1000) and ap(1830)), 170 on
+# Python ints, 240 in the Hanson certificates.  2^24 values is 2 GiB at 128
+# each, 16.8 times the largest fold of the tests, verify, the sweeps and the
+# benchmarks (1000 x 1000 products).
 _FOLD_VALUE_BUDGET = 1 << 24
 
 
@@ -379,24 +417,25 @@ def check_fold_budget(fold: str, m: int, n: int, predicted: int) -> None:
 
 def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
     """Sorted distinct ufunc(x, y) over x in ua, y in ub (both sorted), within
-    the value budget.  Sums and differences over a small span take the bitset
-    route; products and wide spans sort every pair value, block by block."""
-    pairs = len(ua) * len(ub)
+    the value budget, by dedup_route's route: sums and differences may take
+    the bitset, and every other fold writes its pair values, block by block,
+    into distinct_values."""
+    pairs, fold = len(ua) * len(ub), ufunc.__name__
+    if ufunc is np.subtract:
+        # a - b is a plus the negated, reversed (so again sorted) b
+        ufunc, ub = np.add, -ub[::-1]
     if ufunc is np.multiply:
         corners = [int(x) * int(y) for x in (ua[0], ua[-1]) for y in (ub[0], ub[-1])]
-        span = max(corners) - min(corners)
+        lo, hi, short = min(corners), max(corners), 0
     else:
-        # the span of the result is the same for a + b and a - b
-        span = int(ua[-1]) - int(ua[0]) + int(ub[-1]) - int(ub[0])
-    check_fold_budget(ufunc.__name__, len(ua), len(ub), min(pairs, span + 1))
-    if (ufunc is not np.multiply
-            and min(len(ua), len(ub)) * (span >> 6) <= _BITSET_WORDS_PER_PAIR * pairs
-            and span <= _BITSET_SPAN_PER_PAIR * pairs):
-        # a - b is a plus the negated, reversed (so again sorted) b
-        return _bitset_sum(ua, -ub[::-1] if ufunc is np.subtract else ub)
+        lo, hi, short = int(ua[0]) + int(ub[0]), int(ua[-1]) + int(ub[-1]), min(len(ua), len(ub))
+    check_fold_budget(fold, len(ua), len(ub), min(pairs, hi - lo + 1))
+    if dedup_route(pairs, hi - lo, short, ua.dtype == object) == "bitset":
+        return _bitset_sum(ua, ub)
     blocks = list(row_blocks(len(ua), len(ub)))
     return distinct_values([(rows.stop - rows.start) * len(ub) for rows in blocks], ua.dtype,
-                           lambda i, out: ufunc.outer(ua[blocks[i]], ub, out=out.reshape(-1, len(ub))))
+                           lambda i, out: ufunc.outer(ua[blocks[i]], ub, out=out.reshape(-1, len(ub))),
+                           lo, hi)
 
 
 def pairwise_combine(a: ScalarSet, b: ScalarSet, op: CombineOp) -> ScalarSet:

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -142,6 +143,20 @@ def test_array_certificates_match_hanson_witness_on_every_element(values):
         assert t == plain and type(t) is type(plain)
 
 
+# The witness tuples are built with the cyclic collector paused; it is on
+# again afterwards if it was on before, and stays off if it was off.
+@pytest.mark.parametrize("enabled", [True, False])
+def test_certificates_leave_the_collector_as_they_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        witnesses = bounds._hanson_certificates(ScalarSet(CERTIFICATE_CASES[0]))[2]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert isinstance(witnesses, list) and all(len(w) == 3 for w in witnesses)
+
+
 def assert_same_set(got, want):
     assert got.denominator == want.denominator
     assert got.numerators.dtype == want.numerators.dtype
@@ -186,10 +201,10 @@ def first_occurrence_oracle(values):
     return distinct, [first[v] for v in distinct], [place[v] for v in values]
 
 
-def spread(lo, span, dtype, seed):
-    # 3000 draws from [lo, lo + span] with both ends, in a shuffled order
+def spread(lo, span, dtype, seed, draws=3000):
+    # draws from [lo, lo + span] and both ends, in a shuffled order
     rng = random.Random(seed)
-    values = [lo, lo + span, lo] + [lo + rng.randrange(span + 1) for _ in range(3000)]
+    values = [lo, lo + span, lo] + [lo + rng.randrange(span + 1) for _ in range(draws)]
     rng.shuffle(values)
     return np.array(values, dtype=dtype)
 
@@ -202,12 +217,14 @@ def two_dd_enumeration(edge):
     return 2 * np.multiply.outer(diffs, diffs).ravel()
 
 
-# int64 values are sorted on their offsets from the minimum, narrowed to the
-# least unsigned type holding the span; Python ints keep the object sort
+# int64 values past the mask route's span bound are sorted on their offsets
+# from the minimum, narrowed to the least unsigned type holding the span;
+# Python ints keep the object sort.  The span-255 case has 63 values, so its
+# span passes 4 per value
 FIRST_OCCURRENCE_CASES = {
     "span-2^16-1": (spread(-3000, 2**16 - 1, np.int64, 1), np.uint16),
     "span-2^16": (spread(-3000, 2**16, np.int64, 2), np.uint32),
-    "span-255": (spread(10**15, 255, np.int64, 3), np.uint8),
+    "span-255": (spread(10**15, 255, np.int64, 3, draws=60), np.uint8),
     "identity-edge": (two_dd_enumeration(IDENTITY_EDGE), np.uint64),
     "identity-edge+1": (two_dd_enumeration(IDENTITY_EDGE + 1), object),
     "1e25": (spread(-(10**25), 2 * 10**25, object, 4), object),
@@ -228,6 +245,31 @@ def test_first_occurrences_match_a_dict_oracle(monkeypatch, values, key_dtype):
     distinct, first, rank = bounds._first_occurrences(values, ranked=True)
     assert keys_sorted == [np.dtype(key_dtype)]
     assert distinct.dtype == values.dtype
+    assert (distinct.tolist(), first.tolist(), rank.tolist()) == first_occurrence_oracle(values.tolist())
+    unranked = bounds._first_occurrences(values)
+    assert [x.tolist() for x in unranked] == [distinct.tolist(), first.tolist()]
+
+
+# Within the span bound, n values spanning up to 4n fill a first-index table
+# in the least unsigned type that holds n, its mark of an absent offset:
+# uint8 up to 255 values, uint16 from 256.  One more span sorts.  Values near
+# either end of the int64 guard are offset from their own minimum.
+@pytest.mark.parametrize("n, lo, extra, route", [
+    (255, 10**15, 0, "mask"), (255, 10**15, 1, "sort"), (256, -(2**62), 0, "mask"),
+    (256, -(2**62), 1, "sort"), (3000, 2**62 - 12001, 0, "mask")])
+def test_first_occurrences_fill_a_table_within_the_span_bound(monkeypatch, n, lo, extra, route):
+    values = spread(lo, 4 * n + extra, np.int64, n, draws=n - 3)
+    sorts = []
+    real = np.argsort
+
+    def spy(keys, **kwargs):
+        sorts.append(keys.dtype)
+        return real(keys, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    distinct, first, rank = bounds._first_occurrences(values, ranked=True)
+    assert (sorts == []) == (route == "mask")
+    assert (distinct.dtype, first.dtype, rank.dtype) == (np.dtype(np.int64), np.dtype(np.intp), np.dtype(np.intp))
     assert (distinct.tolist(), first.tolist(), rank.tolist()) == first_occurrence_oracle(values.tolist())
     unranked = bounds._first_occurrences(values)
     assert [x.tolist() for x in unranked] == [distinct.tolist(), first.tolist()]
@@ -410,9 +452,9 @@ def test_reports_sort_the_distances_once_per_point_set(monkeypatch, points, incl
     calls = []
     real = planar._distinct_upper_distances
 
-    def spy(xs, ys):
+    def spy(xs, ys, reach):
         calls.append(len(xs))
-        return real(xs, ys)
+        return real(xs, ys, reach)
     monkeypatch.setattr(planar, "_distinct_upper_distances", spy)
     p = PlanarPointSet(points)
     wmap = bisector_weight_map(p)

@@ -341,10 +341,11 @@ def test_cap_exit_code(grid3_file, capsys):
 
 HINT = " or a lower --max-size"
 # name: (function made to run out of memory, argv, hint); the hint names
-# --max-size only where it caps something, and GRID3 and AP5 are input files
+# --max-size only where it caps something, and GRID3 and AP5 are input files.
+# d(P) runs out in distinct_values, on whichever route it takes
 OUT_OF_MEMORY = {
-    "distset": ("distsym.scalar_sets._sorted_unique", "distset --input GRID3", ""),
-    "check": ("distsym.scalar_sets._sorted_unique", "check thm2 --input GRID3", HINT),
+    "distset": ("distsym.scalar_sets.distinct_values", "distset --input GRID3", ""),
+    "check": ("distsym.scalar_sets.distinct_values", "check thm2 --input GRID3", HINT),
     "check-hanson": ("distsym.scalar_sets._sorted_unique", "check hanson --input AP5", ""),
     "sweep-hanson": ("distsym.scalar_sets._sorted_unique",
                      "sweep --check hanson --family ap --sizes 3:4", ""),

@@ -26,6 +26,8 @@ FAST_PATH_HELPERS = {
     "run_starts",
     "repeat_runs",
     "distinct_values",
+    "dedup_route",
+    "_mask_values",
     "_row_key",
     "_radius_class_counts",
     "_reduced_lattice",

@@ -10,7 +10,7 @@ from conftest import per_pair_weights, sorted_dtypes
 from distsym import planar, scalar_sets
 from distsym.bisectors import bisector_weight_map
 from distsym.errors import EmptyInputError
-from distsym.families import FamilySpec, generate_family, random_rational_point_set
+from distsym.families import FamilySpec, generate_family, random_point_set, random_rational_point_set
 from distsym.incidence import isosceles_count
 from distsym.planar import (
     PlanarPointSet,
@@ -174,20 +174,50 @@ def test_membership_looks_up_the_cleared_rows():
 
 
 # The distance set runs on the reduced lattice: a scaled and translated copy
-# of grid(12) sorts the int64 distances of grid(12) itself, in one sort since
-# 144^2 values fit one block, and only the distinct values are scaled back.
+# of 144 random points in +-10^6 sorts the int64 distances of those points
+# themselves, in one sort since 144^2 values fit one block, and only the
+# distinct values are scaled back.  Their span, near 8 * 10^12, keeps them
+# on the sort route.
+def scaled_copy(points, scale, shift):
+    return PlanarPointSet([(x * scale + shift, y * scale - shift) for x, y in points])
+
+
 @pytest.mark.parametrize("scale, shift", [(10**25, 0), (Fraction(1, 7), Fraction(2, 3))],
                          ids=["1e25", "sevenths"])
 def test_scaled_grids_sort_the_grids_own_distances(monkeypatch, scale, shift):
-    grid = generate_family(FamilySpec(kind="grid", n=12))
-    p = PlanarPointSet([(x * scale + shift, y * scale - shift) for x, y in grid.points])
+    base = random_point_set(random.Random(12), 144, bound=10**6)
+    p = scaled_copy(base.points, scale, shift)
     assert p.scaled_int_coords()[0].dtype == (object if scale == 10**25 else np.int64)
-    want = {z: squared_distance_set(grid, z).squared.elements for z in (True, False)}
+    want = {z: squared_distance_set(base, z).squared.elements for z in (True, False)}
     seen = sorted_dtypes(monkeypatch)
     for include_zero in (True, False):
         got = squared_distance_set(p, include_zero).squared.elements
         assert got == tuple(as_scalar(v * scale * scale) for v in want[include_zero])
     assert [dtype for dtype, _ in seen] == [np.int64] * 2
+
+
+# grid(12)'s distances span 242 over the 144^2 values of its one block, so
+# its scaled copies take the mask route on the grid's own int64 distances:
+# nothing is sorted, and the mask spans the grid's reach alone.
+@pytest.mark.parametrize("scale, shift", [(10**25, 0), (Fraction(1, 7), Fraction(2, 3))],
+                         ids=["1e25", "sevenths"])
+def test_scaled_grids_scatter_the_grids_own_distances(monkeypatch, scale, shift):
+    grid = generate_family(FamilySpec(kind="grid", n=12))
+    p = scaled_copy(grid.points, scale, shift)
+    want = {z: squared_distance_set(grid, z).squared.elements for z in (True, False)}
+    seen = sorted_dtypes(monkeypatch)
+    spans = []
+    real = scalar_sets._mask_values
+
+    def spy(sizes, dtype, write, lo, hi):
+        spans.append((np.dtype(dtype), sum(sizes), lo, hi))
+        return real(sizes, dtype, write, lo, hi)
+    monkeypatch.setattr(scalar_sets, "_mask_values", spy)
+    for include_zero in (True, False):
+        got = squared_distance_set(p, include_zero).squared.elements
+        assert got == tuple(as_scalar(v * scale * scale) for v in want[include_zero])
+    assert spans == [(np.dtype(np.int64), 144**2, 0, 242)] * 2
+    assert seen == []
 
 
 # d(P) and the weight map cut each row_blocks block of rows [r0, r1) to the
@@ -218,16 +248,22 @@ def test_upper_blocks_cover_each_pair_once(monkeypatch, n, block):
 
 # With blocks of 40 values and _CHUNK at 100, 30 points take 30 one-row
 # rectangles of 30 down to 1 values.
-# Points of a 6 x 6 grid repeat their few distances, so the buffer is
-# deduplicated on the way and never grows; random points in [0, 10^6]^2 have
-# distinct distances, which fill the buffer, so it grows.
-@pytest.mark.parametrize("span, grows", [(5, False), (10**6, True)])
-def test_distance_buffer_dedups_and_grows(monkeypatch, span, grows):
+# Points of a 6 x 6 grid, stretched by 10 along x so that their 465 written
+# pairs span 2525 and take the sort route, repeat their few distances, so
+# the buffer is deduplicated on the way and never grows; random points in
+# [0, 10^7] x [0, 10^6] have distinct distances, which fill the buffer, so it
+# grows.
+def random_points(span, count, stretch=1):
     rng = random.Random(span)
     pts = set()
-    while len(pts) < 30:
-        pts.add((rng.randint(0, span), rng.randint(0, span)))
-    p = PlanarPointSet(pts)
+    while len(pts) < count:
+        pts.add((rng.randint(0, span) * stretch, rng.randint(0, span)))
+    return PlanarPointSet(pts)
+
+
+@pytest.mark.parametrize("span, grows", [(5, False), (10**6, True)])
+def test_distance_buffer_dedups_and_grows(monkeypatch, span, grows):
+    p = random_points(span, 30, stretch=10)
     monkeypatch.setattr(scalar_sets, "_CHUNK", 100)
     monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
     seen = sorted_dtypes(monkeypatch)
@@ -236,3 +272,17 @@ def test_distance_buffer_dedups_and_grows(monkeypatch, span, grows):
     assert got == tuple(sorted({(a - c) ** 2 + (b - d) ** 2 for a, b in pts for c, d in pts}))
     assert len(seen) > 2
     assert (max(size for _, size in seen) > 100) == grows
+
+
+# The unstretched grid's distances span 50 over the same 465 pairs: they
+# take the mask route, sort nothing and match the per-pair oracle; 30 random
+# points in [0, 10^6]^2 still sort.
+@pytest.mark.parametrize("span, route", [(5, "mask"), (10**6, "sort")])
+def test_distances_take_the_mask_within_the_crossover(monkeypatch, span, route):
+    p = random_points(span, 30)
+    monkeypatch.setattr(scalar_sets, "_CACHE_BLOCK", 40)
+    seen = sorted_dtypes(monkeypatch)
+    got = squared_distance_set(p).squared.elements
+    pts = p.points
+    assert got == tuple(sorted({(a - c) ** 2 + (b - d) ** 2 for a, b in pts for c, d in pts}))
+    assert (seen != []) == (route == "sort")

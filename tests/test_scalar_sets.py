@@ -19,6 +19,7 @@ from distsym.scalar_sets import (
     difference_set,
     dilate,
     elementwise_square,
+    int_dtype,
     iterated_combination,
     pairwise_combine,
     row_blocks,
@@ -195,16 +196,17 @@ def test_combine_matches_comprehension(a, b):
 
 # With _CACHE_BLOCK at 40, 40 rows of 13 values go in 14 blocks of 3 rows,
 # the last one of 1, and with _CHUNK at 200 the buffer takes 5 of them.  The
-# 137 products of two short ranges repeat, so the buffer is deduplicated on
-# the way and never grows; the 435 of random values fill it, so it grows.
-# At 10^25 the operands and products are Python ints.
+# 137 products of two short ranges, one stretched by 9 so that their span
+# passes 4 per pair value and keeps them on the sort route, repeat, so the
+# buffer is deduplicated on the way and never grows; the 435 of random values
+# fill it, so it grows.  At 10^25 the operands and products are Python ints.
 def test_combine_across_several_blocks(monkeypatch):
     monkeypatch.setattr(scalar_sets_module, "_CHUNK", 200)
     monkeypatch.setattr(scalar_sets_module, "_CACHE_BLOCK", 40)
     assert [s.stop - s.start for s in row_blocks(40, 13)] == [3] * 13 + [1]
     seen = sorted_dtypes(monkeypatch)
     rng = random.Random(8)
-    for values, grows in ((range(-20, 20), False), (rng.sample(range(-500, 500), 40), True)):
+    for values, grows in ((range(-180, 180, 9), False), (rng.sample(range(-500, 500), 40), True)):
         for scale, dtype in ((1, np.int64), (10**25, object)):
             a = ScalarSet(v * scale for v in values)
             b = ScalarSet([Fraction(k, 3) * scale for k in range(-6, 7)])
@@ -216,6 +218,25 @@ def test_combine_across_several_blocks(monkeypatch):
             for op in ("add", "subtract"):
                 assert pairwise_combine(a, b, op).elements == comprehension(a, b, OPS[op])
             assert difference_set(a).elements == comprehension(a, a, operator.sub)
+
+
+# The unstretched ranges' products, numerators over 3 from -120 to 120, span
+# 240 over 520 pairs and take the mask route: each of the 14 blocks is
+# written into one buffer of 3 rows and scattered, and nothing is sorted.
+def test_mask_route_across_several_blocks(monkeypatch):
+    monkeypatch.setattr(scalar_sets_module, "_CACHE_BLOCK", 40)
+    seen = sorted_dtypes(monkeypatch)
+    filled = []
+    real = scalar_sets_module._mask_values
+
+    def spy(sizes, dtype, write, lo, hi):
+        filled.append((len(sizes), max(sizes), lo, hi))
+        return real(sizes, dtype, write, lo, hi)
+    monkeypatch.setattr(scalar_sets_module, "_mask_values", spy)
+    a, b = ScalarSet(range(-20, 20)), ScalarSet([Fraction(k, 3) for k in range(-6, 7)])
+    assert pairwise_combine(a, b, "multiply").elements == comprehension(a, b, operator.mul)
+    assert filled == [(14, 39, -120, 120)]
+    assert seen == []
 
 
 # int64 operands whose products pass the guard: the fold runs on Python ints
@@ -241,9 +262,10 @@ def test_fold_crossing_into_object_dtype_refills_the_buffer(monkeypatch):
 
 
 # D.D of ap(1500) takes 2999^2 = 9.0M products in 143 blocks, 1,094,987 of
-# them distinct.  The buffer starts at _CHUNK values and is deduplicated in
-# place before it grows, so the fold peaks near 48 MiB traced, below the 72 MiB
-# of its 9.0M int64 pair values.
+# them distinct.  Their span, 4.5M, takes the mask route; forced onto the sort
+# route, the buffer starts at _CHUNK values and is deduplicated in place
+# before it grows, so the fold peaks near 48 MiB traced, below the 72 MiB of
+# its 9.0M int64 pair values.  Both stay within two _CHUNK buffers.
 def test_product_fold_peak_stays_within_two_chunks():
     d = difference_set(ScalarSet(range(1500)))
     tracemalloc.start()
@@ -254,6 +276,11 @@ def test_product_fold_peak_stays_within_two_chunks():
         tracemalloc.stop()
     assert len(dd) == 1094987
     assert peak <= 2 * scalar_sets_module._CHUNK * 8
+
+
+def test_product_fold_peak_stays_within_two_chunks_on_the_sort_route(monkeypatch):
+    monkeypatch.setattr(scalar_sets_module, "dedup_route", lambda *args, **kwargs: "sort")
+    test_product_fold_peak_stays_within_two_chunks()
 
 
 @given(scalar_sets)
@@ -387,12 +414,14 @@ def test_representation_is_canonical():
     assert dilate(10**20, ScalarSet([0])).elements == (0,)
 
 
-# _unique_outer sums and differences by bitset while, per pair value, the
-# fold's bitset words, len(small) * (span >> 6), are at most
-# _BITSET_WORDS_PER_PAIR and its span at most _BITSET_SPAN_PER_PAIR, and sorts
-# every pair value past either bound.  Each fold below is put at threshold - 1,
-# at it and + 1 of one bound by a monkeypatched (Fraction) constant, with the
-# other bound lifted out of the way.
+# dedup_route sends sums and differences to the bitset while, per pair
+# value, the fold's bitset words, len(small) * (span >> 6), are at most
+# _BITSET_WORDS_PER_PAIR and its span at most _DENSE_SPAN_PER_PAIR; past the
+# words bound int64 values take the mask, while Python ints, which have no
+# mask, keep the bitset; past the span bound every fold sorts.  Each fold
+# below is put at threshold - 1, at it and + 1 of one bound by a
+# monkeypatched (Fraction) constant, with the other bound lifted out of the
+# way.
 BIG = 10**25
 ASYM_A, ASYM_B = ScalarSet([0, 1, 5, 40, 300, 301, 302]), ScalarSet(range(0, 90, 4))
 ROUTE_FOLDS = {
@@ -424,7 +453,13 @@ def fold_cost(a, b):
     return {"words": min(len(a), len(b)) * (span >> 6), "span": span}
 
 
-BOUNDS = {"words": "_BITSET_WORDS_PER_PAIR", "span": "_BITSET_SPAN_PER_PAIR"}
+def fold_dtype(a, b):
+    """The dtype pairwise_combine picks for a sum or difference of a and b."""
+    den = math.lcm(a.denominator, b.denominator)
+    return int_dtype(a._bound(den // a.denominator) + b._bound(den // b.denominator))
+
+
+BOUNDS = {"words": "_BITSET_WORDS_PER_PAIR", "span": "_DENSE_SPAN_PER_PAIR"}
 
 
 def recording(fn, route, taken):
@@ -434,24 +469,31 @@ def recording(fn, route, taken):
     return spy
 
 
+def spy_routes(monkeypatch):
+    """The routes the folds take, in order: one entry per fold, as long as
+    its sort route sorts once."""
+    taken = []
+    for name, route in (("_bitset_sum", "bitset"), ("_mask_values", "mask"), ("_sorted_unique", "sort")):
+        monkeypatch.setattr(scalar_sets_module, name,
+                            recording(getattr(scalar_sets_module, name), route, taken))
+    return taken
+
+
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("case", ROUTE_FOLDS)
 def test_routes_agree_at_the_cost_threshold(monkeypatch, case, bound):
     a, b, op = ROUTE_FOLDS[case]
     other = a if b is None else b
-    taken = []
-    monkeypatch.setattr(scalar_sets_module, "_bitset_sum",
-                        recording(scalar_sets_module._bitset_sum, "bitset", taken))
-    monkeypatch.setattr(scalar_sets_module, "distinct_values",
-                        recording(scalar_sets_module.distinct_values, "sort", taken))
+    taken = spy_routes(monkeypatch)
     cost = fold_cost(a, other)[bound]
     assert cost > 0
     pairs = len(a) * len(other)
     for name in BOUNDS.values():
         monkeypatch.setattr(scalar_sets_module, name, 2**64)
     expected = comprehension(a, other, OPS[op])
+    past = {"span": "sort", "words": "bitset" if fold_dtype(a, other) is object else "mask"}[bound]
     results = []
-    for threshold, route in ((cost + 1, "bitset"), (cost, "bitset"), (cost - 1, "sort")):
+    for threshold, route in ((cost + 1, "bitset"), (cost, "bitset"), (cost - 1, past)):
         monkeypatch.setattr(scalar_sets_module, BOUNDS[bound], Fraction(threshold, pairs))
         taken.clear()
         got = difference_set(a) if b is None else pairwise_combine(a, b, op)
@@ -464,28 +506,93 @@ def test_routes_agree_at_the_cost_threshold(monkeypatch, case, bound):
         assert got.numerators.tolist() == results[0].numerators.tolist()
 
 
+# Products never take the bitset: within the span bound int64 ones take the
+# mask and Python ints the sort, and past it both sort.  The corners of each
+# product set its span: negative corners, rational lifts, and -1 times values
+# up to 2^62 - 1, whose products reach the int64 guard from below.
+PRODUCT_FOLDS = {
+    "negative-corners": (ScalarSet(range(-30, 25)), ScalarSet(range(-7, 12))),
+    "rational-lifts": (ScalarSet(Fraction(k, 6) for k in range(-40, 30, 3)),
+                       ScalarSet(Fraction(k, 10) for k in range(-9, 30, 2))),
+    "near-int64-guard": (ScalarSet([-1]), ScalarSet(range(_I64_LIMIT - 701, _I64_LIMIT, 7))),
+    "near-1e25": (ScalarSet(BIG + k for k in range(0, 70, 9)), ScalarSet(range(-30, 30, 4))),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_FOLDS)
+def test_product_routes_agree_at_the_span_threshold(monkeypatch, case):
+    a, b = PRODUCT_FOLDS[case]
+    monkeypatch.setattr(scalar_sets_module, "_CACHE_BLOCK", 64)
+    taken = spy_routes(monkeypatch)
+    corners = [x * y for x in (min(a.elements), max(a.elements)) for y in (min(b.elements), max(b.elements))]
+    span = int((max(corners) - min(corners)) * a.denominator * b.denominator)
+    pairs = len(a) * len(b)
+    expected = comprehension(a, b, operator.mul)
+    dense = "sort" if case == "near-1e25" else "mask"
+    for threshold, route in ((span + 1, dense), (span, dense), (span - 1, "sort")):
+        monkeypatch.setattr(scalar_sets_module, "_DENSE_SPAN_PER_PAIR", Fraction(threshold, pairs))
+        taken.clear()
+        assert pairwise_combine(a, b, "multiply").elements == expected
+        assert taken == [route]
+
+
 def test_default_cost_model_routes(monkeypatch):
-    taken = []
-    monkeypatch.setattr(scalar_sets_module, "_bitset_sum",
-                        recording(scalar_sets_module._bitset_sum, "bitset", taken))
-    monkeypatch.setattr(scalar_sets_module, "distinct_values",
-                        recording(scalar_sets_module.distinct_values, "sort", taken))
+    taken = spy_routes(monkeypatch)
     ap = ScalarSet(range(0, 3000, 3))
     difference_set(ap)
     pairwise_combine(ap, ScalarSet([10**6, -(10**6)]), "add")  # one short row over a wide span
-    pairwise_combine(ap, ap, "multiply")
-    # one element against 300: a span of 4 per pair value is the last the
-    # bitset takes; at 256 per pair its words are still within bound, but its
-    # span is not
+    pairwise_combine(ap, ap, "multiply")  # span 9.0M over 1M pairs
+    # D.D of ap(100): 39601 products spanning 19602
+    d = difference_set(ScalarSet(range(100)))
+    pairwise_combine(d, d, "multiply")
+    # one element against 300: a span of 4 per pair value is the last a
+    # dense route takes; at 5 per pair the fold sorts
     pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 4 * 300, 4)), "add")
     pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 5 * 300, 5)), "add")
-    pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 256 * 300, 256)), "add")
-    # 100 elements 120 apart, added to themselves: 3.7 words per pair value;
-    # 150 apart: 4.6, with the span still within bound
-    for step in (120, 150):
+    # 100 elements step apart, added to themselves: 0.99 words per pair value
+    # at step 32, 1.02 at 33 and 4.6 at 150, all within the span bound, and
+    # 4.2 span per pair value at 210
+    for step in (32, 33, 150, 210):
         spread = ScalarSet(range(0, 100 * step, step))
         pairwise_combine(spread, spread, "add")
-    assert taken == ["bitset", "sort", "sort", "bitset", "sort", "sort", "bitset", "sort"]
+    # the same near 10^25 are Python ints, which keep the bitset within the
+    # span bound
+    for step in (150, 210):
+        spread = ScalarSet(range(BIG, BIG + 100 * step, step))
+        pairwise_combine(spread, spread, "add")
+    assert taken == ["bitset", "sort", "sort", "bitset", "mask", "bitset", "sort",
+                     "bitset", "mask", "mask", "sort", "bitset", "sort"]
+
+
+# The mask route holds a bool per position of the span and one block of
+# values, where the sort holds every pair value up to _CHUNK of them: on D.D
+# of ap(1000), 4.0M products spanning 2.0M, and on d(P) of grid(64), 8.4M
+# squared distances spanning 7938, the mask's traced peak stays below the
+# sort's on the same input (6.5 MB against 40 MB, and 1.2 MB against 38 MB).
+@pytest.mark.parametrize("case", ["dd-ap1000", "distances-grid64"])
+def test_mask_route_peaks_below_the_sort(monkeypatch, case):
+    if case == "dd-ap1000":
+        d = difference_set(ScalarSet(range(1000)))
+        run = lambda: pairwise_combine(d, d, "multiply").numerators
+    else:
+        from distsym import planar
+        from distsym.families import FamilySpec, generate_family
+        xs, ys, reach = planar._reduced_lattice(generate_family(FamilySpec(kind="grid", n=64)))[:3]
+        run = lambda: planar._distinct_upper_distances(xs, ys, reach)
+    peaks, values = {}, {}
+    for route in ("mask", "sort"):
+        if route == "sort":
+            monkeypatch.setattr(scalar_sets_module, "dedup_route", lambda *args, **kwargs: "sort")
+        taken = spy_routes(monkeypatch)
+        tracemalloc.start()
+        try:
+            values[route] = run()
+            peaks[route] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(taken) == {route}
+    assert values["mask"].tolist() == values["sort"].tolist()
+    assert peaks["mask"] < peaks["sort"]
 
 
 @pytest.mark.parametrize("op, side, refused", [
