@@ -8,11 +8,12 @@ against irrational comparators are rational brackets, never floats.
 
 The Hanson inclusion enumerates A x A and D x D once each: D and {2}DD are
 the distinct values of those enumerations, and their first occurrences,
-read off a first-index table over a small span or else a stable sort, are
-the certificates, checked on integer arrays under one int64 guard; the rank
-of every value of A - A places each certificate component in D.  Every
-certificate value is read off the elements of A, D and {2}DD, so it is in
-canonical form: an int when integral, else a reduced Fraction.
+read off a first-index table over a small span or else a stable sort of
+the values as they are, are the certificates, checked on integer arrays
+under one int64 guard; the rank of every value of A - A places each
+certificate component in D.  Every certificate value is read off the
+elements of A, D and {2}DD, so it is in canonical form: an int when
+integral, else a reduced Fraction.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .scalar_sets import (
     elementwise_square,
     int_dtype,
     iterated_combination,
-    offset_keys,
     pairwise_combine,
     run_starts,
 )
@@ -173,34 +173,30 @@ def _first_occurrences(values: np.ndarray, ranked: bool = False):
     first occurrence, and with ranked the place of every entry's value among
     them.  On dedup_route's mask route int64 values fill a table of the
     first index at each offset from the minimum, which then takes the places
-    of the offsets present; other int64 values are stably sorted on
-    offset_keys (by radix below a span of 2^16), Python ints as objects."""
-    if values.dtype == object:
-        keys = values
-    else:
-        lo, hi = int(values.min()), int(values.max())
-        if dedup_route(len(values), hi - lo) == "mask":
-            # indices in the least type holding n, the mark of an absent offset
-            n, index = len(values), np.min_scalar_type(len(values))
-            offsets = values - lo
-            table = np.full(hi - lo + 1, n, dtype=index)
-            np.minimum.at(table, offsets, np.arange(n, dtype=index))
-            present = np.flatnonzero(table < n)
-            first = table[present].astype(np.intp)
-            if not ranked:
-                return values[first], first
-            table[present] = np.arange(len(present), dtype=index)
-            return values[first], first, table[offsets].astype(np.intp)
-        keys = offset_keys(lo, hi, values)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = order[run_starts(sorted_keys)]
+    of the offsets present; every other array, Python ints included, is
+    stably sorted as it is."""
+    lo, hi = int(values.min()), int(values.max())
+    if dedup_route(len(values), hi - lo, objects=values.dtype == object) == "mask":
+        # indices in the least type holding n, the mark of an absent offset
+        n, index = len(values), np.min_scalar_type(len(values))
+        offsets = values - lo
+        table = np.full(hi - lo + 1, n, dtype=index)
+        np.minimum.at(table, offsets, np.arange(n, dtype=index))
+        present = np.flatnonzero(table < n)
+        first = table[present].astype(np.intp)
+        if not ranked:
+            return values[first], first
+        table[present] = np.arange(len(present), dtype=index)
+        return values[first], first, table[offsets].astype(np.intp)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = order[run_starts(ordered)]
     if not ranked:
         return values[first], first
     # the entry at sorted place i has as many values below it as run starts
     # in 1..i
-    rank = np.zeros(len(keys), dtype=np.intp)
-    rank[order[1:]] = np.cumsum(sorted_keys[1:] != sorted_keys[:-1])
+    rank = np.zeros(len(values), dtype=np.intp)
+    rank[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
     return values[first], first, rank
 
 

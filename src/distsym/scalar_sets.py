@@ -7,10 +7,9 @@ integer arrays.  The magnitude guards pick only the dtype: int64 while every
 intermediate provably fits, numpy object arrays of Python ints past that.
 Elements are exposed as Python ints and Fractions (denominator-1 values are
 ints); floats are rejected at the boundary.  A subset test lifts both sets to
-the superset's denominator and merges their numerators (int64 ones as their
-offset_keys from the superset's minimum) with one stable sort, which finds the
-two sorted runs and merges them in linear time; a membership test is one
-search.
+the superset's denominator and merges their numerators, in their own dtype,
+with one stable sort, which finds the two sorted runs and merges them in
+linear time; a membership test is one search.
 
 Every pair kernel of the package, here and in the planar modules, takes its
 blocks from row_blocks, of about _CACHE_BLOCK values each, and reads runs of
@@ -44,14 +43,14 @@ CombineOp = Literal["add", "subtract", "multiply"]
 # int64 arithmetic stays exact as long as every intermediate fits; the
 # per-operation guards below compare actual magnitudes against this margin.
 _I64_LIMIT = 1 << 62
-# values in the first size of the buffer of distinct_values: every block is
-# written into it and sorted once while all of them fit (a fold of up to 2^22
-# pair values, the distances of up to 2860 points), else it is deduplicated
-# in place before it grows.  In process (2-core host, numpy 2.4, best of 3 to
-# 5), a larger size would spare 4000 random points in +-10^6, whose distances
-# are nearly all distinct, the sort at the half-way point (0.21 s at 2^23
-# against 0.33 s), and a smaller one sorts the repeats of grid(64) in smaller
-# parts (62 ms at 2^20 against 79 ms); neither is a benchmark job.
+# values in the first size of the buffer of distinct_values' sort route,
+# which serves int64 values too sparse for the mask and Python ints: every
+# block is written into it and sorted once while all of them fit (a fold of
+# up to 2^22 pair values, the distances of up to 2860 points), else it is
+# deduplicated in place before it grows.  In process (2-core host, numpy 2.4,
+# best of 3 to 5), a larger size would spare 4000 random points in +-10^6,
+# whose distances are nearly all distinct, the sort at the half-way point
+# (0.21 s at 2^23 against 0.33 s); that is not a benchmark job.
 _CHUNK = 1 << 22
 # values per block of every pair kernel (row_blocks).  At int64 a block is
 # 512 KiB (256 KiB for the radius-class pass's 32-bit rows), so it and its one
@@ -107,21 +106,6 @@ def repeat_runs(v: np.ndarray) -> np.ndarray:
     eq = np.flatnonzero(v[1:] == v[:-1])
     ends = np.flatnonzero(eq[1:] != eq[:-1] + 1) + 1
     return np.diff(np.concatenate(([0], ends, [len(eq)]))) + 1 if len(eq) else eq
-
-
-def offset_keys(lo, hi, *arrays: np.ndarray) -> np.ndarray:
-    """Sort keys of int64 arrays with values in [lo, hi]: their offsets from
-    lo, laid end to end in the least unsigned type that holds hi - lo, which
-    sorts fewer bytes, and below a span of 2^16 by radix.  The offsets are
-    formed in uint64 arithmetic, exact for any span of int64 values (2DD's
-    nears 2^63 at the Hanson certificates' guard), and cast as the ufunc
-    writes them, so no uint64 copy is made."""
-    keys = np.empty(sum(map(len, arrays)), dtype=np.min_scalar_type(int(hi) - int(lo)))
-    base, start = np.int64(lo).view(np.uint64), 0
-    for a in arrays:
-        np.subtract(a.view(np.uint64), base, out=keys[start:start + len(a)], casting="unsafe")
-        start += len(a)
-    return keys
 
 
 def as_scalar(value) -> Scalar:
@@ -231,14 +215,12 @@ class ScalarSet:
         k = other._den // self._den
         dt = int_dtype(max(self._bound(k), other._bound()))
         mine, theirs = self._lifted(k, dt), other._lifted(1, dt)
-        lo, hi = theirs[0], theirs[-1]
-        if mine[0] < lo or mine[-1] > hi:
+        if mine[0] < theirs[0] or mine[-1] > theirs[-1]:
             return False
         # both arrays are strictly increasing, so a stable sort of the two
         # laid end to end is one merge of two runs, and every value they share
-        # is exactly one pair of equal neighbours.  int64 values are merged as
-        # their offset keys from lo
-        merged = np.concatenate((mine, theirs)) if dt is object else offset_keys(lo, hi, mine, theirs)
+        # is exactly one pair of equal neighbours
+        merged = np.concatenate((mine, theirs))
         merged.sort(kind="stable")
         return int(np.count_nonzero(merged[1:] == merged[:-1])) == len(mine)
 

@@ -32,7 +32,6 @@ FAST_PATH_HELPERS = {
     "_radius_class_counts",
     "_reduced_lattice",
     "_first_occurrences",
-    "offset_keys",
     "_bitset_sum",
     "_sorted_unique",
     "_unique_outer",

@@ -128,14 +128,15 @@ def test_issubset():
     assert not ScalarSet([1, Fraction(7, 2)]).issubset(ScalarSet([1, 3]))
 
 
-# issubset merges the two numerator arrays (int64 ones as offsets from the
-# superset's minimum) and counts equal neighbours; the oracle is Python's set
-# comparison.  Each superset is tried against an empty
+# issubset merges the two numerator arrays and counts equal neighbours; the
+# oracle is Python's set comparison.  Each superset is tried against an empty
 # set, one element, subsets of several sizes and subsets with one value moved
-# below the minimum, above the maximum or into a gap.
+# below the minimum, above the maximum or into a gap.  int64-guard-edge holds
+# +-(2^62 - 1), the widest int64 numerators, so its span is 2^63 - 2.
 SUBSET_CASES = {
     "int64": [3 * k for k in range(-40, 41)],
     "int64-wide-span": [(k << 55) + 1 for k in range(-60, 61)],
+    "int64-guard-edge": [-(2**62 - 1), 2**62 - 1] + [5 * k for k in range(-10, 11)],
     "1e25": [10**25 * k + 7 for k in range(-30, 31)],
     "1e25-narrow-span": [10**25 + 3 * k for k in range(-40, 41)],
     "mixed-denominators": [Fraction(k, 6) for k in range(-30, 31, 5)] + [Fraction(k, 4) for k in range(9)],
