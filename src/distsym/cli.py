@@ -111,10 +111,25 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _cap(args, default):
-    """The size cap for a command: --max-size, else the default."""
+def _default_cap(args):
+    """The size cap of a command without --max-size: the cubic oracle's for
+    isosceles --brute, the bisector-map cap for symmetry and for a check
+    that reads points, else None (a scalar check's only size rule is the
+    fold budget)."""
+    if getattr(args, "brute", False):
+        return BRUTE_CAP_DEFAULT
+    check = getattr(args, "name", None) or getattr(args, "check", None)
+    if args.command == "symmetry" or (check is not None and CHECKS[check][0]):
+        return BISECTOR_MAP_CAP
+    return None
+
+
+def _cap(args):
+    """The size cap of a command: --max-size where it has a default cap,
+    else that default, or None."""
+    default = _default_cap(args)
     cap = getattr(args, "max_size", None)
-    if cap is None:
+    if default is None or cap is None:
         return default
     if cap > default:
         _warn(f"cap raised from {default} to {cap}; runtime and memory grow quickly")
@@ -160,7 +175,7 @@ def cmd_distset(args) -> int:
 def cmd_isosceles(args) -> int:
     p = _read_points(args.input)
     if args.brute:
-        t = isosceles_count_brute(p, cap=_cap(args, BRUTE_CAP_DEFAULT))
+        t = isosceles_count_brute(p, cap=_cap(args))
     else:
         t = isosceles_count(p)
     _emit_formatted(
@@ -173,7 +188,7 @@ def cmd_isosceles(args) -> int:
 
 def cmd_symmetry(args) -> int:
     p = _read_points(args.input)
-    _check_point_cap(len(p), _cap(args, BISECTOR_MAP_CAP))
+    _check_point_cap(len(p), _cap(args))
     sub = extract_symmetric_subset(p, include_fixed_points=args.include_fixed_points)
     _emit_formatted(
         args,
@@ -207,7 +222,7 @@ def _abc(data, args):
 
 
 # name: (reads points, CSV header, report name, run(data, args) -> report);
-# a check that reads points is capped at BISECTOR_MAP_CAP (see _check_cap).
+# a check that reads points is capped at BISECTOR_MAP_CAP (see _default_cap).
 # Each runner looks its report function up when called, so a rebound module
 # name holds
 CHECKS = {
@@ -228,16 +243,9 @@ CHECKS = {
 }
 
 
-def _check_cap(name: str, args):
-    """The size cap of a named check: the bisector-map cap, or --max-size,
-    for a check that reads points; None for a scalar check, whose only size
-    rule is the fold budget."""
-    return _cap(args, BISECTOR_MAP_CAP) if CHECKS[name][0] else None
-
-
 def run_check(name: str, args, cap, data=None):
     """One named check on data, or else on the --input file, under the cap
-    _check_cap resolved for it.  Returns the report."""
+    _cap resolved for it.  Returns the report."""
     reads_points, _, _, run = CHECKS[name]
     if data is None:
         data = (_read_points if reads_points else _read_scalars)(args.input)
@@ -257,7 +265,7 @@ def _render(report, witness: bool = True):
 
 def cmd_check(args) -> int:
     header = CHECKS[args.name][1]
-    report = run_check(args.name, args, _check_cap(args.name, args))
+    report = run_check(args.name, args, _cap(args))
     row, json_payload, violated = _render(report)
     _emit_formatted(args, json_payload, lambda: (header, [row]))
     return 1 if violated else 0
@@ -284,7 +292,7 @@ def run_sweep(args):
     families, what = (POINT_FAMILIES, "point") if reads_points else (SCALAR_FAMILIES, "scalar")
     if args.family not in families:
         raise ValueError(f"check {name!r} needs a {what} family, not {args.family!r}")
-    cap = _check_cap(name, args)
+    cap = _cap(args)
     header = ["input", *csv_header]
     if "verdict" not in csv_header:
         header.append("status")  # bound rows have their verdict for a status
@@ -452,10 +460,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        check = getattr(args, "name", None) or getattr(args, "check", None)
-        capped = args.command == "symmetry" or getattr(args, "brute", False) or (
-            check is not None and CHECKS[check][0])
-        hint = " or a lower --max-size" if capped else ""
+        hint = " or a lower --max-size" if _default_cap(args) is not None else ""
         print(f"error: out of memory in {args.command}; try a smaller input{hint}",
               file=sys.stderr)
         return 2

@@ -36,6 +36,10 @@ def test_int_nth_root_floor():
     assert int_nth_root(26, 3) == 2
     assert int_nth_root(27, 3) == 3
     assert int_nth_root(2**62 - 1, 2) == math.isqrt(2**62 - 1)
+    with pytest.raises(ValueError, match="^negative radicand$"):
+        int_nth_root(-1, 3)
+    with pytest.raises(ValueError, match="^root order must be >= 1$"):
+        int_nth_root(8, 0)
 
 
 @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=17))
@@ -136,3 +140,5 @@ def test_ratio_bracket_against_interval():
     assert r == Bracket(Fraction(2), Fraction(3))
     with pytest.raises(ValueError):
         ratio_bracket(Fraction(1), Bracket(Fraction(0), Fraction(1)))
+    with pytest.raises(ValueError, match="^numerator must be nonnegative$"):
+        ratio_bracket(-1, Bracket(1, 2))

@@ -15,7 +15,7 @@ from conftest import per_pair_weights, rows_dtype
 import distsym
 from distsym import incidence, planar, scalar_sets
 from distsym.bisectors import WeightedBisectorMap, bisector_weight_map
-from distsym.errors import CapExceededError, MismatchedInputsError
+from distsym.errors import CapExceededError, EmptyInputError, MismatchedInputsError
 from distsym.families import (
     FamilySpec,
     generate_family,
@@ -64,6 +64,11 @@ def test_fixture_counts():
 def test_one_point_has_no_triples():
     assert isosceles_count(PlanarPointSet([(3, 4)])) == 0
     assert isosceles_count(PlanarPointSet([(Fraction(1, 3), 0)])) == 0
+    # no point at all is refused before the map is checked
+    for count in (isosceles_count, isosceles_count_brute,
+                  lambda p: weighted_incidences(p, bisector_weight_map(TRIANGLE))):
+        with pytest.raises(EmptyInputError):
+            count(PlanarPointSet([]))
 
 
 def test_two_points_have_no_triples():

@@ -46,6 +46,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_point_set("# comment\n0 0\n1\n")
     assert "line 3" in str(e.value)
+    with pytest.raises(ParseError) as e:
+        parse_point_set("0 0\n1 x\n")
+    assert "line 2" in str(e.value)
 
 
 def test_empty_content_raises():

@@ -129,6 +129,10 @@ def test_distance_set_matches_brute_on_rational_inputs():
 def test_empty_point_set_raises():
     with pytest.raises(EmptyInputError):
         squared_distance_set(PlanarPointSet([]))
+    with pytest.raises(EmptyInputError):
+        radius_multiplicity_map(PlanarPointSet([]))
+    with pytest.raises(EmptyInputError):
+        cartesian_square(ScalarSet([]))
 
 
 @pytest.mark.parametrize("p", [
