@@ -8,12 +8,12 @@ against irrational comparators are rational brackets, never floats.
 
 The Hanson inclusion enumerates A x A and D x D once each: D and {2}DD are
 the distinct values of those enumerations, and their first occurrences,
-read off a first-index table over a small span or else numpy's unique (a
-stable sort), are the certificates, checked on integer arrays under one
-int64 guard; the rank of every value of A - A places each certificate
-component in D.  Every certificate value is read off the elements of A, D
-and {2}DD, so it is in canonical form: an int when integral, else a
-reduced Fraction.
+read off a first-index table over a small span or else a stable sort of
+the values as they are, are the certificates, checked on integer arrays
+under one int64 guard; the rank of every value of A - A places each
+certificate component in D.  Every certificate value is read off the
+elements of A, D and {2}DD, so it is in canonical form: an int when
+integral, else a reduced Fraction.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .scalar_sets import (
     int_dtype,
     iterated_combination,
     pairwise_combine,
+    run_starts,
 )
 
 VERDICT_HOLDS = "holds"
@@ -172,8 +173,8 @@ def _first_occurrences(values: np.ndarray, ranked: bool = False):
     first occurrence, and with ranked the place of every entry's value among
     them.  On dedup_route's mask route int64 values fill a table of the
     first index at each offset from the minimum, which then takes the places
-    of the offsets present; every other array, Python ints included, goes to
-    numpy's unique (a stable sort)."""
+    of the offsets present; every other array, Python ints included, is
+    stably sorted as it is."""
     lo, hi = int(values.min()), int(values.max())
     if dedup_route(len(values), hi - lo, objects=values.dtype == object) == "mask":
         # indices in the least type holding n, the mark of an absent offset
@@ -187,7 +188,16 @@ def _first_occurrences(values: np.ndarray, ranked: bool = False):
             return values[first], first
         table[present] = np.arange(len(present), dtype=index)
         return values[first], first, table[offsets].astype(np.intp)
-    return np.unique(values, return_index=True, return_inverse=ranked)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = order[run_starts(ordered)]
+    if not ranked:
+        return values[first], first
+    # the entry at sorted place i has as many values below it as run starts
+    # in 1..i
+    rank = np.zeros(len(values), dtype=np.intp)
+    rank[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    return values[first], first, rank
 
 
 def plunnecke_check(a: ScalarSet, m: int, n: int) -> BoundReport:
