@@ -171,15 +171,16 @@ def _hanson_certificates(a: ScalarSet):
 def _first_occurrences(values: np.ndarray, ranked: bool = False):
     """Sorted distinct values of a flat array and the index of each one's
     first occurrence, and with ranked the place of every entry's value among
-    them.  On dedup_route's mask route int64 values fill a table of the
-    first index at each offset from the minimum, which then takes the places
-    of the offsets present; every other array, Python ints included, is
-    stably sorted as it is."""
+    them.  On dedup_route's mask route the values' offsets from their
+    minimum, cast to intp once (each indexes the table), fill a table of
+    the first index at each offset, which then takes the places of the
+    offsets present; sparser arrays, of either dtype, are stably sorted as
+    they are."""
     lo, hi = int(values.min()), int(values.max())
-    if dedup_route(len(values), hi - lo, objects=values.dtype == object) == "mask":
+    if dedup_route(len(values), hi - lo) == "mask":
         # indices in the least type holding n, the mark of an absent offset
         n, index = len(values), np.min_scalar_type(len(values))
-        offsets = values - lo
+        offsets = (values - lo).astype(np.intp, copy=False)
         table = np.full(hi - lo + 1, n, dtype=index)
         np.minimum.at(table, offsets, np.arange(n, dtype=index))
         present = np.flatnonzero(table < n)

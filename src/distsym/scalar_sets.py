@@ -18,11 +18,13 @@ count, with repeat_runs).  The kernels that read only the pairs i < j, the
 squared-distance set and the bisector weight map, cut each block of rows to
 the columns from its first row on.  dedup_route alone picks how the folds,
 the squared-distance set and the Hanson first occurrences deduplicate their
-values: sums and differences by a Python-int bitset, int64 values over a
-small span by scattering them into a mask, else by a sort.  The folds and
-the squared-distance set write their blocks into distinct_values, which
-takes the mask or its one sorting buffer; Python-int values there are sorted
-as a list, so timsort merges the sorted prefix the buffer keeps with the new
+values, from their density (pair values per position of their span) and
+nothing else: sparse values by a sort; dense sums and differences, and any
+of Python ints, by a Python-int bitset; every other value, of either dtype,
+by scattering its offsets from the minimum into a mask.  The folds and the
+squared-distance set write their blocks into distinct_values, which takes
+the mask or its one sorting buffer; Python-int values there are sorted as a
+list, so timsort merges the sorted prefix the buffer keeps with the new
 blocks.
 """
 
@@ -267,28 +269,41 @@ def _require_nonempty(*sets: ScalarSet) -> None:
             raise EmptyInputError("operation requires nonempty input sets")
 
 
-# dedup_route's crossovers, measured in process on random int64 operands
-# (2-core host, numpy 2.4).  At 4 span per pair value the mask beat the sort
-# 1.2-2.4x on folds of 10^4 to 4 * 10^6 pairs and 1.1-1.3x on d(P) of 300 to
-# 3000 points; at 8 they were even (0.8-1.3x).  At 1 bitset word
-# (short * span / 64 of them) per pair value the mask was faster for shorter
-# operands of up to 100 values and the bitset from 300 on, within 3.2x; at 4
-# the mask was faster on every shape.  Python-int sums took the bitset 3-125x
-# faster than their sort, up to 4 span and 62 words per pair value.
+# dedup_route's one constant, a density: sort past this many positions of
+# the span per pair value, and take the bitset for int64 sums and differences
+# from this many pair values per position on.  Measured in process on random
+# sums (2-core host, numpy 2.4, best of 3 to 5), ms on the bitset / mask /
+# sort:
+#
+#   shorter x longer     4 positions per pair  1 per position      4 pairs per position
+#   10 x 10^4            3.42 / 1.49 / 1.74    0.83 / 0.45 / 1.19  0.14 / 0.36 / 1.12
+#   100 x 10^4           53.9 / 10.4 / 12.2    8.70 / 3.50 / 11.8  1.39 / 2.08 / 11.7
+#   1000 x 1000          145 / 9.97 / 13.2     33.8 / 4.68 / 13.5  8.05 / 3.52 / 12.9
+#   1000 x 10^4          1850 / 133 / 1040     449 / 82.5 / 751    79.2 / 46.5 / 268
+#   Python ints 100 x 10^4   89.8 / 132 / 308  52.9 / 114 / 329    12.8 / 89.6 / 335
+#   Python ints 1000 x 1000  189 / 149 / 370   83.8 / 107 / 449    26.0 / 84.2 / 410
+#
+# At 4 positions per pair value the mask beat the sort on every shape, as on
+# products and d(P) (1.1-2.4x; even at 8).  On int64 sums the bitset
+# overtook the mask between 1 and 4 pair values per position for shorter
+# operands of 10 and 100 values, and only near 16 for 1000 (2.8 against
+# 2.6 ms on 1000 x 1000, 20.3 against 22.2 on 1000 x 10^4).  Python-int sums
+# took the bitset 1.2-23x faster than their mask within the sort bound, but
+# for 1000 x 1000 at 4 positions per pair.
 _DENSE_SPAN_PER_PAIR = 4
-_BITSET_WORDS_PER_PAIR = 1
 
 
-def dedup_route(pairs: int, span: int, short: int = 0, objects: bool = False) -> str:
-    """'bitset', 'mask' or 'sort' to deduplicate pairs values spanning span;
-    the bitset only for sums and differences, whose shorter operand has
-    short > 0 values.  Python ints (objects) have no mask, and their sort is
-    far slower than the bitset, which they take whenever the span allows."""
+def dedup_route(pairs: int, span: int, sums: bool = False, objects: bool = False) -> str:
+    """'bitset', 'mask' or 'sort' to deduplicate pairs values spanning span,
+    by their density alone: past _DENSE_SPAN_PER_PAIR positions per pair value
+    they sort; sums and differences (sums) take the bitset from
+    _DENSE_SPAN_PER_PAIR pair values per position on, or wherever their values
+    are Python ints (objects); every other value takes the mask."""
     if span > _DENSE_SPAN_PER_PAIR * pairs:
         return "sort"
-    if short and (objects or short * (span >> 6) <= _BITSET_WORDS_PER_PAIR * pairs):
+    if sums and (objects or pairs >= _DENSE_SPAN_PER_PAIR * span):
         return "bitset"
-    return "sort" if objects else "mask"
+    return "mask"
 
 
 def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
@@ -310,15 +325,16 @@ def _sorted_unique(scratch: np.ndarray) -> np.ndarray:
 
 def _mask_values(sizes, dtype, write, lo: int, hi: int) -> np.ndarray:
     # distinct_values' mask route: each block is written into one buffer of
-    # the largest block, offset by lo and scattered into a bool mask of the
-    # span, and one flatnonzero reads the values off in order
+    # the largest block, offset by lo, cast to intp (Python ints too: every
+    # offset indexes the mask) and scattered into a bool mask of the span,
+    # and one flatnonzero reads the values off in order, in dtype
     buf = np.empty(max(sizes), dtype=dtype)
     mask = np.zeros(hi - lo + 1, dtype=bool)
     for i, size in enumerate(sizes):
         out = buf[:size]
         write(i, out)
         out -= lo
-        mask[out] = True
+        mask[out.astype(np.intp, copy=False)] = True
     found = np.flatnonzero(mask).astype(dtype, copy=False)
     found += lo
     return found
@@ -328,14 +344,14 @@ def distinct_values(sizes, dtype, write, lo: int, hi: int) -> np.ndarray:
     """Sorted distinct values, in dtype, of the blocks that write(i, out)
     writes straight into out, block i of sizes[i] values, all in [lo, hi].
     The values take the mask route (_mask_values) where dedup_route picks
-    it.  Otherwise every block is a slice of one buffer, which holds all the
-    blocks when they fit _CHUNK values, for one sort, else as many leading
-    ones as fit.  When the next block would not fit, the buffer is sorted and
-    deduplicated in place and keeps its distinct prefix; only when that
-    leaves no room does it grow, twice over but never past what is left to
-    write, so past its first size it stays below twice the distinct values
-    and two blocks."""
-    if dedup_route(sum(sizes), hi - lo, objects=dtype == object) == "mask":
+    it, Python ints too.  Otherwise every block is a slice of one buffer,
+    which holds all the blocks when they fit _CHUNK values, for one sort,
+    else as many leading ones as fit.  When the next block would not fit,
+    the buffer is sorted and deduplicated in place and keeps its distinct
+    prefix; only when that leaves no room does it grow, twice over but never
+    past what is left to write, so past its first size it stays below twice
+    the distinct values and two blocks."""
+    if dedup_route(sum(sizes), hi - lo) == "mask":
         return _mask_values(sizes, dtype, write, lo, hi)
     cap = max(sizes)
     for done in itertools.accumulate(sizes):
@@ -399,20 +415,20 @@ def check_fold_budget(fold: str, m: int, n: int, predicted: int) -> None:
 
 def _unique_outer(ua: np.ndarray, ub: np.ndarray, ufunc) -> np.ndarray:
     """Sorted distinct ufunc(x, y) over x in ua, y in ub (both sorted), within
-    the value budget, by dedup_route's route: sums and differences may take
-    the bitset, and every other fold writes its pair values, block by block,
-    into distinct_values."""
+    the value budget, by dedup_route's route: sums and differences (a sum
+    once b is negated) may take the bitset, and every other fold writes its
+    pair values, block by block, into distinct_values."""
     pairs, fold = len(ua) * len(ub), ufunc.__name__
     if ufunc is np.subtract:
         # a - b is a plus the negated, reversed (so again sorted) b
         ufunc, ub = np.add, -ub[::-1]
     if ufunc is np.multiply:
         corners = [int(x) * int(y) for x in (ua[0], ua[-1]) for y in (ub[0], ub[-1])]
-        lo, hi, short = min(corners), max(corners), 0
+        lo, hi = min(corners), max(corners)
     else:
-        lo, hi, short = int(ua[0]) + int(ub[0]), int(ua[-1]) + int(ub[-1]), min(len(ua), len(ub))
+        lo, hi = int(ua[0]) + int(ub[0]), int(ua[-1]) + int(ub[-1])
     check_fold_budget(fold, len(ua), len(ub), min(pairs, hi - lo + 1))
-    if dedup_route(pairs, hi - lo, short, ua.dtype == object) == "bitset":
+    if dedup_route(pairs, hi - lo, ufunc is np.add, ua.dtype == object) == "bitset":
         return _bitset_sum(ua, ub)
     blocks = list(row_blocks(len(ua), len(ub)))
     return distinct_values([(rows.stop - rows.start) * len(ub) for rows in blocks], ua.dtype,

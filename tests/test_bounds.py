@@ -217,7 +217,7 @@ def two_dd_enumeration(edge):
     return 2 * np.multiply.outer(diffs, diffs).ravel()
 
 
-# int64 values past the mask route's span bound and Python ints are stably
+# Values past the mask route's span bound, int64 or Python ints, are stably
 # sorted as they are.  The span-255 case has 63 values, so its span passes 4
 # per value
 FIRST_OCCURRENCE_CASES = {
@@ -251,12 +251,12 @@ def test_first_occurrences_match_a_dict_oracle(monkeypatch, values):
 # Within the span bound, n values spanning up to 4n fill a first-index table
 # in the least unsigned type that holds n, its mark of an absent offset:
 # uint8 up to 255 values, uint16 from 256.  One more span sorts.  Values near
-# either end of the int64 guard are offset from their own minimum.  Values
-# near 10^25 are Python ints, which have no table, so they sort however
-# dense they are.
+# either end of the int64 guard, and Python ints near 10^25, are offset from
+# their own minimum.
 @pytest.mark.parametrize("n, lo, extra, route", [
     (255, 10**15, 0, "mask"), (255, 10**15, 1, "sort"), (256, -(2**62), 0, "mask"),
-    (256, -(2**62), 1, "sort"), (3000, 2**62 - 12001, 0, "mask"), (300, 10**25, 0, "sort")])
+    (256, -(2**62), 1, "sort"), (3000, 2**62 - 12001, 0, "mask"), (300, 10**25, 0, "mask"),
+    (300, 10**25, 1, "sort")])
 def test_first_occurrences_fill_a_table_within_the_span_bound(monkeypatch, n, lo, extra, route):
     # numpy infers the dtype: int64 where every value fits, else object
     values = spread(lo, 4 * n + extra, None, n, draws=n - 3)

@@ -94,12 +94,10 @@ def test_every_fast_path_helper_is_defined():
     assert FAST_PATH_HELPERS - defined == set()
 
 
-def test_one_block_plan():
-    # the pair kernels take their blocks from row_blocks alone, and _CHUNK
-    # sizes only the buffer of distinct_values: a second block plan would
-    # read one of these constants somewhere else.  Every top-level function
-    # and class of every module is searched, with what it nests
-    readers = {"_CHUNK": set(), "_CACHE_BLOCK": set()}
+def constant_readers(*names) -> dict:
+    """For each name, the module.function of every top-level function and
+    class of every module that reads it, with what it nests."""
+    readers = {name: set() for name in names}
     for info in pkgutil.iter_modules(distsym.__path__):
         module = importlib.import_module(f"distsym.{info.name}")
         code = compile(inspect.getsource(module), module.__file__, "exec")
@@ -107,5 +105,23 @@ def test_one_block_plan():
             if isinstance(defn, types.CodeType):
                 for name in readers.keys() & referenced_names(defn):
                     readers[name].add(f"{info.name}.{defn.co_name}")
-    assert readers == {"_CHUNK": {"scalar_sets.distinct_values"},
-                       "_CACHE_BLOCK": {"scalar_sets.row_blocks"}}
+    return readers
+
+
+def test_one_block_plan():
+    # the pair kernels take their blocks from row_blocks alone, and _CHUNK
+    # sizes only the buffer of distinct_values: a second block plan would
+    # read one of these constants somewhere else
+    assert constant_readers("_CHUNK", "_CACHE_BLOCK") == {
+        "_CHUNK": {"scalar_sets.distinct_values"},
+        "_CACHE_BLOCK": {"scalar_sets.row_blocks"}}
+
+
+def test_one_cost_model():
+    # every route choice reads the one density constant through dedup_route,
+    # and no second constant weighs the bitset
+    assert constant_readers("_DENSE_SPAN_PER_PAIR") == {
+        "_DENSE_SPAN_PER_PAIR": {"scalar_sets.dedup_route"}}
+    modules = [importlib.import_module(f"distsym.{m.name}")
+               for m in pkgutil.iter_modules(distsym.__path__)]
+    assert not [m.__name__ for m in modules if hasattr(m, "_BITSET_WORDS_PER_PAIR")]

@@ -415,14 +415,17 @@ def test_representation_is_canonical():
     assert dilate(10**20, ScalarSet([0])).elements == (0,)
 
 
-# dedup_route sends sums and differences to the bitset while, per pair
-# value, the fold's bitset words, len(small) * (span >> 6), are at most
-# _BITSET_WORDS_PER_PAIR and its span at most _DENSE_SPAN_PER_PAIR; past the
-# words bound int64 values take the mask, while Python ints, which have no
-# mask, keep the bitset; past the span bound every fold sorts.  Each fold
+# dedup_route decides by density alone, with one constant: a fold sorts
+# while its span passes _DENSE_SPAN_PER_PAIR positions per pair value (the
+# "span" bound); within it, sums and differences take the bitset from
+# _DENSE_SPAN_PER_PAIR pair values per position on (the "words" bound, named
+# for the 64-bit words it counted before it became a density), and wherever
+# their values are Python ints; other int64 sums take the mask.  Each fold
 # below is put at threshold - 1, at it and + 1 of one bound by a
-# monkeypatched (Fraction) constant, with the other bound lifted out of the
-# way.
+# monkeypatched (Fraction) constant, which moves the other bound with it: a
+# fold of fewer pair values than positions of its span sorts at every
+# threshold of the bitset's bound, and one of more takes the bitset at every
+# threshold of the span bound that it does not sort at.
 BIG = 10**25
 ASYM_A, ASYM_B = ScalarSet([0, 1, 5, 40, 300, 301, 302]), ScalarSet(range(0, 90, 4))
 ROUTE_FOLDS = {
@@ -445,22 +448,17 @@ ROUTE_FOLDS = {
 }
 
 
-def fold_cost(a, b):
-    """Both sides of the cost model for a fold, from the elements: the
-    bitset's 64-bit words (the shorter operand's length times the result's
-    span over the common denominator, over 64) and that span."""
+def fold_span(a, b):
+    """The span of a sum or difference of a and b over their common
+    denominator, from the elements."""
     den = math.lcm(a.denominator, b.denominator)
-    span = int((max(a.elements) - min(a.elements) + max(b.elements) - min(b.elements)) * den)
-    return {"words": min(len(a), len(b)) * (span >> 6), "span": span}
+    return int((max(a.elements) - min(a.elements) + max(b.elements) - min(b.elements)) * den)
 
 
 def fold_dtype(a, b):
     """The dtype pairwise_combine picks for a sum or difference of a and b."""
     den = math.lcm(a.denominator, b.denominator)
     return int_dtype(a._bound(den // a.denominator) + b._bound(den // b.denominator))
-
-
-BOUNDS = {"words": "_BITSET_WORDS_PER_PAIR", "span": "_DENSE_SPAN_PER_PAIR"}
 
 
 def recording(fn, route, taken):
@@ -480,22 +478,31 @@ def spy_routes(monkeypatch):
     return taken
 
 
-@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("bound", ["words", "span"])
 @pytest.mark.parametrize("case", ROUTE_FOLDS)
 def test_routes_agree_at_the_cost_threshold(monkeypatch, case, bound):
     a, b, op = ROUTE_FOLDS[case]
     other = a if b is None else b
     taken = spy_routes(monkeypatch)
-    cost = fold_cost(a, other)[bound]
-    assert cost > 0
-    pairs = len(a) * len(other)
-    for name in BOUNDS.values():
-        monkeypatch.setattr(scalar_sets_module, name, 2**64)
+    span, pairs = fold_span(a, other), len(a) * len(other)
+    assert span > 0
     expected = comprehension(a, other, OPS[op])
-    past = {"span": "sort", "words": "bitset" if fold_dtype(a, other) is object else "mask"}[bound]
+    objects = fold_dtype(a, other) is object
+    if bound == "span":
+        # sorts where span > threshold
+        within = "bitset" if objects or pairs > span else "mask"
+        steps = ((span + 1, within), (span, within), (span - 1, "sort"))
+        density = lambda threshold: Fraction(threshold, pairs)
+    else:
+        # the bitset where span <= threshold
+        past = "bitset" if objects else "mask"
+        steps = ((span + 1, "bitset"), (span, "bitset"), (span - 1, past))
+        if pairs < span:
+            steps = tuple((threshold, "sort") for threshold, _ in steps)
+        density = lambda threshold: Fraction(pairs, threshold)
     results = []
-    for threshold, route in ((cost + 1, "bitset"), (cost, "bitset"), (cost - 1, past)):
-        monkeypatch.setattr(scalar_sets_module, BOUNDS[bound], Fraction(threshold, pairs))
+    for threshold, route in steps:
+        monkeypatch.setattr(scalar_sets_module, "_DENSE_SPAN_PER_PAIR", density(threshold))
         taken.clear()
         got = difference_set(a) if b is None else pairwise_combine(a, b, op)
         assert taken == [route]
@@ -507,16 +514,19 @@ def test_routes_agree_at_the_cost_threshold(monkeypatch, case, bound):
         assert got.numerators.tolist() == results[0].numerators.tolist()
 
 
-# Products never take the bitset: within the span bound int64 ones take the
-# mask and Python ints the sort, and past it both sort.  The corners of each
-# product set its span: negative corners, rational lifts, and -1 times values
-# up to 2^62 - 1, whose products reach the int64 guard from below.
+# Products never take the bitset: within the span bound they take the mask,
+# Python ints too, and past it they sort.  The corners of each product set
+# its span: negative corners, rational lifts, -1 times values up to
+# 2^62 - 1, whose products reach the int64 guard from below, and -3 times
+# Python ints near 10^25, whose products span 2079 (a mask holds one bool
+# per position, so a Python-int product set can take it only where one
+# factor is a single value).
 PRODUCT_FOLDS = {
     "negative-corners": (ScalarSet(range(-30, 25)), ScalarSet(range(-7, 12))),
     "rational-lifts": (ScalarSet(Fraction(k, 6) for k in range(-40, 30, 3)),
                        ScalarSet(Fraction(k, 10) for k in range(-9, 30, 2))),
     "near-int64-guard": (ScalarSet([-1]), ScalarSet(range(_I64_LIMIT - 701, _I64_LIMIT, 7))),
-    "near-1e25": (ScalarSet(BIG + k for k in range(0, 70, 9)), ScalarSet(range(-30, 30, 4))),
+    "near-1e25": (ScalarSet(BIG + k for k in range(0, 700, 9)), ScalarSet([-3])),
 }
 
 
@@ -529,8 +539,7 @@ def test_product_routes_agree_at_the_span_threshold(monkeypatch, case):
     span = int((max(corners) - min(corners)) * a.denominator * b.denominator)
     pairs = len(a) * len(b)
     expected = comprehension(a, b, operator.mul)
-    dense = "sort" if case == "near-1e25" else "mask"
-    for threshold, route in ((span + 1, dense), (span, dense), (span - 1, "sort")):
+    for threshold, route in ((span + 1, "mask"), (span, "mask"), (span - 1, "sort")):
         monkeypatch.setattr(scalar_sets_module, "_DENSE_SPAN_PER_PAIR", Fraction(threshold, pairs))
         taken.clear()
         assert pairwise_combine(a, b, "multiply").elements == expected
@@ -540,20 +549,21 @@ def test_product_routes_agree_at_the_span_threshold(monkeypatch, case):
 def test_default_cost_model_routes(monkeypatch):
     taken = spy_routes(monkeypatch)
     ap = ScalarSet(range(0, 3000, 3))
-    difference_set(ap)
+    difference_set(ap)  # 10^6 pairs spanning 5994: 167 per position, bitset
     pairwise_combine(ap, ScalarSet([10**6, -(10**6)]), "add")  # one short row over a wide span
     pairwise_combine(ap, ap, "multiply")  # span 9.0M over 1M pairs
-    # D.D of ap(100): 39601 products spanning 19602
+    # D of ap(100), 10^4 pairs spanning 198, takes the bitset; D.D, 39601
+    # products spanning 19602, the mask
     d = difference_set(ScalarSet(range(100)))
     pairwise_combine(d, d, "multiply")
     # one element against 300: a span of 4 per pair value is the last a
-    # dense route takes; at 5 per pair the fold sorts
+    # dense route takes, here the mask; at 5 per pair the fold sorts
     pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 4 * 300, 4)), "add")
     pairwise_combine(ScalarSet([3]), ScalarSet(range(0, 5 * 300, 5)), "add")
-    # 100 elements step apart, added to themselves: 0.99 words per pair value
-    # at step 32, 1.02 at 33 and 4.6 at 150, all within the span bound, and
-    # 4.2 span per pair value at 210
-    for step in (32, 33, 150, 210):
+    # 100 elements step apart, added to themselves: 4.2 pair values per
+    # position at step 12 take the bitset, 3.9 at 13 and 0.34 at 150 the
+    # mask, and 4.2 positions per pair value at 210 sort
+    for step in (12, 13, 150, 210):
         spread = ScalarSet(range(0, 100 * step, step))
         pairwise_combine(spread, spread, "add")
     # the same near 10^25 are Python ints, which keep the bitset within the
@@ -561,7 +571,7 @@ def test_default_cost_model_routes(monkeypatch):
     for step in (150, 210):
         spread = ScalarSet(range(BIG, BIG + 100 * step, step))
         pairwise_combine(spread, spread, "add")
-    assert taken == ["bitset", "sort", "sort", "bitset", "mask", "bitset", "sort",
+    assert taken == ["bitset", "sort", "sort", "bitset", "mask", "mask", "sort",
                      "bitset", "mask", "mask", "sort", "bitset", "sort"]
 
 
